@@ -8,7 +8,6 @@ Exit codes: 0 a solution was found (or clean interactive exit), 1 no,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
@@ -16,7 +15,7 @@ from typing import Optional, TextIO
 from .database import Database, load_program
 from .engine import Outcome, Solver, SolveOptions
 from .errors import ParseError, SkologError
-from .explain import WhyContext, how, proof_to_json, trace_of, trace_to_json, format_trace
+from .explain import WhyContext, how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
 from .explain import why as render_why
 from .negation import FreshnessLedger, negate_fact
 from .oracle import InteractiveOracle, Oracle, ScriptedOracle, reset_known
@@ -77,6 +76,13 @@ def main(
     except OSError as e:
         stderr.write(f"error: {e}\n")
         return 2
+    except RecursionError:
+        stderr.write(f"error: {_TOO_DEEP}\n")
+        return 2
+
+
+# Term equality and hashing still recurse once per level of nesting.
+_TOO_DEEP = "a term is nested too deeply to handle"
 
 
 def entry() -> None:
@@ -116,7 +122,7 @@ def run_batch(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
     outcome = solver.run(goals)
 
     if args.json:
-        stdout.write(json.dumps(_json_payload(outcome), indent=2) + "\n")
+        stdout.write(json_text(_json_payload(outcome)) + "\n")
         return _EXIT_BY_STATUS[outcome.status]
 
     if outcome.status == "yes":
@@ -208,6 +214,8 @@ def repl_loop(session: Session, stdin: TextIO, stdout: TextIO, stderr: TextIO) -
             stdout.write(f"parse error: {e}\n")
         except SkologError as e:
             stdout.write(f"error: {e}\n")
+        except RecursionError:
+            stdout.write(f"error: {_TOO_DEEP}\n")
 
 
 def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
@@ -292,7 +300,7 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
         except StopIteration:
             if not found:
                 stdout.write(
-                    ("depth_exceeded" if solver._truncated else "no") + "\n"
+                    ("depth_exceeded" if solver.truncated else "no") + "\n"
                 )
             else:
                 stdout.write("no\n")  # user asked for more; none left

@@ -1,38 +1,40 @@
 """Goal resolution: leftmost goal first, clauses in stored order,
 alternatives on backtracking.
 
-Each reduction renames the chosen clause apart, unifies the selected goal
-with its head, and continues with the clause body prepended to the
-remaining goals.  The number of reductions along one derivation path is
-capped by ``depth_limit``; paths cut off that way set a flag, and a run
-that finds no solution reports ``depth_exceeded`` instead of ``no`` when
-the flag is up, so ``no`` always means an exhaustive search said no.
+The solver follows the WAM's control model without its compiler (Warren
+1983; Ait-Kaci 1991).  A ``Store`` holds the variable bindings, read
+through ``deref``, and a trail of the variables bound, so backtracking
+undoes bindings by popping the trail back to a mark.  The goals still to
+prove form a linked list of cells; a user call with clauses left sits on a
+choicepoint stack, which failure pops to resume the latest alternative.
+Each reduction renames the chosen clause apart, unifies the goal with its
+head (occurs check on), and puts the clause body in front of the goals.
 
-Cut (!) succeeds once and, on backtracking, discards the choice points
-made since the clause it sits in was entered: remaining alternatives of
-the preceding body goals and the remaining clauses of the predicate.
-not/1 runs its argument in a nested search over the same database and
-succeeds exactly when that search finds nothing within the remaining
-depth; a cut inside the argument stays inside.
+Reductions along one derivation path are capped by ``depth_limit``.  A
+path cut off that way raises ``truncated``, and a run without solutions
+then reports ``depth_exceeded`` instead of ``no``: ``no`` always means an
+exhaustive search said no.  Cut drops the choicepoints pushed since the
+call of its clause.  not/1 runs its argument as a sub-run on the same
+stacks, above a fence choicepoint: it fails if the sub-run succeeds,
+succeeds if it fails, and fails, raising ``truncated``, if it was cut off.
 
-Successful derivations are recorded as proof trees for HOW/WHY and the
-derived trace; only the successful branch is kept.
+Each goal proved on the current path leaves a record in proof-tree
+preorder (a clause's children are the records of its body goals after it):
+the goal, the trail lengths before and after it, and its clause or builtin
+justification.  Terms are resolved when a solution is finalized: proof
+goals and answers under the final bindings, entry goals and their bindings
+as of the trail lengths in their records.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
-from .database import (
-    Database,
-    StoredClause,
-    KIND_DYNAMIC,
-    KIND_S_FACT,
-    KIND_STATIC,
-)
+from .database import Database, StoredClause, KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
 from .errors import EngineError, InstantiationError
 from .explain import (
     AssertedFactJust,
@@ -58,19 +60,15 @@ from .terms import (
     Subst,
     Term,
     Var,
-    apply,
-    compose,
-    indicator_of,
     is_ground,
     rename_clause,
-    restrict,
-    unify,
     variables_in,
     variables_of,
 )
 
-# Deep derivations run through nested generators; give them headroom.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+# The solver calls none of these; they stay names of this module because
+# perfbench/tracer.py wraps the term operations here by name.
+from .terms import apply, compose, unify  # noqa: F401
 
 
 @dataclass
@@ -105,20 +103,182 @@ class _MissingOracle(oracle_mod.Oracle):
 _MISSING_ORACLE = _MissingOracle()
 
 
-class _Cut(Exception):
-    """Unwinds choice points up to the call that owns ``barrier``."""
+class Store:
+    """Variable bindings with a trail.
 
-    def __init__(self, barrier: object):
-        self.barrier = barrier
+    ``unify`` binds as ``terms.unify`` does: the same order of equations,
+    and a variable of ``a``'s side binds to ``b``'s side, so resolving any
+    variable gives what ``terms.apply`` gives with the unifier.  A failed
+    unification may leave bindings behind; ``undo`` to a mark removes them.
+    """
+
+    def __init__(self):
+        self.bindings: dict[Var, Term] = {}
+        self.trail: list[Var] = []
+
+    def deref(self, t: Term) -> Term:
+        get = self.bindings.get
+        while type(t) is Var and (value := get(t)) is not None:
+            t = value
+        return t
+
+    def bind(self, v: Var, t: Term) -> None:
+        self.bindings[v] = t
+        self.trail.append(v)
+
+    def undo(self, mark: int) -> None:
+        trail, bindings = self.trail, self.bindings
+        while len(trail) > mark:
+            del bindings[trail.pop()]
+
+    def resolver(self, history: bool = False) -> "_Resolver":
+        """Reads terms under the current bindings; with ``history``, also
+        as of an earlier trail length."""
+        pos = {v: i for i, v in enumerate(self.trail)} if history else None
+        return _Resolver(self.bindings, pos)
+
+    def unify(self, a: Term, b: Term, fresh: Optional[set] = None) -> bool:
+        """Unify ``a`` with ``b``, the occurs check always on.
+
+        ``fresh`` holds the variables a renaming has just made for ``b``.
+        Such a variable cannot occur in a term of ``a``'s side until a
+        binding made here links it there, which takes it out of ``fresh``;
+        until then its check is skipped: the WAM's first-occurrence rule.
+        """
+        bindings, trail = self.bindings, self.trail
+        get = bindings.get
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            while type(x) is Var and (value := get(x)) is not None:
+                x = value
+            while type(y) is Var and (value := get(y)) is not None:
+                y = value
+            if x is y:
+                continue
+            if type(x) is Var:
+                if type(y) is Var and x == y:
+                    continue
+                v, t = x, y
+            elif type(y) is Var:
+                v, t = y, x
+            elif type(x) is Struct:
+                if type(y) is not Struct or x.name != y.name or len(x.args) != len(y.args):
+                    return False
+                stack.extend(zip(x.args, y.args))
+                continue
+            elif x == y:
+                continue
+            else:
+                return False
+            if (fresh is None or v not in fresh) and self._occurs(v, t, fresh):
+                return False
+            bindings[v] = t
+            trail.append(v)
+        return True
+
+    def _occurs(self, v: Var, t: Term, fresh: Optional[set]) -> bool:
+        """Does ``v`` occur in ``t``?  Takes the renamed variables met on
+        the way out of ``fresh``, since binding ``v`` to ``t`` links them."""
+        get = self.bindings.get
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            while type(u) is Var and (value := get(u)) is not None:
+                u = value
+            if type(u) is Struct:
+                todo.extend(u.args)
+            elif type(u) is Var:
+                if u == v:
+                    return True
+                if fresh:
+                    fresh.discard(u)
+        return False
 
 
-def reduce(goal: Term, clause: Clause):
-    """One reduction step: (body with the unifier applied, unifier), or
-    None if the head does not match.  The clause must be renamed apart."""
-    theta = unify(goal, clause.head)
-    if theta is None:
-        return None
-    return tuple(apply(theta, b) for b in clause.body), theta
+class _Resolver:
+    """Terms under a fixed set of bindings.
+
+    Resolving a term with every binding applied memoizes each compound by
+    ``id``, with the latest trail position among the bindings it used.
+    Given ``pos`` (variable -> trail position), a term can be resolved as
+    of an earlier trail length too: a memoized compound whose latest
+    position lies below that length is reused whole.  The bindings must
+    not change meanwhile, and the terms resolved must stay alive.
+    """
+
+    def __init__(self, bindings: dict, pos: Optional[dict] = None):
+        self.bindings, self.pos = bindings, pos
+        self.memo: dict[int, tuple[Term, int]] = {}
+
+    def resolve(self, t: Term, stamp: Optional[int] = None, later: Optional[dict] = None) -> Term:
+        """``t`` under the bindings made before trail length ``stamp``, or
+        under all when it is None.  ``later``, when given, receives the
+        variables of the result that were bound later, in first-occurrence
+        order, as keys."""
+        memo, bindings, pos = self.memo, self.bindings, self.pos
+        final = stamp is None
+        # [compound, its resolved args so far, their latest position,
+        #  latest position of the bindings that led to the compound]
+        frames: list[list] = []
+        x = t
+        while True:
+            latest = -1
+            while type(x) is Var and (value := bindings.get(x)) is not None:
+                p = pos[x] if pos is not None else -1
+                if not final and p >= stamp:
+                    if later is not None:
+                        later[x] = None
+                    break
+                latest = max(latest, p)
+                x = value
+            if type(x) is Struct:
+                hit = memo.get(id(x))
+                if hit is None or not (final or hit[1] < stamp):
+                    frames.append([x, [], -1, latest])
+                    x = x.args[0]
+                    continue
+                x, latest = hit[0], max(latest, hit[1])
+            while frames:  # up, finishing what is complete
+                frame = frames[-1]
+                f, done = frame[0], frame[1]
+                done.append(x)
+                if latest > frame[2]:
+                    frame[2] = latest
+                if len(done) < len(f.args):
+                    x = f.args[len(done)]
+                    break
+                frames.pop()
+                x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
+                if final:
+                    memo[id(f)] = (x, frame[2])
+                latest = max(frame[2], frame[3])
+            else:
+                return x
+
+
+@dataclass(slots=True)
+class _Choice:
+    """A choicepoint: a user call, kept while it has clauses left (always,
+    when tracing, so that its failure is shown), or not/1's fence."""
+
+    raw: Term  # the goal as its cell holds it
+    rest: object  # the goal-list cells after it
+    depth: int
+    mark: int  # trail length at the call
+    records: int  # record count at the call
+    height: int  # choicepoint stack height at the call: what cut keeps
+    goal: Optional[Term] = None  # dereferenced; None for a not/1 fence
+    clauses: tuple = ()
+    next: int = 0
+    produced: bool = False  # some clause body was proved
+    truncated: bool = False  # not/1: the flag before the sub-run
+
+
+_EXIT = object()  # cell after a traced call's body; its barrier slot holds the call
+_SUCCEEDED = object()  # cell after not/1's argument; its barrier slot holds the fence
+_CUT, _NOT = object(), object()  # control constructs the solver runs itself
+_CUT_PROOF, _NOT_PROOF = BuiltinJust("!"), BuiltinJust("not")
 
 
 class Solver:
@@ -144,6 +304,12 @@ class Solver:
         self.out = out if out is not None else sys.stdout
         self.diag = diag if diag is not None else sys.stderr
         self.trace_out = trace_out
+        self._truncated = False
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the depth limit cut off a branch of the latest search."""
+        return self._truncated
 
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
@@ -163,298 +329,275 @@ class Solver:
         for g in goals:
             if not isinstance(g, (Atom, Struct)):
                 raise EngineError(f"query goal is not callable: {g!r}")
-        self._fresh = FreshVars()
+        qvars = variables_in(goals)
+        # renamed variables are _G<n>, numbered from 1 unless a query
+        # variable (passed in as a term, not read as text) holds such an id
+        self._fresh = FreshVars(start=1 + max((v.id for v in qvars), default=0))
         self._truncated = False
-        self._why_frames: list[tuple[Term, StoredClause]] = []
         self._root = goals
         self._warned: set[tuple[str, int]] = set()
-        qvars = [v for v in variables_in(goals) if v.name != "_"]
-        top_barrier = object()
-        try:
-            for theta, proofs, _depth in self._prove_all(goals, {}, 0, top_barrier):
-                bindings = restrict(theta, qvars)
-                root = self._root_proof(proofs, theta)
-                yield Solution(bindings, root)
-        except _Cut as c:
-            if c.barrier is not top_barrier:
-                raise
+        self._store = Store()
+        self._records: list[tuple] = []  # (goal, trail length, length after, justification)
+        self._choices: list[_Choice] = []
+        self._tracing = self.trace_out is not None and self.options.trace
+        cont = None  # goal-list cells: (goal, cut barrier, next cell)
+        for g in reversed(goals):
+            cont = (g, 0, cont)
+        yield from self._search(cont, [v for v in qvars if v.name != "_"])
 
-    def _root_proof(self, proofs: tuple[ProofNode, ...], theta: Subst) -> ProofNode:
-        finalized = tuple(self._finalize(p, theta) for p in proofs)
-        if len(finalized) == 1:
-            return finalized[0]
-        goal = Struct(",", tuple(p.goal for p in finalized)) if finalized else Atom("true")
-        return ProofNode(goal, goal, QUERY_ROOT, {}, finalized)
+    def _search(self, cont, qvars) -> Iterator[Solution]:
+        store, records, choices = self._store, self._records, self._choices
+        bindings, trail = store.bindings, store.trail
+        depth = 0
+        resume = False  # resume the latest choicepoint: on failure, or a new call
+        while True:
+            if resume:
+                if not choices:
+                    return
+                cp = choices.pop()
+                store.undo(cp.mark)
+                del records[cp.records:]
+                if cp.goal is not None:
+                    cont = self._reduce(cp)
+                    if cont is False:
+                        continue
+                else:  # the not/1 sub-run failed
+                    cut_off = self._truncated
+                    self._truncated = cp.truncated or cut_off
+                    if cut_off:
+                        continue
+                    records.append((cp.raw, cp.mark, cp.mark, _NOT_PROOF))
+                    cont = cp.rest
+                depth = cp.depth + 1
+                resume = False
+            if cont is None:
+                yield self._solution(qvars)
+                resume = True
+                continue
+            raw, barrier, rest = cont
+            goal = raw
+            while type(goal) is Var:
+                goal = bindings.get(goal)
+                if goal is None:
+                    raise InstantiationError(f"goal is an unbound variable: {raw!r}")
+            if type(goal) is Struct:
+                ind = (goal.name, len(goal.args))
+            elif type(goal) is Atom:
+                ind = (goal.name, 0)
+            elif type(goal) is Int:
+                raise EngineError(f"integer is not a callable goal: {goal.value}")
+            elif goal is _EXIT:
+                barrier.produced = True
+                cont = rest
+                continue
+            else:  # _SUCCEEDED: not/1 fails, and its sub-run is dropped
+                del choices[barrier.height:]
+                self._truncated = self._truncated or barrier.truncated
+                resume = True
+                continue
+            handler = _BUILTINS.get(ind)
+            if handler is None:
+                clauses = self.db.clauses(ind)
+                if not clauses:
+                    if ind not in self._warned:
+                        self._warned.add(ind)
+                        self.diag.write(f"warning: unknown predicate {ind[0]}/{ind[1]}\n")
+                else:
+                    choices.append(
+                        _Choice(raw, rest, depth, len(trail), len(records), len(choices), goal, clauses)
+                    )
+                resume = True
+            elif handler is _CUT:
+                records.append((raw, len(trail), len(trail), _CUT_PROOF))
+                del choices[barrier:]
+                cont = rest
+            elif handler is _NOT:
+                inner = store.deref(goal.args[0])
+                if type(inner) is Var:
+                    raise InstantiationError("not/1 needs a callable argument")
+                if type(inner) is Int:
+                    raise EngineError("integer is not a callable goal")
+                fence = _Choice(raw, rest, depth, len(trail), len(records), len(choices),
+                                truncated=self._truncated)
+                choices.append(fence)
+                self._truncated = False
+                depth += 1
+                cont = (inner, len(choices), (_SUCCEEDED, fence, None))
+            else:
+                mark = len(trail)
+                just = handler(self, goal)
+                if just is None:
+                    resume = True
+                else:
+                    records.append((raw, mark, len(trail), just))
+                    cont = rest
 
-    def _finalize(self, node: ProofNode, theta: Subst) -> ProofNode:
-        return ProofNode(
-            goal=apply(theta, node.goal),
-            entry_goal=node.entry_goal,
-            justification=node.justification,
-            bindings=node.bindings,
-            children=tuple(self._finalize(c, theta) for c in node.children),
-        )
+    def _reduce(self, call: _Choice):
+        """Reduce ``call`` by its next clause whose head unifies, and return
+        the goal-list cells that follow; False once no clause is left."""
+        store, fresh, tracing = self._store, self._fresh, self._tracing
+        shown = store.resolver().resolve(call.goal) if tracing else None  # the goal as it was called
+        while call.next < len(call.clauses):
+            sc = call.clauses[call.next]
+            call.next += 1
+            mapping: dict[Var, Var] = {}
+            renamed = rename_clause(sc.clause, fresh, mapping)
+            if not store.unify(call.goal, renamed.head, set(mapping.values()) if mapping else None):
+                store.undo(call.mark)
+                continue
+            if call.depth >= self.options.depth_limit:
+                self._truncated = True
+                store.undo(call.mark)
+                break
+            if call.next < len(call.clauses) or tracing:
+                self._choices.append(call)
+            self._records.append((call.raw, call.mark, len(store.trail), sc))
+            rest = call.rest
+            if tracing:
+                res = store.resolver()
+                bound = {v: res.resolve(v) for v in variables_of(shown) if v in store.bindings}
+                self.trace_out.write(format_trace_entry(TraceEntry(shown, bound)) + "\n")
+                rest = (_EXIT, call, rest)
+            for g in reversed(renamed.body):
+                rest = (g, call.height, rest)
+            return rest
+        if tracing and not call.produced:
+            self.trace_out.write(f"fail\t{format_goal(shown)}\n")
+        return False
 
-    # (theta, proof nodes so far, reductions used) triples.
-    def _prove_all(self, goals, theta: Subst, depth: int, barrier: object):
-        if not goals:
-            yield theta, (), depth
-            return
-        first, rest = goals[0], goals[1:]
-        g = apply(theta, first)
-        if isinstance(g, Var):
-            raise InstantiationError(f"goal is an unbound variable: {first!r}")
-        if isinstance(g, Int):
-            raise EngineError(f"integer is not a callable goal: {g.value}")
-        if g == Atom("!"):
-            node = ProofNode(g, g, BuiltinJust("!"), {})
-            for theta2, proofs2, d2 in self._prove_all(rest, theta, depth, barrier):
-                yield theta2, (node,) + proofs2, d2
-            raise _Cut(barrier)
-        for theta1, node, d1 in self._prove_goal(g, theta, depth):
-            for theta2, proofs2, d2 in self._prove_all(rest, theta1, d1, barrier):
-                yield theta2, (node,) + proofs2, d2
-
-    def _prove_goal(self, g: Term, theta: Subst, depth: int):
-        ind = indicator_of(g)
-        handler = _BUILTINS.get(ind)
-        if handler is not None:
-            yield from handler(self, g, theta, depth)
-            return
-        yield from self._user_call(g, theta, depth, ind)
-
-    def _user_call(self, g: Term, theta: Subst, depth: int, ind):
-        snapshot = self.db.clauses(ind)
-        if not snapshot:
-            if ind not in self._warned:
-                self._warned.add(ind)
-                self.diag.write(f"warning: unknown predicate {ind[0]}/{ind[1]}\n")
-            return
-        barrier = object()
-        produced = False
-        try:
-            for sc in snapshot:
-                renamed = rename_clause(sc.clause, self._fresh)
-                theta_i = unify(g, renamed.head)
-                if theta_i is None:
-                    continue
-                if depth >= self.options.depth_limit:
-                    self._truncated = True
-                    break
-                entry_bindings = restrict(theta_i, variables_of(g))
-                self._emit_trace(g, entry_bindings)
-                new_theta = compose(theta, theta_i)
-                self._why_frames.append((g, sc))
-                try:
-                    for theta2, child_proofs, d2 in self._prove_all(
-                        renamed.body, new_theta, depth + 1, barrier
-                    ):
-                        produced = True
-                        node = ProofNode(
-                            goal=apply(theta2, g),
-                            entry_goal=g,
-                            justification=_justify(sc),
-                            bindings=entry_bindings,
-                            children=child_proofs,
-                        )
-                        yield theta2, node, d2
-                finally:
-                    self._why_frames.pop()
-            if not produced and self.trace_out is not None and self.options.trace:
-                self.trace_out.write(f"fail\t{format_goal(g)}\n")
-        except _Cut as c:
-            if c.barrier is barrier:
-                return
-            raise
-
-    def _emit_trace(self, goal: Term, bindings: Subst) -> None:
-        if self.trace_out is not None and self.options.trace:
-            self.trace_out.write(format_trace_entry(TraceEntry(goal, bindings)) + "\n")
-
-    # ------------------------------------------------------------------
-    # builtins
+    def _solution(self, qvars) -> Solution:
+        res = self._store.resolver(history=True)
+        bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
+        built: list[ProofNode] = []  # finished nodes, a first child on top
+        for goal, stamp, after, just in reversed(self._records):
+            final = res.resolve(goal)
+            entry = res.resolve(goal, stamp, later := {})
+            theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+            children = ()
+            if type(just) is StoredClause:
+                n = len(just.clause.body)
+                if n:
+                    children = tuple(reversed(built[-n:]))
+                    del built[-n:]
+                just = _justify(just)
+            built.append(ProofNode(final, entry, just, theta, children))
+        built.reverse()
+        if len(built) == 1:
+            return Solution(bindings, built[0])
+        goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
+        return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
 
     def _why_supplier(self):
-        return WhyContext(tuple(self._why_frames), self._root)
+        res = self._store.resolver(history=True)
+        frames = tuple(
+            (res.resolve(goal, stamp), just)
+            for goal, stamp, _, just in self._records
+            if type(just) is StoredClause
+        )
+        return WhyContext(frames, self._root)
 
     def _why_renderer(self, ctx) -> None:
         self.out.write(render_why(ctx) + "\n")
 
-    def _bi_true(self, g, theta, depth):
-        yield theta, ProofNode(g, g, BuiltinJust("true"), {}), depth
+    # ------------------------------------------------------------------
+    # builtins: each takes the selected goal and returns its justification,
+    # or None when it fails
 
-    def _bi_fail(self, g, theta, depth):
-        return
-        yield  # pragma: no cover
+    def _shown(self, g) -> str:
+        return format_goal(self._store.resolver().resolve(g))
 
-    def _bi_not(self, g, theta, depth):
-        inner = g.args[0]
-        if isinstance(inner, Var):
-            raise InstantiationError("not/1 needs a callable argument")
-        if isinstance(inner, Int):
-            raise EngineError("integer is not a callable goal")
-        inner_barrier = object()
-        found = False
-        try:
-            for _ in self._prove_all((inner,), theta, depth + 1, inner_barrier):
-                found = True
-                break
-        except _Cut as c:
-            if c.barrier is not inner_barrier:
-                raise
-        if not found:
-            yield theta, ProofNode(g, g, BuiltinJust("not"), {}), depth + 1
+    def _bi_true(self, g):
+        return BuiltinJust("true")
 
-    def _bi_unify(self, g, theta, depth):
-        theta_i = unify(g.args[0], g.args[1])
-        if theta_i is None:
-            return
-        node = ProofNode(g, g, BuiltinJust("="), restrict(theta_i, variables_of(g)))
-        yield compose(theta, theta_i), node, depth
+    def _bi_fail(self, g):
+        return None
 
-    def _bi_not_unify(self, g, theta, depth):
-        if unify(g.args[0], g.args[1]) is None:
-            yield theta, ProofNode(g, g, BuiltinJust("\\="), {}), depth
+    def _bi_unify(self, g):
+        return BuiltinJust("=") if self._store.unify(g.args[0], g.args[1]) else None
 
-    def _bi_plus(self, g, theta, depth):
-        a, b, c = g.args
-        ints = [x.value if isinstance(x, Int) else None for x in (a, b, c)]
-        known = sum(1 for x in ints if x is not None)
+    def _bi_not_unify(self, g):
+        mark = len(self._store.trail)
+        unified = self._store.unify(g.args[0], g.args[1])
+        self._store.undo(mark)
+        return None if unified else BuiltinJust("\\=")
+
+    def _bi_plus(self, g):
+        args = [self._store.deref(x) for x in g.args]
+        a, b, c = [x.value if type(x) is Int else None for x in args]
+        known = 3 - (a, b, c).count(None)
         if known < 2:
-            raise InstantiationError(
-                f"plus/3 needs at least two integers: {format_goal(g)}"
-            )
+            raise InstantiationError(f"plus/3 needs at least two integers: {self._shown(g)}")
         if known == 3:
-            if ints[0] + ints[1] == ints[2]:
-                yield theta, ProofNode(g, g, BuiltinJust("plus"), {}), depth
-            return
-        if ints[2] is None:
-            missing, value = c, Int(ints[0] + ints[1])
-        elif ints[1] is None:
-            missing, value = b, Int(ints[2] - ints[0])
+            return BuiltinJust("plus") if a + b == c else None
+        if c is None:
+            missing, value = args[2], a + b
+        elif b is None:
+            missing, value = args[1], c - a
         else:
-            missing, value = a, Int(ints[2] - ints[1])
-        theta_i = unify(missing, value)
-        if theta_i is None:
-            return
-        node = ProofNode(
-            apply(theta_i, g), g, BuiltinJust("plus"), restrict(theta_i, variables_of(g))
-        )
-        yield compose(theta, theta_i), node, depth
+            missing, value = args[0], c - b
+        return BuiltinJust("plus") if self._store.unify(missing, Int(value)) else None
 
-    def _bi_write(self, g, theta, depth):
-        self.out.write(format_goal(g.args[0]))
-        yield theta, ProofNode(g, g, BuiltinJust("write"), {}), depth
+    def _bi_write(self, g):
+        self.out.write(self._shown(g.args[0]))
+        return BuiltinJust("write")
 
-    def _require_oracle(self) -> oracle_mod.Oracle:
-        # resolved lazily: a memo hit answers without any oracle at all
-        if self.oracle is None:
-            return _MISSING_ORACLE
-        return self.oracle
-
-    def _ask_args(self, g) -> tuple[str, str]:
-        a, p = g.args[0], g.args[1]
-        if not isinstance(a, Atom) or not isinstance(p, Atom):
-            raise InstantiationError(
-                f"ask attribute and subject must be atoms: {format_goal(g)}"
+    def _bi_ask(self, g):
+        # ask_value/3 with a ground value is a yes/no question, and ask/3
+        # with a variable value a value question.  The oracle is looked up
+        # lazily: a memo hit answers without any oracle at all.
+        res = self._store.resolver()
+        a, p, v = (res.resolve(x) for x in g.args)
+        if type(a) is not Atom or type(p) is not Atom:
+            raise InstantiationError(f"ask attribute and subject must be atoms: {self._shown(g)}")
+        oracle = self.oracle or _MISSING_ORACLE
+        if is_ground(v):
+            res = oracle_mod.ask(
+                self.db, a.name, p.name, v, oracle, self._why_supplier, self._why_renderer
             )
-        return a.name, p.name
-
-    def _ask_node(self, g, theta, res) -> ProofNode:
-        if res.source == "memo":
-            just = AssertedFactJust(res.known)
+        elif type(v) is Var:
+            res = oracle_mod.ask_value(
+                self.db, a.name, p.name, oracle, self._why_supplier, self._why_renderer
+            )
+            if res.succeeded:
+                self._store.bind(v, res.value)
         else:
-            just = UserSaidJust(res.question, res.answer)
-        return ProofNode(apply(theta, g), g, just, {})
-
-    def _bi_ask(self, g, theta, depth):
-        attribute, subject = self._ask_args(g)
-        v = g.args[2]
-        if not is_ground(v):
-            yield from self._ask_value(g, theta, depth, attribute, subject, v)
-            return
-        res = oracle_mod.ask(
-            self.db,
-            attribute,
-            subject,
-            v,
-            self._require_oracle(),
-            self._why_supplier,
-            self._why_renderer,
-        )
-        if res.succeeded:
-            yield theta, self._ask_node(g, theta, res), depth
-
-    def _bi_ask_value(self, g, theta, depth):
-        # ask_value/3 with a ground value degenerates to a yes/no ask.
-        yield from self._bi_ask(g, theta, depth)
-
-    def _ask_value(self, g, theta, depth, attribute, subject, v):
-        if not isinstance(v, Var):
-            raise InstantiationError(
-                f"ask value must be ground or a variable: {format_goal(g)}"
-            )
-        res = oracle_mod.ask_value(
-            self.db,
-            attribute,
-            subject,
-            self._require_oracle(),
-            self._why_supplier,
-            self._why_renderer,
-        )
+            raise InstantiationError(f"ask value must be ground or a variable: {self._shown(g)}")
         if not res.succeeded:
-            return
-        theta_i = {v: res.value}
-        node = self._ask_node(g, theta, res)
-        node = ProofNode(
-            goal=apply(theta_i, node.goal),
-            entry_goal=node.entry_goal,
-            justification=node.justification,
-            bindings=restrict(theta_i, variables_of(g)),
-            children=(),
-        )
-        yield compose(theta, theta_i), node, depth
+            return None
+        if res.source == "memo":
+            return AssertedFactJust(res.known)
+        return UserSaidJust(res.question, res.answer)
 
-    def _assert_clause(self, g) -> Clause:
-        t = g.args[0]
+    def _clause_arg(self, g, verb: str) -> Clause:
+        t = self._store.resolver().resolve(g.args[0])
         if not isinstance(t, (Atom, Struct)):
-            raise EngineError(f"cannot assert: {format_goal(g)}")
+            raise EngineError(f"cannot {verb}: {self._shown(g)}")
         return Clause(head=t)
 
-    def _bi_asserta(self, g, theta, depth):
-        self.db.asserta(self._assert_clause(g), kind=KIND_DYNAMIC)
-        yield theta, ProofNode(g, g, BuiltinJust("asserta"), {}), depth
+    def _bi_asserta(self, g):
+        self.db.asserta(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
+        return BuiltinJust("asserta")
 
-    def _bi_assertz(self, g, theta, depth):
-        self.db.assertz(self._assert_clause(g), kind=KIND_DYNAMIC)
-        yield theta, ProofNode(g, g, BuiltinJust("assertz"), {}), depth
+    def _bi_assertz(self, g):
+        self.db.assertz(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
+        return BuiltinJust("assertz")
 
-    def _bi_assert(self, g, theta, depth):
-        yield from self._bi_assertz(g, theta, depth)
+    def _bi_retract(self, g):
+        theta = self.db.retract(self._clause_arg(g, "retract"))
+        if theta is None:
+            return None
+        for v, t in theta.items():
+            self._store.bind(v, t)
+        return BuiltinJust("retract")
 
-    def _bi_retract(self, g, theta, depth):
-        t = g.args[0]
-        if not isinstance(t, (Atom, Struct)):
-            raise EngineError(f"cannot retract: {format_goal(g)}")
-        theta_i = self.db.retract(Clause(head=t))
-        if theta_i is None:
-            return
-        node = ProofNode(
-            apply(theta_i, g), g, BuiltinJust("retract"), restrict(theta_i, variables_of(g))
-        )
-        yield compose(theta, theta_i), node, depth
-
-    def _bi_holds_negated(self, g, theta, depth):
-        inner = g.args[0]
+    def _bi_holds_negated(self, g):
+        inner = self._store.resolver().resolve(g.args[0])
         if not isinstance(inner, (Atom, Struct)):
             raise InstantiationError("holds_negated/1 needs a callable argument")
         if not is_ground(inner):
-            raise InstantiationError(
-                f"holds_negated/1 needs a ground argument: {format_goal(g)}"
-            )
+            raise InstantiationError(f"holds_negated/1 needs a ground argument: {self._shown(g)}")
         sc = find_s_fact(self.db, inner)
-        if sc is not None:
-            yield theta, ProofNode(g, g, SFactJust(sc), {}), depth
+        return None if sc is None else SFactJust(sc)
 
 
 def _justify(sc: StoredClause):
@@ -465,25 +608,24 @@ def _justify(sc: StoredClause):
     return AssertedFactJust(sc)
 
 
+# Keys are exactly terms.BUILTIN_INDICATORS.
 _BUILTINS = {
+    ("!", 0): _CUT,
+    ("not", 1): _NOT,
     ("true", 0): Solver._bi_true,
     ("fail", 0): Solver._bi_fail,
-    ("not", 1): Solver._bi_not,
     ("=", 2): Solver._bi_unify,
     ("\\=", 2): Solver._bi_not_unify,
     ("plus", 3): Solver._bi_plus,
     ("write", 1): Solver._bi_write,
     ("ask", 3): Solver._bi_ask,
-    ("ask_value", 3): Solver._bi_ask_value,
+    ("ask_value", 3): Solver._bi_ask,
     ("asserta", 1): Solver._bi_asserta,
     ("assertz", 1): Solver._bi_assertz,
-    ("assert", 1): Solver._bi_assert,
+    ("assert", 1): Solver._bi_assertz,
     ("retract", 1): Solver._bi_retract,
     ("holds_negated", 1): Solver._bi_holds_negated,
 }
-
-# Cut is handled in the conjunction loop, not the dispatch table.
-BUILTIN_INDICATORS = frozenset(_BUILTINS) | {("!", 0)}
 
 
 def solve(

@@ -7,6 +7,7 @@ stored negative fact cites that fact like any other justification.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -88,14 +89,12 @@ def trace_of(proof: ProofNode) -> list[TraceEntry]:
     clause reduction in proof order, closed by a ``true`` entry for the
     empty resolvent."""
     entries: list[TraceEntry] = []
-
-    def walk(node: ProofNode) -> None:
+    todo = [proof]  # a stack, not recursion: a proof nests as deep as its derivation
+    while todo:
+        node = todo.pop()
         if _is_reduction(node):
             entries.append(TraceEntry(node.entry_goal, dict(node.bindings)))
-        for child in node.children:
-            walk(child)
-
-    walk(proof)
+        todo.extend(reversed(node.children))
     entries.append(TraceEntry(TRUE, {}))
     return entries
 
@@ -141,17 +140,14 @@ def how(proof: ProofNode) -> str:
     """HOW a solution was reached: the root reduction, then each subproof
     indented two spaces per level."""
     lines: list[str] = []
-
-    def walk(node: ProofNode, depth: int) -> None:
+    todo = [(proof, 0)]
+    while todo:
+        node, depth = todo.pop()
         if node.justification is QUERY_ROOT:
-            for child in node.children:
-                walk(child, depth)
-            return
+            todo.extend((c, depth) for c in reversed(node.children))
+            continue
         lines.append("  " * depth + _node_line(node))
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(proof, 0)
+        todo.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
 
@@ -187,13 +183,53 @@ def _justification_json(j: Justification) -> dict:
     return {"kind": "builtin", "name": j.name}
 
 
-def proof_to_json(node: ProofNode) -> dict:
-    return {
-        "goal": format_goal(node.goal),
-        "justification": _justification_json(node.justification),
-        "bindings": _bindings_json(node.bindings),
-        "children": [proof_to_json(c) for c in node.children],
-    }
+def proof_to_json(proof: ProofNode) -> dict:
+    """The proof as nested dicts, built without recursion.  Encode it with
+    ``json_text``: ``json.dumps`` recurses once per level."""
+    out: list[dict] = []
+    todo = [(proof, out)]  # (node, the list its dict goes in)
+    while todo:
+        node, siblings = todo.pop()
+        children: list[dict] = []
+        siblings.append(
+            {
+                "goal": format_goal(node.goal),
+                "justification": _justification_json(node.justification),
+                "bindings": _bindings_json(node.bindings),
+                "children": children,
+            }
+        )
+        todo.extend((c, children) for c in reversed(node.children))
+    return out[0]
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` for dicts, lists and scalars, without
+    recursion, so proofs of any depth encode."""
+    out: list[str] = []
+    todo: list = [(value, "\n")]  # (value, newline and indent of its level), or text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, nl = item
+        inner = nl + "  "
+        if type(x) is dict and x:
+            parts: list = ["{"]
+            for k, v in x.items():
+                parts += [inner + json.dumps(k) + ": ", (v, inner), ","]
+            parts[-1] = nl + "}"
+        elif type(x) is list and x:
+            parts = ["["]
+            for v in x:
+                parts += [inner, (v, inner), ","]
+            parts[-1] = nl + "]"
+        else:
+            out.append(json.dumps(x))
+            continue
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def trace_to_json(entries: list[TraceEntry]) -> list[dict]:

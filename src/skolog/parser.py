@@ -160,48 +160,60 @@ class _Parser:
         raise ParseError(message, t.line, t.col, expected=expected)
 
     def parse_term(self) -> Term:
-        t = self.peek()
-        if t.kind == "var":
-            self.advance()
-            if t.value == "_":
-                return anonymous_var()
-            return Var(t.value)
-        if t.kind == "int":
-            self.advance()
-            return Int(t.value)
-        if t.kind == "atom":
-            self.advance()
-            if self.at_punct("("):
-                self.advance()
-                args = [self.parse_term()]
-                while self.at_punct(","):
-                    self.advance()
-                    args.append(self.parse_term())
-                self.expect_punct(")")
-                return Struct(t.value, tuple(args))
-            return Atom(t.value)
-        if self.at_punct("["):
-            return self.parse_list()
-        if self.at_punct("!"):
-            self.advance()
-            return Atom("!")
-        self.fail(f"unexpected {describe(t)}", expected="term")
-
-    def parse_list(self) -> Term:
-        self.expect_punct("[")
-        if self.at_punct("]"):
-            self.advance()
-            return NIL
-        items = [self.parse_term()]
-        while self.at_punct(","):
-            self.advance()
-            items.append(self.parse_term())
-        tail: Term = NIL
-        if self.at_punct("|"):
-            self.advance()
-            tail = self.parse_term()
-        self.expect_punct("]")
-        return mklist(items, tail)
+        # A stack of open compounds and lists instead of recursion, so that
+        # terms may nest as deep as the input goes.  A frame is [kind,
+        # functor, parts]: kind "(" reads arguments, "[" list items, "|"
+        # a list tail, which is then the last of its parts.
+        toks = self.toks
+        frames: list[list] = []
+        while True:
+            t = toks[self.i]
+            if t.kind == "atom":
+                self.i += 1
+                if toks[self.i][:2] == ("punct", "("):
+                    self.i += 1
+                    frames.append(["(", t.value, []])
+                    continue
+                term = Atom(t.value)
+            elif t.kind == "var":
+                self.i += 1
+                term = anonymous_var() if t.value == "_" else Var(t.value)
+            elif t.kind == "int":
+                self.i += 1
+                term = Int(t.value)
+            elif t[:2] == ("punct", "["):
+                self.i += 1
+                if toks[self.i][:2] != ("punct", "]"):
+                    frames.append(["[", None, []])
+                    continue
+                self.i += 1
+                term = NIL
+            elif t[:2] == ("punct", "!"):
+                self.i += 1
+                term = Atom("!")
+            else:
+                self.fail(f"unexpected {describe(t)}", expected="term")
+            while frames:  # close what the term completes
+                kind, name, parts = frames[-1]
+                parts.append(term)
+                t = toks[self.i]
+                if t.kind == "punct" and kind != "|":
+                    if t.value == ",":
+                        self.i += 1
+                        break
+                    if t.value == "|" and kind == "[":
+                        self.i += 1
+                        frames[-1][0] = "|"
+                        break
+                frames.pop()
+                if kind == "(":
+                    self.expect_punct(")")
+                    term = Struct(name, tuple(parts))
+                else:
+                    self.expect_punct("]")
+                    term = mklist(parts) if kind == "[" else mklist(parts[:-1], parts[-1])
+            else:
+                return term
 
     def parse_goal(self) -> Term:
         t = self.peek()
@@ -297,23 +309,38 @@ def _atom_text(name: str) -> str:
 def format_term(t: Term) -> str:
     """Canonical writing: reading it back yields the same term up to
     consistent variable renaming."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, Atom):
-        return _atom_text(t.name)
-    if isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
-        items = []
-        cur: Term = t
-        while isinstance(cur, Struct) and cur.name == "." and len(cur.args) == 2:
-            items.append(format_term(cur.args[0]))
-            cur = cur.args[1]
-        if cur == NIL:
-            return "[" + ",".join(items) + "]"
-        return "[" + ",".join(items) + "|" + format_term(cur) + "]"
-    assert isinstance(t, Struct)
-    return _atom_text(t.name) + "(" + ",".join(format_term(a) for a in t.args) + ")"
+    out: list[str] = []
+    # a stack of iterators over terms still to write and text (str) to
+    # copy, one per open compound, instead of recursion
+    stack = [iter((t,))]
+    while stack:
+        for x in stack[-1]:
+            kind = type(x)
+            if kind is str:
+                out.append(x)
+            elif kind is Atom:
+                out.append(_atom_text(x.name))
+            elif kind is Var:
+                out.append(x.name)
+            elif kind is Int:
+                out.append(str(x.value))
+            else:
+                if x.name == "." and len(x.args) == 2:
+                    parts = ["["]
+                    while type(x) is Struct and x.name == "." and len(x.args) == 2:
+                        parts += [x.args[0], ","]
+                        x = x.args[1]
+                    parts[-1:] = ["]"] if x == NIL else ["|", x, "]"]
+                else:
+                    parts = [_atom_text(x.name) + "("]
+                    for a in x.args:
+                        parts += [a, ","]
+                    parts[-1] = ")"
+                stack.append(iter(parts))
+                break
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 def format_goal(t: Term) -> str:

@@ -19,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import BUILTIN_INDICATORS
 from .errors import NotDefiniteError
 from .terms import (
+    BUILTIN_INDICATORS,
     Atom,
     Clause,
     Struct,

@@ -4,12 +4,15 @@ The term language has four shapes: variables, atoms (symbolic constants),
 integers, and compound terms.  A substitution is a plain dict from ``Var``
 to ``Term``, kept idempotent by construction: no key variable ever occurs
 in a value term, so applying a substitution twice equals applying it once.
+``unify`` here is the pure reference; the engine binds variables in a
+trailed store of its own and is tested to agree with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Optional, Union
 
 
@@ -76,38 +79,42 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
+# Term walkers keep a stack of their own instead of recursing: a list of n
+# elements nests n deep.
+
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Struct):
-        return all(is_ground(a) for a in t.args)
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Var:
+            return False
+        if type(x) is Struct:
+            todo.extend(x.args)
     return True
 
 
 def occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == v
-    if isinstance(t, Struct):
-        return any(occurs(v, a) for a in t.args)
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            todo.extend(x.args)
+        elif x == v:
+            return True
     return False
 
 
 def variables_of(t: Term) -> list[Var]:
     """Variables of ``t`` in first-occurrence order, left to right."""
-    out: list[Var] = []
-    seen: set[Var] = set()
-
-    def walk(x: Term) -> None:
-        if isinstance(x, Var):
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-        elif isinstance(x, Struct):
-            for a in x.args:
-                walk(a)
-
-    walk(t)
-    return out
+    out: dict[Var, None] = {}
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            todo.extend(reversed(x.args))
+        elif type(x) is Var:
+            out[x] = None
+    return list(out)
 
 
 def variables_in(terms: Iterable[Term]) -> list[Var]:
@@ -124,13 +131,32 @@ def variables_in(terms: Iterable[Term]) -> list[Var]:
 def apply(theta: Subst, t: Term) -> Term:
     """Apply a substitution.  One lookup step suffices: idempotence means
     value terms never mention key variables."""
-    if not theta:
-        return t
-    if isinstance(t, Var):
-        return theta.get(t, t)
-    if isinstance(t, Struct):
-        return Struct(t.name, tuple(apply(theta, a) for a in t.args))
-    return t
+    return _rebuild(t, theta.get) if theta else t
+
+
+def _rebuild(t: Term, replace) -> Term:
+    """``t`` with each variable ``v`` replaced by ``replace(v)`` where that
+    is not None, ``replace`` called in left-to-right order.  Compounds left
+    unchanged are reused (same object)."""
+    if type(t) is not Struct:
+        return (replace(t) or t) if type(t) is Var else t
+    frames: list[tuple[Struct, list]] = []  # compounds left to finish
+    done: list = []  # the new arguments of ``t`` so far
+    while True:
+        args = t.args
+        for a in args[len(done):]:
+            if type(a) is Struct:
+                frames.append((t, done))
+                t, done = a, []
+                break
+            done.append((replace(a) or a) if type(a) is Var else a)
+        else:
+            t = t if all(map(is_, done, args)) else Struct(t.name, tuple(done))
+            if not frames:
+                return t
+            parent, done = frames.pop()
+            done.append(t)
+            t = parent
 
 
 def compose(s1: Subst, s2: Subst) -> Subst:
@@ -155,14 +181,6 @@ def restrict(theta: Subst, variables: Iterable[Var]) -> Subst:
     return {v: theta[v] for v in variables if v in theta}
 
 
-def _subst_one(v: Var, value: Term, t: Term) -> Term:
-    if isinstance(t, Var):
-        return value if t == v else t
-    if isinstance(t, Struct):
-        return Struct(t.name, tuple(_subst_one(v, value, a) for a in t.args))
-    return t
-
-
 def unify(t1: Term, t2: Term) -> Optional[Subst]:
     """Most general unifier of ``t1`` and ``t2``, or None.
 
@@ -175,15 +193,16 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
     stack: list[tuple[Term, Term]] = [(t1, t2)]
 
     def bind(v: Var, value: Term) -> None:
+        one = {v: value}
         for i, (a, b) in enumerate(stack):
-            stack[i] = (_subst_one(v, value, a), _subst_one(v, value, b))
+            stack[i] = (apply(one, a), apply(one, b))
         for k in list(theta):
-            theta[k] = _subst_one(v, value, theta[k])
+            theta[k] = apply(one, theta[k])
         theta[v] = value
 
     while stack:
         x, y = stack.pop()
-        if x == y and isinstance(x, (Var, Atom, Int)):
+        if isinstance(x, (Var, Atom, Int)) and x == y:
             continue
         if isinstance(x, Var) and not occurs(x, y):
             bind(x, y)
@@ -214,13 +233,6 @@ def unify_all(pairs: Iterable[tuple[Term, Term]]) -> Optional[Subst]:
     return theta
 
 
-def common_instance(t1: Term, t2: Term) -> Optional[Term]:
-    theta = unify(t1, t2)
-    if theta is None:
-        return None
-    return apply(theta, t1)
-
-
 class FreshVars:
     """Issues variables whose ids have not been used before in this source.
 
@@ -230,11 +242,11 @@ class FreshVars:
 
     def __init__(self, prefix: str = "_G", start: int = 1):
         self._prefix = prefix
-        self._next = start
+        self.next_id = start  # the id of the next variable issued
 
     def new(self) -> Var:
-        n = self._next
-        self._next += 1
+        n = self.next_id
+        self.next_id += 1
         return Var(f"{self._prefix}{n}", n)
 
 
@@ -246,20 +258,44 @@ def anonymous_var() -> Var:
     return Var("_", next(_ANON_IDS))
 
 
-def rename_clause(c: Clause, fresh: FreshVars) -> Clause:
+class _Renaming(dict):
+    """Old variable -> fresh variable, issued on first lookup by ``new``."""
+
+    __slots__ = ("new",)
+
+    def __missing__(self, v: Var) -> Var:
+        w = self[v] = self.new()
+        return w
+
+
+def rename_clause(c: Clause, fresh: FreshVars, mapping: Optional[Subst] = None) -> Clause:
     """Variant of ``c`` with every variable replaced by a fresh one.
 
-    A ground clause is returned unchanged (same object).
+    A ground clause is returned unchanged (same object).  Fresh variables
+    are issued in first-occurrence order, head first.  ``mapping``, when
+    given, receives the renaming: each old variable to its fresh one.
     """
-    vs = variables_in((c.head,) + c.body)
-    if not vs:
+    renaming = _Renaming()
+    renaming.new = fresh.new
+    replace = renaming.__getitem__
+    head = _rebuild(c.head, replace)
+    body = tuple([_rebuild(g, replace) for g in c.body]) if c.body else ()
+    if not renaming:
         return c
-    mapping: Subst = {v: fresh.new() for v in vs}
-    return Clause(
-        head=apply(mapping, c.head),
-        body=tuple(apply(mapping, b) for b in c.body),
-        span=c.span,
-    )
+    if mapping is not None:
+        mapping.update(renaming)
+    return Clause(head=head, body=body, span=c.span)
+
+
+# Predicates the engine implements itself.  A definite program uses none of
+# them; the engine's dispatch table has exactly these keys.
+BUILTIN_INDICATORS = frozenset(
+    {
+        ("!", 0), ("not", 1), ("true", 0), ("fail", 0), ("=", 2), ("\\=", 2),
+        ("plus", 3), ("write", 1), ("ask", 3), ("ask_value", 3), ("asserta", 1),
+        ("assertz", 1), ("assert", 1), ("retract", 1), ("holds_negated", 1),
+    }
+)
 
 
 def indicator_of(t: Term) -> tuple[str, int]:
@@ -278,31 +314,23 @@ def goal_constants(goal: Term) -> set[Term]:
     nested compounds are not either.
     """
     out: set[Term] = set()
-
-    def walk_arg(t: Term) -> None:
-        if isinstance(t, (Atom, Int)):
-            out.add(t)
-        elif isinstance(t, Struct):
-            for a in t.args:
-                walk_arg(a)
-
-    if isinstance(goal, Struct):
-        for a in goal.args:
-            walk_arg(a)
+    todo = list(goal.args) if type(goal) is Struct else []
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            todo.extend(x.args)
+        elif type(x) is not Var:
+            out.add(x)
     return out
 
 
 def goal_functors(goal: Term) -> set[tuple[str, int]]:
     """Functor/arity pairs of compounds in argument positions of a goal."""
     out: set[tuple[str, int]] = set()
-
-    def walk_arg(t: Term) -> None:
-        if isinstance(t, Struct):
-            out.add((t.name, len(t.args)))
-            for a in t.args:
-                walk_arg(a)
-
-    if isinstance(goal, Struct):
-        for a in goal.args:
-            walk_arg(a)
+    todo = list(goal.args) if type(goal) is Struct else []
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            out.add((x.name, len(x.args)))
+            todo.extend(x.args)
     return out

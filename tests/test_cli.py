@@ -1,9 +1,13 @@
 """The command line and the interactive session."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import skolog
 from skolog.corpus import corpus_path
 
 from util import run_cli
@@ -402,3 +406,88 @@ def test_repl_oracle_script_answers_questions(tmp_path):
         stdin_text="nice(peter).\n\n:quit\n",
     )
     assert "yes" in r.out
+
+
+def test_run_deep_left_recursion_exits_3(tmp_path):
+    # in a subprocess: an interpreter crash fails this test, not the run
+    f = tmp_path / "loop.pl"
+    f.write_text("loop :- loop.\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for depth in ([], ["--depth", "100000"]):
+        r = subprocess.run(
+            [sys.executable, "-m", "skolog.cli", "run", str(f), "--goal", "loop.", *depth],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (r.returncode, r.stdout) == (3, "depth_exceeded\n"), r.stderr
+
+
+# Terms and proofs nested past the interpreter's default recursion limit
+
+def _nested(depth):
+    return "s(" * depth + "zero" + ")" * depth
+
+
+def test_run_answers_a_deeply_nested_query(tmp_path):
+    f = tmp_path / "nat.pl"
+    f.write_text("nat(zero).\nnat(s(N)) :- nat(N).\n")
+    r = run_cli(["run", str(f), "--goal", f"nat({_nested(3000)})."])
+    assert (r.code, r.out) == (0, "yes\n")
+    r = run_cli(["run", str(f), "--goal", f"X = {_nested(3000)}."])
+    assert (r.code, r.out) == (0, f"X = {_nested(3000)}\n")
+
+
+def test_run_renders_a_deep_proof(tmp_path):
+    # a 1501-deep proof of small goals: trace, HOW and JSON
+    f = tmp_path / "count.pl"
+    f.write_text("cnt(0).\ncnt(N) :- plus(M, 1, N), cnt(M).\n")
+    r = run_cli(["run", str(f), "--goal", "cnt(1500).", "--trace", "--explain"])
+    assert r.code == 0, r.err
+    lines = r.out.splitlines()
+    assert lines[:2] == ["cnt(1500)", "cnt(1499)"]
+    assert lines.count("yes") == 1
+    assert lines[-1] == "  " * 1500 + "cnt(0) is a fact"
+    r = run_cli(["run", str(f), "--goal", "cnt(1500).", "--json"])
+    assert r.code == 0, r.err
+    assert r.out.count('"goal": "cnt(') == 1501 + 1501  # proof nodes, trace entries
+    assert "\n" + "  " * 3004 + '"goal": "cnt(0)",\n' in r.out
+
+
+def test_json_text_matches_json_dumps():
+    from skolog.explain import json_text
+
+    for value in (
+        {"status": "no", "solutions": [], "trace": []},
+        {"a": [1, {"b": [], "c": {}}, "d\u00e9\"\n"], "e": None, "f": True, "g": -3},
+        [],
+        "x",
+        [[[]], [{"k": [0]}]],
+    ):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_repl_survives_deep_terms(tmp_path):
+    f = tmp_path / "nat.pl"
+    f.write_text("nat(zero).\nnat(s(N)) :- nat(N).\n")
+    deep = _nested(2000)
+    r = run_cli(
+        ["repl", str(f)],
+        stdin_text=f"nat({deep}).\n\nhow.\nassert(p({deep})).\nretract(p(X)).\n:quit\n",
+    )
+    assert r.code == 0
+    assert r.out.count("yes") == 3
+    assert r.out.count(" BECAUSE nat(s(N)) :- nat(N) WITH ") == 2000
+
+
+def test_repl_reports_a_term_too_deep_to_compare(tmp_path):
+    # comparing two deep terms for equality still recurses; the session
+    # reports it and goes on
+    f = tmp_path / "memo.pl"
+    f.write_text(f"known(yes, colour, sky, {_nested(5000)}).\n")
+    r = run_cli(
+        ["repl", str(f)],
+        stdin_text=f"ask(colour, sky, {_nested(5000)}).\nknown(R, colour, sky, _).\n:quit\n",
+    )
+    assert r.code == 0
+    assert "error: a term is nested too deeply to handle" in r.out
+    assert "R = yes" in r.out

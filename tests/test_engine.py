@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from skolog import (
     Atom,
@@ -16,13 +17,18 @@ from skolog import (
     Solver,
     Struct,
     Var,
+    format_term,
     load_program,
+    mklist,
     parse_query,
+    parse_term_text,
     solve,
 )
-from skolog.terms import CUT
+from skolog.engine import Store
+from skolog.terms import CUT, FreshVars, apply, rename_clause, unify, variables_in
 
-from util import variant_equal
+from strategies import terms
+from util import run_cli, variant_equal
 
 
 def results(db, text, **kw):
@@ -332,3 +338,90 @@ def test_engine_provable_matches_semantics_on_definite_program():
     for atom in sorted(herbrand_base(clauses, UniverseBound(0)), key=repr):
         provable = solve(db, [atom], SolveOptions(depth_limit=64)).status == "yes"
         assert provable == (atom in model), f"disagree on {atom}"
+
+
+# --- sound answers under the depth limit ------------------------------------------
+
+def test_not_fails_when_its_search_was_cut_off(tmp_path):
+    # q's search never ends, so not(q) has no sound answer: the run must
+    # say depth_exceeded, not yes
+    f = tmp_path / "cutoff.pl"
+    f.write_text("q :- q.\np :- not(q).\n")
+    r = run_cli(["run", str(f), "--goal", "p.", "--depth", "50"])
+    assert (r.code, r.out) == (3, "depth_exceeded\n")
+
+
+def test_sound_yes_from_another_branch_survives_a_cut_off_not(tmp_path):
+    f = tmp_path / "cutoff.pl"
+    f.write_text("q :- q.\np :- not(q).\np.\n")
+    r = run_cli(["run", str(f), "--goal", "p.", "--depth", "50"])
+    assert (r.code, r.out) == (0, "yes\n")
+
+
+def test_truncated_flag_is_public():
+    db = fresh_db("q :- q. p :- not(q). r(a).")
+    solver = Solver(db, SolveOptions(depth_limit=20), None)
+    assert solver.run(parse_query("p.")).status == "depth_exceeded"
+    assert solver.truncated
+    assert solver.run(parse_query("r(b).")).status == "no"
+    assert not solver.truncated
+
+
+def test_long_derivation_needs_no_recursion_headroom():
+    # 2001 reductions and a proof chain as deep, at the interpreter's
+    # default recursion limit
+    db = fresh_db("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).")
+    items = [Int(i) for i in range(2000)]
+    goal = Struct("app", (mklist(items), mklist([Atom("x")]), Var("R")))
+    (sol,) = solve(db, [goal], SolveOptions(max_solutions=1)).solutions
+    expected = "[" + ",".join(str(i) for i in range(2000)) + ",x]"
+    assert format_term(sol.bindings[Var("R")]) == expected
+    node, depth = sol.proof, 1
+    while node.children:
+        (node,) = node.children
+        depth += 1
+    assert depth == 2001
+    assert node.goal == parse_term_text("app([], [x], [x])")
+
+
+def test_builtins_take_long_lists_at_the_default_recursion_limit():
+    db = fresh_db("p(a).")
+    long = mklist([Int(i) for i in range(2000)])
+    goal = Struct("holds_negated", (Struct("p", (long,)),))
+    assert solve(db, [goal], SolveOptions()).status == "no"
+    db.assertz(Clause(head=Struct("s", (Struct("neg", (Atom("p"),)), long))), kind="s_fact")
+    assert solve(db, [goal], SolveOptions()).status == "yes"
+    db.assertz(Clause(head=Struct("q", (long, Var("T")))))
+    (sol,) = solve(db, parse_query("retract(q(L, a))."), SolveOptions()).solutions
+    assert format_term(sol.bindings[Var("L")]) == format_term(long)
+
+
+# --- the trailed store against the reference unifier ---------------------------
+
+@given(terms(), terms())
+@settings(max_examples=300, deadline=None)
+def test_store_unify_agrees_with_reference_unify(a, b):
+    # b as it stands, sharing variables with a, and b renamed apart as a
+    # clause head is, which lets the store skip first-occurrence checks
+    mapping = {}
+    renamed = rename_clause(Clause(head=b), FreshVars("_G", 1000), mapping)
+    for other, fresh in ((b, None), (renamed, set(mapping.values()))):
+        theta = unify(a, other)
+        store = Store()
+        assert store.unify(a, other, fresh) == (theta is not None)
+        if theta is not None:
+            res = store.resolver()
+            for v in variables_in((a, other)):
+                assert res.resolve(v) == apply(theta, v), f"{v} in {a} = {other}"
+
+
+def test_query_variables_from_an_earlier_answer_stay_apart():
+    # an answer's unbound _G<n> variable, passed back in a query, must not
+    # be taken for the variable the next run renames a clause variable to
+    db = fresh_db("p(f(X), X). t(X, X).")
+    (first,) = solve(db, parse_query("p(A, B)."), SolveOptions()).solutions
+    g1 = first.bindings[Var("B")]
+    assert g1 == Var("_G1", 1)
+    goal = Struct("t", (Struct("f", (g1,)), Var("W")))
+    (sol,) = solve(db, [goal], SolveOptions()).solutions
+    assert sol.bindings == {Var("W"): Struct("f", (g1,))}

@@ -1,5 +1,7 @@
 """Herbrand constructions, T_P, minimal models, model checking."""
 
+import ast
+import inspect
 import itertools
 import random
 
@@ -21,7 +23,9 @@ from skolog import (
     parse_program,
     tp,
 )
+from skolog import engine, semantics
 from skolog.semantics import check_definite, ground_instances, is_function_free
+from skolog.terms import BUILTIN_INDICATORS
 
 
 def prog(text):
@@ -172,3 +176,13 @@ def test_function_free_model_exact_at_bound_zero():
 def test_universe_bound_validation():
     with pytest.raises(ValueError):
         UniverseBound(-1)
+
+
+def test_builtin_names_match_the_engine_and_keep_semantics_independent():
+    assert frozenset(engine._BUILTINS) == BUILTIN_INDICATORS
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(semantics)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "engine" not in imported
