@@ -13,7 +13,7 @@ from typing import Union
 
 from .database import StoredClause
 from .oracle import Answer, Question, answer_text, prompt_for
-from .parser import format_clause, format_goal, format_goals, format_term
+from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, unify
 
 
@@ -102,17 +102,11 @@ def trace_of(proof: ProofNode) -> list[TraceEntry]:
 def format_trace_entry(e: TraceEntry) -> str:
     if not e.bindings:
         return format_goal(e.goal)
-    pairs = ", ".join(f"{v.name} = {format_term(t)}" for v, t in e.bindings.items())
-    return f"{format_goal(e.goal)}\t{pairs}"
+    return f"{format_goal(e.goal)}\t{format_bindings(e.bindings)}"
 
 
 def format_trace(entries: list[TraceEntry]) -> str:
     return "\n".join(format_trace_entry(e) for e in entries)
-
-
-def _bindings_text(theta: Subst) -> str:
-    inner = ", ".join(f"{v.name} = {format_term(t)}" for v, t in theta.items())
-    return "{" + inner + "}"
 
 
 def _node_line(node: ProofNode) -> str:
@@ -127,7 +121,7 @@ def _node_line(node: ProofNode) -> str:
                 return f"{g} BECAUSE {format_term(c.head)} is a fact"
             return f"{g} is a fact"
         rule = format_term(c.head) + " :- " + format_goals(c.body)
-        return f"{g} BECAUSE {rule} WITH {_bindings_text(node.bindings)}"
+        return f"{g} BECAUSE {rule} WITH {{{format_bindings(node.bindings)}}}"
     if isinstance(j, UserSaidJust):
         return f'user said {answer_text(j.answer)} to "{prompt_for(j.question)}"'
     if isinstance(j, SFactJust):

@@ -53,7 +53,6 @@ class FreshnessLedger:
     witness even before the first one is stored."""
 
     issued: set = field(default_factory=set)
-    counter: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ def fresh_constant(db: Database, candidate: Optional[Atom], ledger: FreshnessLed
     while Atom(f"sk_{k}") in taken:
         k += 1
     c = Atom(f"sk_{k}")
-    ledger.counter = max(ledger.counter, k)
     ledger.issued.add(c)
     return c
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
 from .database import Database, StoredClause, KNOWN
-from .errors import OracleScriptError, UnansweredQuestionError
+from .errors import OracleScriptError, ParseError, UnansweredQuestionError
 from .parser import format_term, parse_term_text
 from .terms import Atom, Clause, Struct, Term
 
@@ -214,7 +214,7 @@ class InteractiveOracle(Oracle):
                 return WHY_REQUEST
             try:
                 return value_answer(parse_term_text(line))
-            except Exception:
+            except ParseError:
                 self.out_stream.write("please answer yes., no., why., or a term\n")
 
 

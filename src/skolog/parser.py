@@ -10,10 +10,14 @@ Grammar (Edinburgh-style subset):
     term     ::=  VAR | INT | ATOM [ '(' term ( ',' term )* ')' ]
                |  '[' [ term ( ',' term )* [ '|' term ] ] ']'  |  '!'
 
-Atoms are /[a-z][A-Za-z0-9_]*/ or single-quoted; variables are
-/[A-Z_][A-Za-z0-9_]*/ (a bare ``_`` is a fresh variable per occurrence);
-integers may carry a leading minus.  ``%`` starts a comment.  Lists are
-sugar for '.'/2 chains ending in ``[]``.
+Names are runs of word characters (``str.isalnum`` or ``_``).  A name
+that starts with a lowercase letter is an atom; one that starts with an
+uppercase letter or ``_`` is a variable (a bare ``_`` is a fresh variable
+per occurrence).  Atoms may also be single-quoted, with the escapes
+``\\\\ \\' \\n \\t``.  Integers are decimal digits (those ``int`` reads)
+with an optional leading minus.  ``%`` starts a comment.  A name that
+starts otherwise, and any other character, is a ParseError at its
+line:col.  Lists are sugar for '.'/2 chains ending in ``[]``.
 
 ``format_term`` writes the canonical form read back by the parser:
 no spaces inside terms, lists re-sugared, atoms quoted only when needed.
@@ -40,7 +44,21 @@ from .terms import (
 
 _PLAIN_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\\\", "'": "\\'", "\n": "\\n", "\t": "\\t"}
+# One alternative per token kind, tried in order; "illegal" takes any
+# character the others reject.  \s, \d and \w match what str.isspace,
+# int() and str.isalnum (plus "_") accept.  A quoted atom that matches
+# without "close" stopped at a bad escape or at the end of the text.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:\s+|%[^\n]*)+)
+      | (?P<int>-?\d+)
+      | (?P<name>\w+)
+      | (?P<quoted>'(?:[^'\\]|\\[\\'nt])*(?P<close>')?)
+      | (?P<punct>:-|\?-|\\=|[()\[\]|,.!=])
+      | (?P<illegal>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class Token(NamedTuple):
@@ -52,82 +70,36 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def step(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c == "%":
-            while i < n and text[i] != "\n":
-                step()
-            continue
-        if c.isspace():
-            step()
-            continue
-        start_line, start_col = line, col
-        if c.islower():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("atom", text[i:j], start_line, start_col))
-            step(j - i)
-            continue
-        if c.isupper() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("var", text[i:j], start_line, start_col))
-            step(j - i)
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", int(text[i:j]), start_line, start_col))
-            step(j - i)
-            continue
-        if c == "'":
-            step()
-            chars: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated quoted atom", line, col)
-                c = text[i]
-                if c == "'":
-                    step()
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise ParseError("bad escape in quoted atom", line, col)
-                    chars.append(_ESCAPES[text[i + 1]])
-                    step(2)
-                    continue
-                chars.append(c)
-                step()
-            toks.append(Token("atom", "".join(chars), start_line, start_col))
-            continue
-        two = text[i : i + 2]
-        if two in (":-", "?-", "\\="):
-            toks.append(Token("punct", two, start_line, start_col))
-            step(2)
-            continue
-        if c in "()[]|,.!=":
-            toks.append(Token("punct", c, start_line, start_col))
-            step()
-            continue
-        raise ParseError(f"illegal character {c!r}", start_line, start_col, expected="token")
-
-    toks.append(Token("eof", None, line, col))
+    line, line_start = 1, 0  # line_start: the offset where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "name":
+            c = tok[0]
+            kind = "atom" if c.islower() else "var" if c.isupper() or c == "_" else "illegal"
+        if kind == "atom" or kind == "var" or kind == "punct":
+            toks.append(Token(kind, tok, line, col))
+        elif kind == "int":
+            try:
+                toks.append(Token("int", int(tok), line, col))
+            except ValueError:  # more digits than int() will convert
+                raise ParseError("integer too long", line, col) from None
+        elif kind == "illegal":
+            raise ParseError(f"illegal character {tok[0]!r}", line, col, expected="token")
+        else:  # skip or quoted, the only tokens that may span lines
+            start_line = line
+            newlines = tok.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + tok.rindex("\n") + 1
+            if kind == "quoted":
+                if m["close"] is None:
+                    end = m.end()
+                    message = "bad escape in" if end < len(text) else "unterminated"
+                    raise ParseError(f"{message} quoted atom", line, end - line_start + 1)
+                name = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], tok[1:-1])
+                toks.append(Token("atom", name, start_line, col))
+    toks.append(Token("eof", None, line, len(text) - line_start + 1))
     return toks
 
 

@@ -54,6 +54,33 @@ def test_run_parse_error_exit_2(tmp_path):
     assert "error" in r.err
 
 
+@pytest.mark.parametrize(
+    "program, goal, script",
+    [
+        ("p(a).\n", "p(Ⓐ).", None),
+        ("p(Ⓐ).\n", "p(X).", None),
+        ("p(a).\n", "p(X).", "askv a s -> ²\n"),
+    ],
+)
+def test_run_unreadable_text_exits_2(tmp_path, program, goal, script):
+    # in a subprocess with a short timeout: a reader that hangs (and keeps
+    # allocating) fails this test instead of stalling the run
+    f = tmp_path / "p.pl"
+    f.write_text(program, encoding="utf-8")
+    argv = ["run", str(f), "--goal", goal]
+    if script is not None:
+        (tmp_path / "s.txt").write_text(script, encoding="utf-8")
+        argv += ["--oracle", str(tmp_path / "s.txt")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="1")
+    r = subprocess.run(
+        [sys.executable, "-m", "skolog.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=10,
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr, r.stderr
+
+
 def test_run_engine_error_exit_2():
     r = run_cli(["run", COURSE, "--goal", "plus(X, Y, 3)."])
     assert r.code == 2
@@ -329,9 +356,10 @@ def test_repl_assert_retract_listing():
 
 
 def test_repl_parse_error_recovers():
-    r = run_cli(["repl"], stdin_text="p(a.\nassert(q(x)).\nq(W).\n\n:quit\n")
-    assert "parse error" in r.out
-    assert "W = x" in r.out
+    for bad in ("p(a.", "p(²)."):
+        r = run_cli(["repl"], stdin_text=f"{bad}\nassert(q(x)).\nq(W).\n\n:quit\n")
+        assert "parse error:" in r.out
+        assert "W = x" in r.out
 
 
 def test_repl_engine_error_recovers():

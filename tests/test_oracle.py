@@ -201,11 +201,11 @@ def test_interactive_oracle_parses_answers():
 
 
 def test_interactive_oracle_reprompts_on_noise():
-    stdin = io.StringIO("???\nyes.\n")
+    stdin = io.StringIO("???\n²\nyes.\n")
     out = io.StringIO()
     orc = InteractiveOracle(stdin, out)
     assert orc.answer(Question("a", "p", Atom("v")), None) == YES
-    assert out.getvalue().count("a of person p is v ?") == 2
+    assert out.getvalue().count("a of person p is v ?") == 3
 
 
 def test_interactive_oracle_eof_raises():

@@ -47,9 +47,18 @@ def test_tokenize_comment_only():
 
 
 def test_tokenize_illegal_char_position():
-    with pytest.raises(ParseError) as e:
-        tokenize("p(@)")
-    assert e.value.line == 1 and e.value.col == 3
+    for text, line, col in [
+        ("p(@)", 1, 3),
+        ("p(²).", 1, 3),  # a digit that int() does not read
+        ("p(Ⓐ).", 1, 3),  # cased, but not alphanumeric
+        ("p(\u0345).", 1, 3),
+        ("-²", 1, 1),
+        ("1²", 1, 2),
+        ("p.\nq(" + "9" * 5000 + ").", 2, 3),  # more digits than int() converts
+    ]:
+        with pytest.raises(ParseError) as e:
+            tokenize(text)
+        assert (e.value.line, e.value.col) == (line, col), text[:8]
 
 
 def test_tokenize_quoted_atom():
