@@ -96,7 +96,7 @@ def _consult_files(db: Database, paths) -> None:
         try:
             load_program(db, text)
         except ParseError as e:
-            raise ParseError(f"{path}:{e.message}", e.line, e.col, e.expected) from None
+            raise ParseError(e.message, e.line, e.col, e.expected, source=path) from None
 
 
 def _make_oracle(args, stdin: TextIO, stdout: TextIO) -> Oracle:

@@ -15,12 +15,12 @@ from .parser import parse_program
 from .terms import (
     Clause,
     FreshVars,
+    Store,
     Subst,
     Term,
     goal_constants,
     indicator_of,
     rename_clause,
-    unify_all,
 )
 
 PredIndicator = tuple[str, int]
@@ -66,20 +66,21 @@ class Database:
 
     def retract(self, pattern: Clause) -> Optional[Subst]:
         """Remove the first clause whose head AND body unify with the
-        pattern and return the unifier.  A bare fact pattern only matches
-        clauses with an empty body."""
-        ind = indicator_of(pattern.head)
-        bucket = self._preds.get(ind, [])
-        for sc in list(bucket):
+        pattern, and return the unifier: each variable it binds, of the
+        pattern or of the clause renamed apart, to its resolved value.  A
+        bare fact pattern only matches clauses with an empty body."""
+        bucket = self._preds.get(indicator_of(pattern.head), [])
+        store = Store()
+        for i, sc in enumerate(bucket):
             if len(sc.clause.body) != len(pattern.body):
                 continue
             candidate = rename_clause(sc.clause, self._fresh)
-            pairs = [(pattern.head, candidate.head)]
-            pairs.extend(zip(pattern.body, candidate.body))
-            theta = unify_all(pairs)
-            if theta is not None:
-                bucket.remove(sc)
-                return theta
+            pairs = zip((pattern.head, *pattern.body), (candidate.head, *candidate.body))
+            if all(store.unify(a, b) for a, b in pairs):
+                del bucket[i]
+                res = store.resolver()
+                return {v: res.resolve(v) for v in store.trail}
+            store.undo(0)
         return None
 
     def clauses(self, ind: PredIndicator) -> tuple[StoredClause, ...]:

@@ -2,7 +2,7 @@
 alternatives on backtracking.
 
 The solver follows the WAM's control model without its compiler (Warren
-1983; Ait-Kaci 1991).  A ``Store`` holds the variable bindings, read
+1983; Ait-Kaci 1991).  A ``terms.Store`` holds the variable bindings, read
 through ``deref``, and a trail of the variables bound, so backtracking
 undoes bindings by popping the trail back to a mark.  The goals still to
 prove form a linked list of cells; a user call with clauses left sits on a
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
@@ -56,6 +55,7 @@ from .terms import (
     Clause,
     FreshVars,
     Int,
+    Store,
     Struct,
     Subst,
     Term,
@@ -101,160 +101,6 @@ class _MissingOracle(oracle_mod.Oracle):
 
 
 _MISSING_ORACLE = _MissingOracle()
-
-
-class Store:
-    """Variable bindings with a trail.
-
-    ``unify`` binds as ``terms.unify`` does: the same order of equations,
-    and a variable of ``a``'s side binds to ``b``'s side, so resolving any
-    variable gives what ``terms.apply`` gives with the unifier.  A failed
-    unification may leave bindings behind; ``undo`` to a mark removes them.
-    """
-
-    def __init__(self):
-        self.bindings: dict[Var, Term] = {}
-        self.trail: list[Var] = []
-
-    def deref(self, t: Term) -> Term:
-        get = self.bindings.get
-        while type(t) is Var and (value := get(t)) is not None:
-            t = value
-        return t
-
-    def bind(self, v: Var, t: Term) -> None:
-        self.bindings[v] = t
-        self.trail.append(v)
-
-    def undo(self, mark: int) -> None:
-        trail, bindings = self.trail, self.bindings
-        while len(trail) > mark:
-            del bindings[trail.pop()]
-
-    def resolver(self, history: bool = False) -> "_Resolver":
-        """Reads terms under the current bindings; with ``history``, also
-        as of an earlier trail length."""
-        pos = {v: i for i, v in enumerate(self.trail)} if history else None
-        return _Resolver(self.bindings, pos)
-
-    def unify(self, a: Term, b: Term, fresh: Optional[set] = None) -> bool:
-        """Unify ``a`` with ``b``, the occurs check always on.
-
-        ``fresh`` holds the variables a renaming has just made for ``b``.
-        Such a variable cannot occur in a term of ``a``'s side until a
-        binding made here links it there, which takes it out of ``fresh``;
-        until then its check is skipped: the WAM's first-occurrence rule.
-        """
-        bindings, trail = self.bindings, self.trail
-        get = bindings.get
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            while type(x) is Var and (value := get(x)) is not None:
-                x = value
-            while type(y) is Var and (value := get(y)) is not None:
-                y = value
-            if x is y:
-                continue
-            if type(x) is Var:
-                if type(y) is Var and x == y:
-                    continue
-                v, t = x, y
-            elif type(y) is Var:
-                v, t = y, x
-            elif type(x) is Struct:
-                if type(y) is not Struct or x.name != y.name or len(x.args) != len(y.args):
-                    return False
-                stack.extend(zip(x.args, y.args))
-                continue
-            elif x == y:
-                continue
-            else:
-                return False
-            if (fresh is None or v not in fresh) and self._occurs(v, t, fresh):
-                return False
-            bindings[v] = t
-            trail.append(v)
-        return True
-
-    def _occurs(self, v: Var, t: Term, fresh: Optional[set]) -> bool:
-        """Does ``v`` occur in ``t``?  Takes the renamed variables met on
-        the way out of ``fresh``, since binding ``v`` to ``t`` links them."""
-        get = self.bindings.get
-        todo = [t]
-        while todo:
-            u = todo.pop()
-            while type(u) is Var and (value := get(u)) is not None:
-                u = value
-            if type(u) is Struct:
-                todo.extend(u.args)
-            elif type(u) is Var:
-                if u == v:
-                    return True
-                if fresh:
-                    fresh.discard(u)
-        return False
-
-
-class _Resolver:
-    """Terms under a fixed set of bindings.
-
-    Resolving a term with every binding applied memoizes each compound by
-    ``id``, with the latest trail position among the bindings it used.
-    Given ``pos`` (variable -> trail position), a term can be resolved as
-    of an earlier trail length too: a memoized compound whose latest
-    position lies below that length is reused whole.  The bindings must
-    not change meanwhile, and the terms resolved must stay alive.
-    """
-
-    def __init__(self, bindings: dict, pos: Optional[dict] = None):
-        self.bindings, self.pos = bindings, pos
-        self.memo: dict[int, tuple[Term, int]] = {}
-
-    def resolve(self, t: Term, stamp: Optional[int] = None, later: Optional[dict] = None) -> Term:
-        """``t`` under the bindings made before trail length ``stamp``, or
-        under all when it is None.  ``later``, when given, receives the
-        variables of the result that were bound later, in first-occurrence
-        order, as keys."""
-        memo, bindings, pos = self.memo, self.bindings, self.pos
-        final = stamp is None
-        # [compound, its resolved args so far, their latest position,
-        #  latest position of the bindings that led to the compound]
-        frames: list[list] = []
-        x = t
-        while True:
-            latest = -1
-            while type(x) is Var and (value := bindings.get(x)) is not None:
-                p = pos[x] if pos is not None else -1
-                if not final and p >= stamp:
-                    if later is not None:
-                        later[x] = None
-                    break
-                latest = max(latest, p)
-                x = value
-            if type(x) is Struct:
-                hit = memo.get(id(x))
-                if hit is None or not (final or hit[1] < stamp):
-                    frames.append([x, [], -1, latest])
-                    x = x.args[0]
-                    continue
-                x, latest = hit[0], max(latest, hit[1])
-            while frames:  # up, finishing what is complete
-                frame = frames[-1]
-                f, done = frame[0], frame[1]
-                done.append(x)
-                if latest > frame[2]:
-                    frame[2] = latest
-                if len(done) < len(f.args):
-                    x = f.args[len(done)]
-                    break
-                frames.pop()
-                x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
-                if final:
-                    memo[id(f)] = (x, frame[2])
-                latest = max(frame[2], frame[3])
-            else:
-                return x
 
 
 @dataclass(slots=True)
@@ -488,12 +334,21 @@ class Solver:
         return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
 
     def _why_supplier(self):
+        # The open ancestors of the pending goal: walk the records in
+        # preorder with a stack of [record, body goals not yet started],
+        # dropping each finished subproof before the next one starts.
+        stack: list[list] = []
+        for record in self._records:
+            while stack and stack[-1][1] == 0:
+                stack.pop()
+            if stack:
+                stack[-1][1] -= 1
+            just = record[3]
+            stack.append([record, len(just.clause.body) if type(just) is StoredClause else 0])
+        while stack and stack[-1][1] == 0:
+            stack.pop()
         res = self._store.resolver(history=True)
-        frames = tuple(
-            (res.resolve(goal, stamp), just)
-            for goal, stamp, _, just in self._records
-            if type(just) is StoredClause
-        )
+        frames = tuple((res.resolve(goal, stamp), just) for (goal, stamp, _, just), _ in stack)
         return WhyContext(frames, self._root)
 
     def _why_renderer(self, ctx) -> None:

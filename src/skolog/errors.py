@@ -10,15 +10,20 @@ class SkologError(Exception):
 
 
 class ParseError(SkologError):
-    """Syntax error with a 1-based position inside (or one past) the input."""
+    """Syntax error with a 1-based position inside (or one past) the input,
+    and the name of the input when it is a file."""
 
-    def __init__(self, message: str, line: int, col: int, expected: Optional[str] = None):
+    def __init__(
+        self, message: str, line: int, col: int, expected: Optional[str] = None,
+        source: Optional[str] = None,
+    ):
         self.message = message
         self.line = line
         self.col = col
         self.expected = expected
+        where = f"{source}:" if source else ""
         suffix = f" (expected {expected})" if expected else ""
-        super().__init__(f"{line}:{col}: {message}{suffix}")
+        super().__init__(f"{where}{line}:{col}: {message}{suffix}")
 
 
 class EngineError(SkologError):

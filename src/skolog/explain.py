@@ -14,7 +14,7 @@ from typing import Union
 from .database import StoredClause
 from .oracle import Answer, Question, answer_text, prompt_for
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
-from .terms import Subst, Term, TRUE, unify
+from .terms import Subst, Term, TRUE, indicator_of
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def _node_line(node: ProofNode) -> str:
     if isinstance(j, (ClauseJust, AssertedFactJust)):
         c = j.clause.clause
         if not c.body:
-            if unify(node.goal, c.head) is None:
-                # a fact about the goal rather than an instance of it,
-                # e.g. an ask answered from the known/4 memo
+            if indicator_of(node.goal) != indicator_of(c.head):
+                # a fact about the goal rather than an instance of it:
+                # an ask answered from the known/4 memo
                 return f"{g} BECAUSE {format_term(c.head)} is a fact"
             return f"{g} is a fact"
         rule = format_term(c.head) + " :- " + format_goals(c.body)

@@ -32,13 +32,13 @@ from .parser import format_term
 from .terms import (
     Atom,
     Clause,
+    Store,
     Struct,
     Subst,
     Term,
     apply,
     indicator_of,
     is_ground,
-    unify,
     variables_of,
 )
 
@@ -70,20 +70,22 @@ def fresh_constant(db: Database, candidate: Optional[Atom], ledger: FreshnessLed
     Fresh means: not a constant of the database and not issued before.
     The returned atom is recorded in the ledger.
     """
-    taken = constants_of(db) | ledger.issued
-    if candidate is not None and isinstance(candidate, Atom) and candidate not in taken:
-        ledger.issued.add(candidate)
-        return candidate
-    k = 1
-    while Atom(f"sk_{k}") in taken:
-        k += 1
-    c = Atom(f"sk_{k}")
-    ledger.issued.add(c)
+    return _fresh_constant(constants_of(db), candidate, ledger)
+
+
+def _fresh_constant(db_constants: set, candidate: Optional[Atom], ledger: FreshnessLedger) -> Atom:
+    issued = ledger.issued
+    c = candidate
+    if not isinstance(c, Atom) or c in db_constants or c in issued:
+        k = 1
+        while (c := Atom(f"sk_{k}")) in db_constants or c in issued:
+            k += 1
+    issued.add(c)
     return c
 
 
 def _obtain_constant(
-    db: Database,
+    db_constants: set,
     predicate: str,
     oracle: Optional[Oracle],
     ledger: FreshnessLedger,
@@ -93,14 +95,13 @@ def _obtain_constant(
 ) -> Atom:
     if oracle is not None:
         question = Question("skolem", predicate, None)
-        taken_now = lambda: constants_of(db) | ledger.issued
         for _ in range(_MAX_PROPOSALS):
             ans = consult(oracle, question, why_supplier, why_renderer)
             if ans.kind == "no":
                 break
             if ans.kind == "value" and isinstance(ans.value, Atom):
-                if ans.value not in taken_now():
-                    return fresh_constant(db, ans.value, ledger)
+                if ans.value not in db_constants and ans.value not in ledger.issued:
+                    return _fresh_constant(db_constants, ans.value, ledger)
                 if diag is not None:
                     diag.write(
                         f"constant_occurs_in_kb: {format_term(ans.value)} is not fresh\n"
@@ -108,7 +109,7 @@ def _obtain_constant(
                 continue
             if diag is not None:
                 diag.write("skolem constant must be a new atom\n")
-    return fresh_constant(db, None, ledger)
+    return _fresh_constant(db_constants, None, ledger)
 
 
 def negate_fact(
@@ -133,11 +134,13 @@ def negate_fact(
     if ledger is None:
         ledger = FreshnessLedger()
 
-    variables = variables_of(head)
+    # nothing is stored until the s-fact is, so the database's constants
+    # stay as read here for the whole call
+    db_constants = constants_of(db)
     mapping: Subst = {}
     constants: list[Atom] = []
-    for v in variables:
-        c = _obtain_constant(db, name, oracle, ledger, diag, why_supplier, why_renderer)
+    for v in variables_of(head):
+        c = _obtain_constant(db_constants, name, oracle, ledger, diag, why_supplier, why_renderer)
         mapping[v] = c
         constants.append(c)
 
@@ -171,7 +174,7 @@ def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
     for sc in db.clauses(("s", arity + 1)):
         if sc.clause.body:
             continue
-        if unify(probe, sc.clause.head) is not None:
+        if Store().unify(probe, sc.clause.head):
             return sc
     return None
 

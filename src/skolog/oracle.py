@@ -164,7 +164,7 @@ def _parse_script(text: str) -> list[_ScriptEntry]:
         if kind == "ask":
             if len(fields) < 4:
                 raise OracleScriptError(f"script line {lineno}: ask needs attribute, subject, value")
-            value = parse_term_text(" ".join(fields[3:]))
+            value = _script_value(" ".join(fields[3:]), lineno)
             if rhs == "yes":
                 reply = YES
             elif rhs == "no":
@@ -175,11 +175,18 @@ def _parse_script(text: str) -> list[_ScriptEntry]:
         elif kind == "askv":
             if len(fields) != 3:
                 raise OracleScriptError(f"script line {lineno}: askv needs attribute, subject")
-            reply = NO if rhs == "no" else value_answer(parse_term_text(rhs))
+            reply = NO if rhs == "no" else value_answer(_script_value(rhs, lineno))
             entries.append(_ScriptEntry("askv", fields[1], fields[2], None, reply))
         else:
             raise OracleScriptError(f"script line {lineno}: unknown entry kind {kind!r}")
     return entries
+
+
+def _script_value(text: str, lineno: int) -> Term:
+    try:
+        return parse_term_text(text)
+    except ParseError as e:
+        raise OracleScriptError(f"script line {lineno}: {e}") from None
 
 
 class InteractiveOracle(Oracle):

@@ -4,8 +4,11 @@ The term language has four shapes: variables, atoms (symbolic constants),
 integers, and compound terms.  A substitution is a plain dict from ``Var``
 to ``Term``, kept idempotent by construction: no key variable ever occurs
 in a value term, so applying a substitution twice equals applying it once.
-``unify`` here is the pure reference; the engine binds variables in a
-trailed store of its own and is tested to agree with it.
+``unify`` here is the pure reference.  At run time every unification
+(resolution, retract/1, holds_negated/1) binds variables in a ``Store``
+instead: one dict of bindings with a trail that backtracking pops, tested
+to agree with ``unify``.  ``compose`` and ``restrict`` stay beside the
+reference, for the tests.
 """
 
 from __future__ import annotations
@@ -222,15 +225,159 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
     return theta
 
 
-def unify_all(pairs: Iterable[tuple[Term, Term]]) -> Optional[Subst]:
-    """Unify a sequence of term pairs under one accumulated substitution."""
-    theta: Subst = {}
-    for a, b in pairs:
-        s = unify(apply(theta, a), apply(theta, b))
-        if s is None:
-            return None
-        theta = compose(theta, s)
-    return theta
+class Store:
+    """Variable bindings with a trail.
+
+    ``Store.unify`` binds as the reference ``unify`` does: the same order
+    of equations, and a variable of ``a``'s side binds to ``b``'s side, so
+    resolving any variable gives what ``apply`` gives with the unifier.  A
+    failed unification may leave bindings behind; ``undo`` to a mark
+    removes them.
+    """
+
+    def __init__(self):
+        self.bindings: dict[Var, Term] = {}
+        self.trail: list[Var] = []
+
+    def deref(self, t: Term) -> Term:
+        get = self.bindings.get
+        while type(t) is Var and (value := get(t)) is not None:
+            t = value
+        return t
+
+    def bind(self, v: Var, t: Term) -> None:
+        self.bindings[v] = t
+        self.trail.append(v)
+
+    def undo(self, mark: int) -> None:
+        trail, bindings = self.trail, self.bindings
+        while len(trail) > mark:
+            del bindings[trail.pop()]
+
+    def resolver(self, history: bool = False) -> "_Resolver":
+        """Reads terms under the current bindings; with ``history``, also
+        as of an earlier trail length."""
+        pos = {v: i for i, v in enumerate(self.trail)} if history else None
+        return _Resolver(self.bindings, pos)
+
+    def unify(self, a: Term, b: Term, fresh: Optional[set] = None) -> bool:
+        """Unify ``a`` with ``b``, the occurs check always on.
+
+        ``fresh`` holds the variables a renaming has just made for ``b``.
+        Such a variable cannot occur in a term of ``a``'s side until a
+        binding made here links it there, which takes it out of ``fresh``;
+        until then its check is skipped: the WAM's first-occurrence rule.
+        """
+        bindings, trail = self.bindings, self.trail
+        get = bindings.get
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            while type(x) is Var and (value := get(x)) is not None:
+                x = value
+            while type(y) is Var and (value := get(y)) is not None:
+                y = value
+            if x is y:
+                continue
+            if type(x) is Var:
+                if type(y) is Var and x == y:
+                    continue
+                v, t = x, y
+            elif type(y) is Var:
+                v, t = y, x
+            elif type(x) is Struct:
+                if type(y) is not Struct or x.name != y.name or len(x.args) != len(y.args):
+                    return False
+                stack.extend(zip(x.args, y.args))
+                continue
+            elif x == y:
+                continue
+            else:
+                return False
+            if (fresh is None or v not in fresh) and self._occurs(v, t, fresh):
+                return False
+            bindings[v] = t
+            trail.append(v)
+        return True
+
+    def _occurs(self, v: Var, t: Term, fresh: Optional[set]) -> bool:
+        """Does ``v`` occur in ``t``?  Takes the renamed variables met on
+        the way out of ``fresh``, since binding ``v`` to ``t`` links them."""
+        get = self.bindings.get
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            while type(u) is Var and (value := get(u)) is not None:
+                u = value
+            if type(u) is Struct:
+                todo.extend(u.args)
+            elif type(u) is Var:
+                if u == v:
+                    return True
+                if fresh:
+                    fresh.discard(u)
+        return False
+
+
+class _Resolver:
+    """Terms under a fixed set of bindings.
+
+    Resolving a term with every binding applied memoizes each compound by
+    ``id``, with the latest trail position among the bindings it used.
+    Given ``pos`` (variable -> trail position), a term can be resolved as
+    of an earlier trail length too: a memoized compound whose latest
+    position lies below that length is reused whole.  The bindings must
+    not change meanwhile, and the terms resolved must stay alive.
+    """
+
+    def __init__(self, bindings: dict, pos: Optional[dict] = None):
+        self.bindings, self.pos = bindings, pos
+        self.memo: dict[int, tuple[Term, int]] = {}
+
+    def resolve(self, t: Term, stamp: Optional[int] = None, later: Optional[dict] = None) -> Term:
+        """``t`` under the bindings made before trail length ``stamp``, or
+        under all when it is None.  ``later``, when given, receives the
+        variables of the result that were bound later, in first-occurrence
+        order, as keys."""
+        memo, bindings, pos = self.memo, self.bindings, self.pos
+        final = stamp is None
+        # [compound, its resolved args so far, their latest position,
+        #  latest position of the bindings that led to the compound]
+        frames: list[list] = []
+        x = t
+        while True:
+            latest = -1
+            while type(x) is Var and (value := bindings.get(x)) is not None:
+                p = pos[x] if pos is not None else -1
+                if not final and p >= stamp:
+                    if later is not None:
+                        later[x] = None
+                    break
+                latest = max(latest, p)
+                x = value
+            if type(x) is Struct:
+                hit = memo.get(id(x))
+                if hit is None or not (final or hit[1] < stamp):
+                    frames.append([x, [], -1, latest])
+                    x = x.args[0]
+                    continue
+                x, latest = hit[0], max(latest, hit[1])
+            while frames:  # up, finishing what is complete
+                frame = frames[-1]
+                f, done = frame[0], frame[1]
+                done.append(x)
+                if latest > frame[2]:
+                    frame[2] = latest
+                if len(done) < len(f.args):
+                    x = f.args[len(done)]
+                    break
+                frames.pop()
+                x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
+                if final:
+                    memo[id(f)] = (x, frame[2])
+                latest = max(frame[2], frame[3])
+            else:
+                return x
 
 
 class FreshVars:

@@ -115,6 +115,24 @@ def test_run_explain_flag():
     assert "BECAUSE" in r.out
 
 
+def test_run_explain_cites_an_asserted_fact_sharing_the_query_variable(tmp_path):
+    # the stored p(X) holds the query's own X, which p(f(X)) does not unify
+    # with; it is still an instance of the fact, not a fact about it
+    f = tmp_path / "e.pl"
+    f.write_text("e(0).\n")
+    r = run_cli(["run", str(f), "--goal", "assert(p(X)), p(f(X)).", "--explain"])
+    assert r.code == 0
+    assert r.out.splitlines()[1:] == ["assert(p(X)) by builtin assertz", "p(f(X)) is a fact"]
+
+
+def test_run_consult_parse_error_names_the_file_first(tmp_path):
+    f = tmp_path / "u.pl"
+    f.write_text("q(a).\nq(\u24b6).\n", encoding="utf-8")
+    r = run_cli(["run", str(f), "--goal", "q(X)."])
+    assert r.code == 2
+    assert r.err == f"error: {f}:2:3: illegal character '\u24b6' (expected token)\n"
+
+
 def test_run_oracle_script():
     r = run_cli(
         [

@@ -1,10 +1,13 @@
 """Clause store: ordering, retraction, snapshots."""
 
+from hypothesis import given, settings, strategies as st
+
 from skolog import Atom, Clause, Database, Struct, Var, constants_of, load_program
 from skolog.database import KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
-from skolog.terms import Int
+from skolog.terms import FreshVars, Int, apply, compose, rename_clause, unify
 
-from util import variant_equal
+from strategies import terms, variables
+from util import variant_equal, variant_equal_seq
 
 
 def p(c):
@@ -125,3 +128,59 @@ def test_stored_clause_is_variant_not_shared():
     load_program(db, "r(X, X).")
     (sc,) = db.clauses(("r", 2))
     assert variant_equal(sc.clause.head, Struct("r", (Var("A"), Var("A"))))
+
+
+# --- retract against a reference built from the pure unifier ----------------
+
+def _reference_retract(clauses, pattern):
+    """Index of the clause retract/1 removes, and its unifier: each
+    candidate renamed apart, then its head and body pairs unified in turn
+    by ``terms.unify``, the unifiers composed."""
+    fresh = FreshVars("_R")
+    for i, c in enumerate(clauses):
+        if len(c.body) != len(pattern.body):
+            continue
+        candidate = rename_clause(c, fresh)
+        theta = {}
+        for a, b in zip((pattern.head, *pattern.body), (candidate.head, *candidate.body)):
+            step = unify(apply(theta, a), apply(theta, b))
+            if step is None:
+                break
+            theta = compose(theta, step)
+        else:
+            return i, theta
+    return None, None
+
+
+# every head is p/2 and every body goal q/1, which keeps matches common; the
+# variables come from a few names, so clauses repeat them and patterns share them
+_args = terms(max_depth=2)
+_heads = st.builds(lambda a, b: Struct("p", (a, b)), _args, _args)
+_bodies = st.lists(st.builds(lambda a: Struct("q", (a,)), _args), max_size=2).map(tuple)
+_clauses = st.builds(Clause, _heads, _bodies)
+
+
+@given(st.lists(_clauses, min_size=1, max_size=6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_retract_agrees_with_reference(clauses, data):
+    # half the patterns are a stored clause with some arguments made
+    # variables, so that most of those match
+    if data.draw(st.booleans()):
+        pattern = data.draw(st.builds(Clause, _heads, _bodies))
+    else:
+        c = data.draw(st.sampled_from(clauses))
+        head = Struct("p", tuple(data.draw(variables | st.just(a)) for a in c.head.args))
+        pattern = Clause(head, c.body)
+    db = Database()
+    for c in clauses:
+        db.assertz(c)
+    want, ref_theta = _reference_retract(clauses, pattern)
+    theta = db.retract(pattern)
+    assert (theta is None) == (want is None)
+    kept = clauses if want is None else clauses[:want] + clauses[want + 1:]
+    assert [sc.clause for sc in db.clauses(("p", 2))] == kept
+    if theta is not None:
+        assert variant_equal_seq(
+            [apply(theta, t) for t in (pattern.head, *pattern.body)],
+            [apply(ref_theta, t) for t in (pattern.head, *pattern.body)],
+        )

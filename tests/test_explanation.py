@@ -234,3 +234,48 @@ def test_trace_to_json_shape():
     assert all(set(e) == {"goal", "bindings"} for e in data)
     assert data[-1]["goal"] == "true"
     json.dumps(data)
+
+
+def _why_lines_at_question(program, goal, script):
+    """The lines of the WHY text at each question the engine puts."""
+    db = Database()
+    load_program(db, program)
+    contexts = []
+
+    class Peeking(ScriptedOracle):
+        def answer(self, question, why_supplier):
+            contexts.append(why_supplier())
+            return super().answer(question, why_supplier)
+
+    solve(db, parse_query(goal), SolveOptions(max_solutions=1), oracle=Peeking(script))
+    return [why(ctx).split("\n") for ctx in contexts]
+
+
+def test_why_lists_only_open_ancestors():
+    # b, proved before c was called, serves no pending question
+    (lines,) = _why_lines_at_question(
+        "a :- b, c. b :- d. d. c :- ask(likes, peter, icecream).", "a.",
+        "ask likes peter icecream -> yes\n",
+    )
+    assert lines == [
+        "trying to prove c using c :- ask(likes,peter,icecream).",
+        "trying to prove a using a :- b, c.",
+        "to answer your query a",
+    ]
+
+
+def test_why_in_the_twins_case_skips_finished_subproofs():
+    from skolog.corpus import corpus_text
+
+    (_, lines) = _why_lines_at_question(
+        corpus_text("twins.pl"), "state(not_twin, marsha, marjorie).",
+        "askv country marsha -> smith\naskv country marjorie -> jones\n",
+    )
+    assert len(lines) == 4
+    assert lines[0].startswith("trying to prove country(_G")
+    assert lines[0].endswith(",marjorie) using country(X,P) :- ask_value(country,P,X).")
+    assert lines[1].startswith(
+        "trying to prove person(marjorie,father1,mother1,month1,year1,country(_G"
+    )
+    assert lines[2].startswith("trying to prove state(not_twin,marsha,marjorie) using state(")
+    assert lines[3] == "to answer your query state(not_twin,marsha,marjorie)"

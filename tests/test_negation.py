@@ -84,6 +84,20 @@ def test_negate_with_variable_uses_oracle_proposal():
     assert nf.skolem_constants == (Atom("stranger"),)
 
 
+def test_negate_reads_the_database_constants_once(monkeypatch):
+    import skolog.negation
+
+    db = Database()
+    load_program(db, "takes(ann, logic).")
+    calls = []
+    real = skolog.negation.constants_of
+    monkeypatch.setattr(skolog.negation, "constants_of", lambda d: calls.append(d) or real(d))
+    orc = QueuedOracle([value_answer(Atom(c)) for c in ("ann", "zed", "yan")])
+    nf = negate_fact(db, parse_clause_text("takes(X, Y)."), oracle=orc, diag=io.StringIO())
+    assert nf.skolem_constants == (Atom("zed"), Atom("yan"))
+    assert len(calls) == 1
+
+
 def test_negate_rejected_proposal_reprompts_then_accepts():
     db = Database()
     load_program(db, "likes(X, apple).")

@@ -179,6 +179,15 @@ def test_script_parse_error_diagnostics():
         ScriptedOracle("ask a p v -> maybe\n")
 
 
+@pytest.mark.parametrize(
+    "script", ["# values\naskv a t -> \u00b2\n", "# values\nask a t \u00b2 -> yes\n"]
+)
+def test_script_value_parse_error_names_the_script_line(script):
+    with pytest.raises(OracleScriptError) as e:
+        ScriptedOracle(script)
+    assert str(e.value) == "script line 2: 1:1: illegal character '\u00b2' (expected token)"
+
+
 def test_scripted_oracle_records_transcript():
     orc = ScriptedOracle("ask a p v -> yes\n")
     orc.answer(Question("a", "p", Atom("v")), None)
