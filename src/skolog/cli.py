@@ -182,6 +182,7 @@ class Session:
     oracle: Oracle
     ledger: FreshnessLedger = field(default_factory=FreshnessLedger)
     last_proof: object = None
+    unread: Optional[str] = None  # a line read as a "more?" reply that was not one
 
 
 def run_repl(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
@@ -199,8 +200,10 @@ def repl_loop(session: Session, stdin: TextIO, stdout: TextIO, stderr: TextIO) -
     """Read commands and queries until :quit or end of input.  Malformed
     input gets a message and a fresh prompt; the session survives."""
     while True:
-        stdout.write("?- ")
-        line = stdin.readline()
+        line, session.unread = session.unread, None
+        if line is None:
+            stdout.write("?- ")
+            line = stdin.readline()
         if line == "":
             stdout.write("\n")
             return 0
@@ -311,6 +314,8 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
         stdout.write(("\n".join(lines) if lines else "yes") + "\n")
         more = stdin.readline()
         if more.strip() != ";":
+            if more.strip():
+                session.unread = more
             return
 
 

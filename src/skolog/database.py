@@ -132,12 +132,7 @@ def constants_of(db: Database) -> set[Term]:
 
     Predicate and functor names do not count; known/4 facts and s-facts do.
     """
-    out: set[Term] = set()
-    for sc in db.all_stored():
-        out |= goal_constants(sc.clause.head)
-        for g in sc.clause.body:
-            out |= goal_constants(g)
-    return out
+    return goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
 
 
 def load_program(db: Database, text: str, kind: str = KIND_STATIC) -> list[StoredClause]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotDefiniteError
 from .terms import (
@@ -48,12 +48,6 @@ class UniverseBound:
             raise ValueError("universe depth must be >= 0")
 
 
-def _as_bound(bound) -> UniverseBound:
-    if isinstance(bound, UniverseBound):
-        return bound
-    return UniverseBound(int(bound))
-
-
 def check_definite(clauses: Iterable[Clause]) -> None:
     """Reject clauses whose bodies use cut, negation, or any builtin."""
     for c in clauses:
@@ -65,43 +59,22 @@ def check_definite(clauses: Iterable[Clause]) -> None:
                 )
 
 
+def _goals(clauses: Iterable[Clause]) -> Iterator[Term]:
+    """Every clause's head, then its body goals."""
+    for c in clauses:
+        yield c.head
+        yield from c.body
+
+
 def is_function_free(clauses: Iterable[Clause]) -> bool:
-    return not _functors(clauses)
-
-
-def _constants(clauses: Iterable[Clause]) -> set[Term]:
-    out: set[Term] = set()
-    for c in clauses:
-        out |= goal_constants(c.head)
-        for g in c.body:
-            out |= goal_constants(g)
-    return out
-
-
-def _functors(clauses: Iterable[Clause]) -> set[tuple[str, int]]:
-    out: set[tuple[str, int]] = set()
-    for c in clauses:
-        out |= goal_functors(c.head)
-        for g in c.body:
-            out |= goal_functors(g)
-    return out
-
-
-def _predicates(clauses: Iterable[Clause]) -> set[tuple[str, int]]:
-    out: set[tuple[str, int]] = set()
-    for c in clauses:
-        out.add(indicator_of(c.head))
-        for g in c.body:
-            out.add(indicator_of(g))
-    return out
+    return not goal_functors(_goals(clauses))
 
 
 def herbrand_universe(clauses: list[Clause], bound=UniverseBound()) -> set[Term]:
     """Ground terms over the program's constants and functors up to the
     depth bound.  A program with no constants gets the stand-in ``c0``."""
-    bound = _as_bound(bound)
-    constants = _constants(clauses) or {Atom("c0")}
-    functors = _functors(clauses)
+    constants = goal_constants(_goals(clauses)) or {Atom("c0")}
+    functors = goal_functors(_goals(clauses))
     universe: set[Term] = set(constants)
     for _ in range(bound.depth):
         layer: set[Term] = set()
@@ -116,7 +89,7 @@ def herbrand_base(clauses: list[Clause], bound=UniverseBound()) -> set[Term]:
     """Every predicate of the program applied to universe terms."""
     universe = sorted(herbrand_universe(clauses, bound), key=repr)
     base: set[Term] = set()
-    for name, arity in sorted(_predicates(clauses)):
+    for name, arity in sorted({indicator_of(g) for g in _goals(clauses)}):
         if arity == 0:
             base.add(Atom(name))
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -82,53 +82,37 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-# Term walkers keep a stack of their own instead of recursing: a list of n
+# ``subterms`` is the one read-only walk; the walkers that rebuild terms
+# (``_rebuild``, ``_Resolver``) and the store's occurs check, which reads
+# through bindings, keep stacks of their own.  None recurses: a list of n
 # elements nests n deep.
 
-def is_ground(t: Term) -> bool:
+def subterms(t: Term) -> Iterator[Term]:
+    """``t`` and every term inside it, in left-to-right preorder."""
     todo = [t]
     while todo:
         x = todo.pop()
-        if type(x) is Var:
-            return False
+        yield x
         if type(x) is Struct:
-            todo.extend(x.args)
-    return True
+            todo.extend(reversed(x.args))
+
+
+def is_ground(t: Term) -> bool:
+    return not any(type(x) is Var for x in subterms(t))
 
 
 def occurs(v: Var, t: Term) -> bool:
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        if type(x) is Struct:
-            todo.extend(x.args)
-        elif x == v:
-            return True
-    return False
+    return v in subterms(t)
 
 
 def variables_of(t: Term) -> list[Var]:
     """Variables of ``t`` in first-occurrence order, left to right."""
-    out: dict[Var, None] = {}
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        if type(x) is Struct:
-            todo.extend(reversed(x.args))
-        elif type(x) is Var:
-            out[x] = None
-    return list(out)
+    return variables_in((t,))
 
 
 def variables_in(terms: Iterable[Term]) -> list[Var]:
-    out: list[Var] = []
-    seen: set[Var] = set()
-    for t in terms:
-        for v in variables_of(t):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
+    """Variables of ``terms`` in first-occurrence order, left to right."""
+    return list(dict.fromkeys(x for t in terms for x in subterms(t) if type(x) is Var))
 
 
 def apply(theta: Subst, t: Term) -> Term:
@@ -454,30 +438,18 @@ def indicator_of(t: Term) -> tuple[str, int]:
     raise ValueError(f"not a callable term: {t!r}")
 
 
-def goal_constants(goal: Term) -> set[Term]:
-    """Atoms and integers in argument positions of one head or body term.
+def goal_constants(goals: Iterable[Term]) -> set[Term]:
+    """Atoms and integers in argument positions of heads and body goals.
 
-    The predicate symbol itself is not a data constant; functor names of
-    nested compounds are not either.
+    A predicate symbol is not a data constant; functor names of nested
+    compounds are not either.
     """
-    out: set[Term] = set()
-    todo = list(goal.args) if type(goal) is Struct else []
-    while todo:
-        x = todo.pop()
-        if type(x) is Struct:
-            todo.extend(x.args)
-        elif type(x) is not Var:
-            out.add(x)
-    return out
+    inner = (x for g in goals for x in itertools.islice(subterms(g), 1, None))
+    return {x for x in inner if type(x) is Atom or type(x) is Int}
 
 
-def goal_functors(goal: Term) -> set[tuple[str, int]]:
-    """Functor/arity pairs of compounds in argument positions of a goal."""
-    out: set[tuple[str, int]] = set()
-    todo = list(goal.args) if type(goal) is Struct else []
-    while todo:
-        x = todo.pop()
-        if type(x) is Struct:
-            out.add((x.name, len(x.args)))
-            todo.extend(x.args)
-    return out
+def goal_functors(goals: Iterable[Term]) -> set[tuple[str, int]]:
+    """Functor/arity pairs of compounds in argument positions of heads and
+    body goals."""
+    inner = (x for g in goals for x in itertools.islice(subterms(g), 1, None))
+    return {(x.name, len(x.args)) for x in inner if type(x) is Struct}

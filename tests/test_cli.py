@@ -454,6 +454,15 @@ def test_repl_oracle_script_answers_questions(tmp_path):
     assert "yes" in r.out
 
 
+def test_repl_reply_that_is_not_more_runs_as_the_next_input(tmp_path):
+    f = tmp_path / "e.pl"
+    f.write_text("q(a).\n")
+    r = run_cli(["repl", str(f)], stdin_text="q(Z).\nhow.\n:quit\n")
+    assert r.code == 0
+    assert "Z = a\n" in r.out
+    assert "q(a) is a fact" in r.out
+
+
 def test_run_deep_left_recursion_exits_3(tmp_path):
     # in a subprocess: an interpreter crash fails this test, not the run
     f = tmp_path / "loop.pl"
