@@ -15,10 +15,9 @@ from typing import Optional, TextIO
 from .database import Database, load_program
 from .engine import Outcome, Solver, SolveOptions
 from .errors import ParseError, SkologError
-from .explain import WhyContext, how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
-from .explain import why as render_why
+from .explain import how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
 from .negation import FreshnessLedger, negate_fact
-from .oracle import InteractiveOracle, Oracle, ScriptedOracle, reset_known
+from .oracle import InteractiveOracle, Oracle, ScriptedOracle, WhyContext, reset_known
 from .parser import format_clause, format_term, parse_clause_text, parse_query
 from .semantics import (
     UniverseBound,
@@ -271,15 +270,13 @@ def _colon_command(session: Session, line: str, stdout: TextIO) -> None:
 
 def _negate_command(session: Session, text: str, stdout: TextIO, stderr: TextIO) -> None:
     fact = parse_clause_text(text if text.rstrip().endswith(".") else text + ".")
-    supplier = lambda: WhyContext((), (fact.head,))
     nf = negate_fact(
         session.db,
         fact,
         oracle=session.oracle,
         ledger=session.ledger,
         diag=stderr,
-        why_supplier=supplier,
-        why_renderer=lambda ctx: stdout.write(render_why(ctx) + "\n"),
+        why_supplier=lambda: WhyContext((), (fact.head,)),
     )
     stdout.write(format_term(nf.stored) + ".\n")
 

@@ -43,10 +43,8 @@ from .explain import (
     QUERY_ROOT,
     SFactJust,
     UserSaidJust,
-    WhyContext,
     format_trace_entry,
     TraceEntry,
-    why as render_why,
 )
 from .negation import find_s_fact
 from .parser import format_goal
@@ -88,19 +86,6 @@ class Solution:
 class Outcome:
     status: str  # "yes" | "no" | "depth_exceeded"
     solutions: list[Solution] = field(default_factory=list)
-
-
-class _MissingOracle(oracle_mod.Oracle):
-    """Stands in when no oracle is attached; consulting it is an error."""
-
-    def answer(self, question, why_supplier):
-        raise EngineError(
-            "a question came up but no oracle is attached: "
-            + oracle_mod.prompt_for(question)
-        )
-
-
-_MISSING_ORACLE = _MissingOracle()
 
 
 @dataclass(slots=True)
@@ -349,10 +334,7 @@ class Solver:
             stack.pop()
         res = self._store.resolver(history=True)
         frames = tuple((res.resolve(goal, stamp), just) for (goal, stamp, _, just), _ in stack)
-        return WhyContext(frames, self._root)
-
-    def _why_renderer(self, ctx) -> None:
-        self.out.write(render_why(ctx) + "\n")
+        return oracle_mod.WhyContext(frames, self._root)
 
     # ------------------------------------------------------------------
     # builtins: each takes the selected goal and returns its justification,
@@ -397,22 +379,16 @@ class Solver:
         return BuiltinJust("write")
 
     def _bi_ask(self, g):
-        # ask_value/3 with a ground value is a yes/no question, and ask/3
-        # with a variable value a value question.  The oracle is looked up
-        # lazily: a memo hit answers without any oracle at all.
+        # ask_value/3 with a ground value is a yes/no question, and ask/3 with
+        # a variable value a value question.  A memo hit needs no oracle.
         res = self._store.resolver()
         a, p, v = (res.resolve(x) for x in g.args)
         if type(a) is not Atom or type(p) is not Atom:
             raise InstantiationError(f"ask attribute and subject must be atoms: {self._shown(g)}")
-        oracle = self.oracle or _MISSING_ORACLE
         if is_ground(v):
-            res = oracle_mod.ask(
-                self.db, a.name, p.name, v, oracle, self._why_supplier, self._why_renderer
-            )
+            res = oracle_mod.ask(self.db, a.name, p.name, v, self.oracle, self._why_supplier)
         elif type(v) is Var:
-            res = oracle_mod.ask_value(
-                self.db, a.name, p.name, oracle, self._why_supplier, self._why_renderer
-            )
+            res = oracle_mod.ask_value(self.db, a.name, p.name, self.oracle, self._why_supplier)
             if res.succeeded:
                 self._store.bind(v, res.value)
         else:

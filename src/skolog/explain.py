@@ -1,4 +1,5 @@
-"""Proof trees and their renderings: HOW, WHY, and the derived trace.
+"""Proof trees and their renderings: HOW, the derived trace, and JSON.
+WHY (``WhyContext``, ``why``) explains a question, so it lives in ``oracle``.
 
 Negation as failure leaves nothing to explain (a failed search has no
 tree), which is the gap the s-fact transform fills: a success through a
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .database import StoredClause
-from .oracle import Answer, Question, answer_text, prompt_for
+from .oracle import Answer, Question, WhyContext, answer_text, prompt_for, why  # noqa: F401
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, indicator_of
 
@@ -69,15 +70,6 @@ class ProofNode:
 class TraceEntry:
     goal: Term
     bindings: Subst
-
-
-@dataclass(frozen=True)
-class WhyContext:
-    """Goal stack behind a pending question: (goal, clause) frames from the
-    query root down to the clause whose body is being proved."""
-
-    frames: tuple[tuple[Term, StoredClause], ...]
-    root: tuple[Term, ...]
 
 
 def _is_reduction(node: ProofNode) -> bool:
@@ -142,17 +134,6 @@ def how(proof: ProofNode) -> str:
             continue
         lines.append("  " * depth + _node_line(node))
         todo.extend((c, depth + 1) for c in reversed(node.children))
-    return "\n".join(lines)
-
-
-def why(ctx: WhyContext) -> str:
-    """WHY a question is being put: the clause chain from the pending goal
-    back to the query, innermost first."""
-    lines = [
-        f"trying to prove {format_goal(goal)} using {format_clause(sc.clause)}"
-        for goal, sc in reversed(ctx.frames)
-    ]
-    lines.append(f"to answer your query {format_goals(ctx.root)}")
     return "\n".join(lines)
 
 

@@ -91,12 +91,11 @@ def _obtain_constant(
     ledger: FreshnessLedger,
     diag: Optional[TextIO],
     why_supplier: Optional[Callable],
-    why_renderer: Optional[Callable],
 ) -> Atom:
     if oracle is not None:
         question = Question("skolem", predicate, None)
         for _ in range(_MAX_PROPOSALS):
-            ans = consult(oracle, question, why_supplier, why_renderer)
+            ans = consult(oracle, question, why_supplier)
             if ans.kind == "no":
                 break
             if ans.kind == "value" and isinstance(ans.value, Atom):
@@ -119,7 +118,6 @@ def negate_fact(
     ledger: Optional[FreshnessLedger] = None,
     diag: Optional[TextIO] = None,
     why_supplier: Optional[Callable] = None,
-    why_renderer: Optional[Callable] = None,
 ) -> NegatedFact:
     """Add the stored negative of ``fact`` to the database.
 
@@ -140,7 +138,7 @@ def negate_fact(
     mapping: Subst = {}
     constants: list[Atom] = []
     for v in variables_of(head):
-        c = _obtain_constant(db_constants, name, oracle, ledger, diag, why_supplier, why_renderer)
+        c = _obtain_constant(db_constants, name, oracle, ledger, diag, why_supplier)
         mapping[v] = c
         constants.append(c)
 

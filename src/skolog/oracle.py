@@ -15,16 +15,19 @@ per session:
 
 A refused ask_value stores the reserved atom ``no_value`` so the question
 is not put again.
+
+The oracle is the only party to a question: it puts it, shows WHY it is
+asked when told ``why`` (on the stream the question went to), and answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
 from .database import Database, StoredClause, KNOWN
-from .errors import OracleScriptError, ParseError, UnansweredQuestionError
-from .parser import format_term, parse_term_text
+from .errors import EngineError, OracleScriptError, ParseError, UnansweredQuestionError
+from .parser import format_clause, format_goal, format_goals, format_term, parse_term_text
 from .terms import Atom, Clause, Struct, Term
 
 NO_VALUE = Atom("no_value")
@@ -39,13 +42,12 @@ class Question:
 
 @dataclass(frozen=True)
 class Answer:
-    kind: str  # "yes" | "no" | "value" | "why"
+    kind: str  # "yes" | "no" | "value"
     value: Optional[Term] = None
 
 
 YES = Answer("yes")
 NO = Answer("no")
-WHY_REQUEST = Answer("why")
 
 
 def value_answer(t: Term) -> Answer:
@@ -64,28 +66,39 @@ def prompt_for(q: Question) -> str:
     return f"{q.attribute} of person {q.subject} is {format_term(q.value)} ?"
 
 
+@dataclass(frozen=True)
+class WhyContext:
+    """Goal stack behind a pending question: (goal, clause) frames from the
+    query root down to the clause whose body is being proved."""
+
+    frames: tuple[tuple[Term, StoredClause], ...]
+    root: tuple[Term, ...]
+
+
+def why(ctx: WhyContext) -> str:
+    """WHY a question is being put: the clause chain from the pending goal
+    back to the query, innermost first."""
+    lines = [
+        f"trying to prove {format_goal(goal)} using {format_clause(sc.clause)}"
+        for goal, sc in reversed(ctx.frames)
+    ]
+    lines.append(f"to answer your query {format_goals(ctx.root)}")
+    return "\n".join(lines)
+
+
 class Oracle:
-    """Answers questions.  ``why_supplier`` produces the goal stack behind
-    the question, should the oracle (a person) ask for it."""
+    """Answers questions.  ``why_supplier``, if given, returns the
+    ``WhyContext`` behind the question, for an oracle that can be asked why."""
 
     def answer(self, question: Question, why_supplier: Optional[Callable] = None) -> Answer:
         raise NotImplementedError
 
 
-def consult(
-    oracle: Oracle,
-    question: Question,
-    why_supplier: Optional[Callable] = None,
-    why_renderer: Optional[Callable[[object], None]] = None,
-) -> Answer:
-    """One consultation.  A why request does not consume the question:
-    the explanation is rendered and the same question is put again."""
-    while True:
-        ans = oracle.answer(question, why_supplier)
-        if ans.kind != "why":
-            return ans
-        if why_supplier is not None and why_renderer is not None:
-            why_renderer(why_supplier())
+def consult(oracle: Optional[Oracle], question: Question, why_supplier=None) -> Answer:
+    """Put one question; with no oracle attached that is an error."""
+    if oracle is None:
+        raise EngineError(f"a question came up but no oracle is attached: {prompt_for(question)}")
+    return oracle.answer(question, why_supplier)
 
 
 class QueuedOracle(Oracle):
@@ -193,7 +206,8 @@ class InteractiveOracle(Oracle):
     """Puts questions to a person on a pair of text streams.
 
     Accepted replies: ``yes.``, ``no.``, ``why.``, or a term (the trailing
-    period is optional).  Anything unreadable re-prompts.
+    period is optional).  ``why`` writes the WHY chain and puts the question
+    again; anything unreadable re-prompts.
     """
 
     def __init__(self, in_stream: TextIO, out_stream: TextIO):
@@ -218,7 +232,9 @@ class InteractiveOracle(Oracle):
             if line == "no":
                 return NO
             if line == "why":
-                return WHY_REQUEST
+                if why_supplier is not None:
+                    self.out_stream.write(why(why_supplier()) + "\n")
+                continue
             try:
                 return value_answer(parse_term_text(line))
             except ParseError:
@@ -251,9 +267,8 @@ def ask(
     attribute: str,
     subject: str,
     value: Term,
-    oracle: Oracle,
+    oracle: Optional[Oracle],
     why_supplier: Optional[Callable] = None,
-    why_renderer: Optional[Callable] = None,
 ) -> AskResult:
     """Yes/no question about a ground (attribute, subject, value) triple."""
     q = Question(attribute, subject, value)
@@ -263,7 +278,7 @@ def ask(
         if args[1:] == target:
             hit = args[0] == Atom("yes")
             return AskResult(hit, "memo", q, known=sc)
-    ans = consult(oracle, q, why_supplier, why_renderer)
+    ans = consult(oracle, q, why_supplier)
     if ans.kind == "yes":
         reply: Term = Atom("yes")
     elif ans.kind == "no":
@@ -280,9 +295,8 @@ def ask_value(
     db: Database,
     attribute: str,
     subject: str,
-    oracle: Oracle,
+    oracle: Optional[Oracle],
     why_supplier: Optional[Callable] = None,
-    why_renderer: Optional[Callable] = None,
 ) -> AskResult:
     """Value question: what is <attribute> of <subject>?"""
     q = Question(attribute, subject, None)
@@ -297,7 +311,7 @@ def ask_value(
         args = sc.clause.head.args
         if args[0] == Atom("no") and args[3] == NO_VALUE:
             return AskResult(False, "memo", q, known=sc)
-    ans = consult(oracle, q, why_supplier, why_renderer)
+    ans = consult(oracle, q, why_supplier)
     if ans.kind == "no":
         sc = _record(db, Atom("no"), attribute, subject, NO_VALUE)
         return AskResult(False, "fresh", q, known=sc, answer=ans)

@@ -12,6 +12,7 @@ from skolog import (
     QueuedOracle,
     ScriptedOracle,
     SolveOptions,
+    Solver,
     Struct,
     UnansweredQuestionError,
     Var,
@@ -227,15 +228,13 @@ def test_why_answer_does_not_consume_question():
     stdin = io.StringIO("why.\nwhy.\nyes.\n")
     out = io.StringIO()
     orc = InteractiveOracle(stdin, out)
-    rendered = []
-    from skolog.oracle import consult
     from skolog.explain import WhyContext
 
     ctx = WhyContext((), (Atom("root"),))
-    ans = consult(orc, Question("a", "p", Atom("v")), lambda: ctx, lambda c: rendered.append(c))
+    ans = orc.answer(Question("a", "p", Atom("v")), lambda: ctx)
     assert ans == YES
-    assert rendered == [ctx, ctx], "why twice, both rendered, question re-asked"
-    assert out.getvalue().count("a of person p is v ?") == 3
+    prompt, text = "a of person p is v ?\n", "to answer your query root\n"
+    assert out.getvalue() == (prompt + text) * 2 + prompt, "why twice, both shown, question re-asked"
 
 
 # --- through the engine ------------------------------------------------------------
@@ -247,6 +246,22 @@ def test_engine_ask_routes_unbound_value_to_ask_value():
     out = solve(db, parse_query("home(ann, C)."), SolveOptions(), oracle=orc)
     assert out.status == "yes"
     assert out.solutions[0].bindings[Var("C")] == Atom("egypt")
+
+
+def test_why_text_goes_to_the_oracle_stream_beside_its_prompt():
+    db = Database()
+    load_program(db, "nice(P) :- ask(likes, P, icecream).")
+    solver_out, oracle_out = io.StringIO(), io.StringIO()
+    orc = InteractiveOracle(io.StringIO("why.\nyes.\n"), oracle_out)
+    out = Solver(db, SolveOptions(), orc, out=solver_out).run(parse_query("nice(peter)."))
+    assert out.status == "yes"
+    prompt = "likes of person peter is icecream ?\n"
+    chain = (
+        "trying to prove nice(peter) using nice(P) :- ask(likes,P,icecream).\n"
+        "to answer your query nice(peter)\n"
+    )
+    assert oracle_out.getvalue() == prompt + chain + prompt
+    assert solver_out.getvalue() == ""
 
 
 def test_engine_ask_without_oracle_is_error():
