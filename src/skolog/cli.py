@@ -18,13 +18,26 @@ from .errors import ParseError, SkologError
 from .explain import how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
 from .negation import FreshnessLedger, negate_fact
 from .oracle import InteractiveOracle, Oracle, ScriptedOracle, WhyContext, reset_known
-from .parser import format_clause, format_term, parse_clause_text, parse_query
+from .parser import format_clause, format_term, parse_clause_text, parse_program, parse_query
 from .semantics import (
     UniverseBound,
     is_function_free,
     minimal_model,
 )
 from .errors import NotDefiniteError
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        n = int(text)  # a ValueError is reported as "invalid int value"
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {n}")
+        return n
+
+    parse.__name__ = "int"
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -35,20 +48,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("files", nargs="+", help="program files to consult, in order")
     run.add_argument("--goal", required=True, help="query to run, e.g. 'append(X,Y,[a,b]).'")
     run.add_argument("--oracle", help="answer script standing in for the user")
-    run.add_argument("--depth", type=int, default=10_000, help="max reductions per derivation path")
+    run.add_argument(
+        "--depth", type=_at_least(0), default=10_000, help="max reductions per derivation path"
+    )
     run.add_argument("--trace", action="store_true", help="print the derived trace per solution")
     run.add_argument("--explain", action="store_true", help="print the HOW tree per solution")
     run.add_argument("--json", action="store_true", help="machine-readable output")
-    run.add_argument("--max-solutions", type=int, default=1, help="answers to search for (default 1)")
+    run.add_argument(
+        "--max-solutions", type=_at_least(1), default=1, help="answers to search for (default 1)"
+    )
 
     repl = sub.add_parser("repl", help="interactive session")
     repl.add_argument("files", nargs="*", help="program files to consult first")
     repl.add_argument("--oracle", help="answer script instead of live questions")
-    repl.add_argument("--depth", type=int, default=10_000)
+    repl.add_argument("--depth", type=_at_least(0), default=10_000)
 
     sem = sub.add_parser("semantics", help="print the minimal model of a definite program")
     sem.add_argument("file")
-    sem.add_argument("--bound", type=int, default=2, help="term depth bound for the universe")
+    sem.add_argument("--bound", type=_at_least(0), default=2, help="term depth bound for the universe")
 
     return p
 
@@ -88,10 +105,18 @@ def entry() -> None:
     sys.exit(main())
 
 
+def _read_text(path: str) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise SkologError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
 def _consult_files(db: Database, paths) -> None:
     for path in paths:
-        with open(path, "r") as f:
-            text = f.read()
+        text = _read_text(path)
         try:
             load_program(db, text)
         except ParseError as e:
@@ -100,8 +125,7 @@ def _consult_files(db: Database, paths) -> None:
 
 def _make_oracle(args, stdin: TextIO, stdout: TextIO) -> Oracle:
     if args.oracle:
-        with open(args.oracle, "r") as f:
-            return ScriptedOracle(f.read())
+        return ScriptedOracle(_read_text(args.oracle))
     return InteractiveOracle(stdin, stdout)
 
 
@@ -155,11 +179,7 @@ def _json_payload(outcome: Outcome) -> dict:
 
 
 def semantics_cmd(path: str, bound: int, stdout: TextIO, stderr: TextIO) -> int:
-    with open(path, "r") as f:
-        text = f.read()
-    from .parser import parse_program
-
-    clauses = parse_program(text)
+    clauses = parse_program(_read_text(path))
     try:
         model = minimal_model(clauses, UniverseBound(bound))
     except NotDefiniteError as e:
@@ -181,6 +201,7 @@ class Session:
     oracle: Oracle
     ledger: FreshnessLedger = field(default_factory=FreshnessLedger)
     last_proof: object = None
+    trace: bool = False  # :trace on
     unread: Optional[str] = None  # a line read as a "more?" reply that was not one
 
 
@@ -263,7 +284,7 @@ def _colon_command(session: Session, line: str, stdout: TextIO) -> None:
         reset_known(session.db)
         return
     if words[0] == ":trace" and len(words) == 2 and words[1] in ("on", "off"):
-        session.options.trace = words[1] == "on"
+        session.trace = words[1] == "on"
         return
     stdout.write(f"unknown command: {line}\n")
 
@@ -289,7 +310,7 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
         session.oracle,
         out=stdout,
         diag=stderr,
-        trace_out=stdout if session.options.trace else None,
+        trace_out=stdout if session.trace else None,
     )
     stream = solver.solutions(goals)
     session.last_proof = None

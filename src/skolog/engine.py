@@ -72,7 +72,6 @@ from .terms import apply, compose, unify  # noqa: F401
 @dataclass
 class SolveOptions:
     depth_limit: int = 10_000
-    trace: bool = False
     max_solutions: Optional[int] = None
 
 
@@ -115,9 +114,11 @@ _CUT_PROOF, _NOT_PROOF = BuiltinJust("!"), BuiltinJust("not")
 class Solver:
     """One query-answering machine over a database.
 
-    ``out`` receives write/1 output and question dialogue, ``diag``
-    receives warnings, ``trace_out`` receives the live trace stream when
-    options.trace is set.  All defaults go to the real terminal.
+    ``out`` receives write/1 output, ``diag`` receives warnings; both
+    default to the real terminal.  Questions, and the WHY text that
+    explains them, go to the oracle's own stream.  A solver given
+    ``trace_out`` writes the live trace stream there; without it, it
+    does not trace.
     """
 
     def __init__(
@@ -170,7 +171,6 @@ class Solver:
         self._store = Store()
         self._records: list[tuple] = []  # (goal, trail length, length after, justification)
         self._choices: list[_Choice] = []
-        self._tracing = self.trace_out is not None and self.options.trace
         cont = None  # goal-list cells: (goal, cut barrier, next cell)
         for g in reversed(goals):
             cont = (g, 0, cont)
@@ -266,7 +266,7 @@ class Solver:
     def _reduce(self, call: _Choice):
         """Reduce ``call`` by its next clause whose head unifies, and return
         the goal-list cells that follow; False once no clause is left."""
-        store, fresh, tracing = self._store, self._fresh, self._tracing
+        store, fresh, tracing = self._store, self._fresh, self.trace_out is not None
         shown = store.resolver().resolve(call.goal) if tracing else None  # the goal as it was called
         while call.next < len(call.clauses):
             sc = call.clauses[call.next]

@@ -87,10 +87,12 @@ def why(ctx: WhyContext) -> str:
 
 
 class Oracle:
-    """Answers questions.  ``why_supplier``, if given, returns the
-    ``WhyContext`` behind the question, for an oracle that can be asked why."""
+    """Answers questions."""
 
     def answer(self, question: Question, why_supplier: Optional[Callable] = None) -> Answer:
+        """The answer to ``question``.  ``why_supplier``, if given, returns
+        the ``WhyContext`` behind it: an oracle that can be asked why shows
+        ``why`` of it on its own stream, then puts the question again."""
         raise NotImplementedError
 
 
@@ -136,16 +138,13 @@ class ScriptedOracle(Oracle):
     an unmatched question raises, naming the question.  Never asks why.
     """
 
-    def __init__(self, text: str, echo: Optional[TextIO] = None):
+    def __init__(self, text: str):
         self.entries = _parse_script(text)
         self.transcript: list[str] = []
-        self.echo = echo
 
     def answer(self, question: Question, why_supplier=None) -> Answer:
         prompt = prompt_for(question)
         self.transcript.append(prompt)
-        if self.echo is not None:
-            self.echo.write(prompt + "\n")
         want_value = question.value is None
         for e in self.entries:
             if e.used:

@@ -100,20 +100,26 @@ def herbrand_base(clauses: list[Clause], bound=UniverseBound()) -> set[Term]:
 
 def ground_instances(clauses: list[Clause], bound=UniverseBound()):
     """All (head, body) ground instances of the program's clauses whose
-    head stays inside the depth-bounded base."""
-    universe = sorted(herbrand_universe(clauses, bound), key=repr)
-    base = herbrand_base(clauses, bound)
+    head stays inside the depth-bounded base.  A head's predicate is the
+    program's own, so it is in the base when its arguments are in the
+    universe; the base itself, a power of the universe, is never built."""
+    terms = herbrand_universe(clauses, bound)
+    universe = sorted(terms, key=repr)
+
+    def in_base(head: Term) -> bool:
+        return all(a in terms for a in getattr(head, "args", ()))
+
     out: list[tuple[Term, tuple[Term, ...]]] = []
     for c in clauses:
         vs = variables_in((c.head,) + c.body)
         if not vs:
-            if c.head in base:
+            if in_base(c.head):
                 out.append((c.head, c.body))
             continue
         for values in itertools.product(universe, repeat=len(vs)):
             theta = dict(zip(vs, values))
             head = apply(theta, c.head)
-            if head not in base:
+            if not in_base(head):
                 continue
             out.append((head, tuple(apply(theta, b) for b in c.body)))
     return out

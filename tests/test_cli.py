@@ -92,6 +92,47 @@ def test_run_missing_file_exit_2():
     assert r.code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "semantics", "repl", "oracle"])
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p(a).\n\xff\n")
+    good = tmp_path / "good.pl"
+    good.write_text("p(a).\n")
+    argv = {
+        "run": ["run", str(bad), "--goal", "p(X)."],
+        "semantics": ["semantics", str(bad)],
+        "repl": ["repl", str(bad)],
+        "oracle": ["run", str(good), "--goal", "p(X).", "--oracle", str(bad)],
+    }[command]
+    r = run_cli(argv, stdin_text=":quit\n")
+    assert r.code == 2
+    assert r.err.startswith(f"error: {bad}: not UTF-8") and "Traceback" not in r.err, r.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["semantics", APPEND, "--bound", "-1"], "--bound"),
+        (["run", APPEND, "--goal", "append(X, Y, [a]).", "--max-solutions", "0"], "--max-solutions"),
+        (["run", APPEND, "--goal", "append(X, Y, [a]).", "--max-solutions", "-3"], "--max-solutions"),
+        (["run", APPEND, "--goal", "append(X, Y, [a]).", "--depth", "-1"], "--depth"),
+        (["repl", APPEND, "--depth", "-1"], "--depth"),
+    ],
+    ids=["bound", "max-solutions-0", "max-solutions-negative", "run-depth", "repl-depth"],
+)
+def test_numeric_flag_out_of_range_is_an_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err and "Traceback" not in err
+
+
+def test_depth_zero_is_allowed():
+    r = run_cli(["run", APPEND, "--goal", "append(X, Y, [a]).", "--depth", "0"])
+    assert (r.code, r.out) == (3, "depth_exceeded\n")
+
+
 def test_run_multiple_solutions_blank_line_separated():
     r = run_cli(["run", APPEND, "--goal", "append(X,Y,[a,b]).", "--max-solutions", "3"])
     assert r.code == 0
