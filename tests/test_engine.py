@@ -314,7 +314,7 @@ def test_determinism_same_run_twice():
 def test_live_trace_stream_shows_failures():
     db = fresh_db("p(b). q(X) :- p(X), r(X).")
     tr = io.StringIO()
-    solver = Solver(db, SolveOptions(), None, diag=io.StringIO(), trace_out=tr)
+    solver = Solver(db, SolveOptions(), None, trace_out=tr)
     solver.run(parse_query("q(a)."))
     assert tr.getvalue() == "q(a)\nfail\tp(a)\nfail\tq(a)\n"
 

@@ -56,9 +56,12 @@ ATTRIBUTES = ("colour", "country")
 SUBJECTS = ("sky", "ann")
 
 
+rarely = st.sampled_from((False,) * 9 + (True,))  # True about one time in ten
+
+
 def _rarely(strategy, other):
     """``other`` about one time in ten, else ``strategy``."""
-    return st.sampled_from((False,) * 9 + (True,)).flatmap(lambda rare: other if rare else strategy)
+    return rarely.flatmap(lambda rare: other if rare else strategy)
 
 
 text_noise = st.lists(
@@ -116,24 +119,22 @@ def body_goals(draw):
     return kind
 
 
-@st.composite
-def clauses(draw):
-    head = draw(user_goals())
-    body = draw(st.lists(body_goals(), max_size=2))
-    return f"{head} :- {', '.join(body)}." if body else f"{head}."
+def clauses(heads, body_goals):
+    """Clause text: a head, and a body of up to two goals."""
+    return st.tuples(heads, st.lists(body_goals, max_size=2)).map(
+        lambda hb: f"{hb[0]} :- {', '.join(hb[1])}." if hb[1] else f"{hb[0]}."
+    )
 
 
 deep_facts = st.sampled_from(DEEP_TERMS).map(lambda t: f"t({t}).")
 program_items = _rarely(
-    st.one_of(clauses(), clauses(), clauses(), st.sampled_from([corpus_text(n) for n in PROGRAMS])),
+    _rarely(clauses(user_goals(), body_goals()), st.sampled_from([corpus_text(n) for n in PROGRAMS])),
     text_noise | deep_facts,
 )
-# Definite clauses with at most the two variables X and Y (see above).
-definite_clauses = st.tuples(
-    user_goals(terms_over(LEAVES)), st.lists(user_goals(terms_over(LEAVES)), max_size=2)
-).map(lambda hb: f"{hb[0]} :- {', '.join(hb[1])}." if hb[1] else f"{hb[0]}.")
+# Definite clauses over the variables X and Y alone (see above).
+definite_goals = user_goals(terms_over(LEAVES))
 semantics_items = _rarely(
-    definite_clauses,
+    clauses(definite_goals, definite_goals),
     st.sampled_from(("p(X) :- not(q(X)).", "r :- !.")) | text_noise | deep_facts,
 )
 
@@ -142,7 +143,7 @@ semantics_items = _rarely(
 def file_bytes(draw, text):
     """``text`` as UTF-8; about one time in ten with a byte that is not."""
     data = draw(text).encode("utf-8")
-    if draw(st.integers(0, 9)) == 0:
+    if draw(rarely):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\x80"))) + data[at:]
     return data
