@@ -25,6 +25,7 @@ from .semantics import (
     minimal_model,
 )
 from .errors import NotDefiniteError
+from .terms import variables_in
 
 
 def _at_least(low: int):
@@ -129,8 +130,9 @@ def _make_oracle(args, stdin: TextIO, stdout: TextIO) -> Oracle:
     return InteractiveOracle(stdin, stdout)
 
 
-def _bindings_lines(bindings) -> list[str]:
-    return [f"{v.name} = {format_term(t)}" for v, t in bindings.items()]
+def _answer_text(bindings) -> str:
+    """One line per binding, or ``yes`` when there are none."""
+    return "\n".join(f"{v.name} = {format_term(t)}" for v, t in bindings.items()) or "yes"
 
 
 _EXIT_BY_STATUS = {"yes": 0, "no": 1, "depth_exceeded": 3}
@@ -154,8 +156,7 @@ def run_batch(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
                 stdout.write("\n")
             if args.trace:
                 stdout.write(format_trace(trace_of(sol.proof)) + "\n")
-            lines = _bindings_lines(sol.bindings)
-            stdout.write(("\n".join(lines) if lines else "yes") + "\n")
+            stdout.write(_answer_text(sol.bindings) + "\n")
             if args.explain:
                 stdout.write(how(sol.proof) + "\n")
         return 0
@@ -267,7 +268,11 @@ def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
     if line.startswith("retract(") and line.endswith(")."):
         clause = parse_clause_text(line[len("retract(") : -2] + ".")
         theta = session.db.retract(clause)
-        stdout.write(("yes" if theta is not None else "no") + "\n")
+        if theta is None:
+            stdout.write("no\n")
+        else:
+            named = [v for v in variables_in((clause.head, *clause.body)) if v.name != "_"]
+            stdout.write(_answer_text({v: theta[v] for v in named if v in theta}) + "\n")
         return False
     if line.startswith("negate "):
         _negate_command(session, line[len("negate ") :], stdout, stderr)
@@ -328,8 +333,7 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
             return
         found = True
         session.last_proof = sol.proof
-        lines = _bindings_lines(sol.bindings)
-        stdout.write(("\n".join(lines) if lines else "yes") + "\n")
+        stdout.write(_answer_text(sol.bindings) + "\n")
         more = stdin.readline()
         if more.strip() != ";":
             if more.strip():

@@ -4,6 +4,15 @@ Clauses live in per-predicate lists; query resolution tries them in list
 order.  ``clauses`` hands out an immutable snapshot, so an in-flight
 solve keeps the view it started with even while asserta/assertz/retract
 rearrange the lists (logical update view).
+
+A call whose first argument is bound skips the clauses that a
+first-argument index (Warren 1983) rules out.  The first such call of a
+predicate builds its index, and every later write keeps it up to date
+(demand-driven indexing: Santos Costa, Sagonas & Lopes, ICLP 2007).  A
+key's list leaves out only the ground clauses with another key: a
+non-ground clause stays in every list, since renaming it apart uses up
+fresh variable ids, and leaving it out would renumber the ``_G<n>`` and
+``_R<n>`` names of everything after it.
 """
 
 from __future__ import annotations
@@ -13,13 +22,17 @@ from typing import Iterable, Optional
 
 from .parser import parse_program
 from .terms import (
+    Atom,
     Clause,
     FreshVars,
+    Int,
     Store,
     Subst,
+    Struct,
     Term,
     goal_constants,
     indicator_of,
+    is_ground,
     rename_clause,
 )
 
@@ -40,9 +53,37 @@ class StoredClause:
     clause: Clause
 
 
+def _key(t: Optional[Term]) -> object:
+    """A first argument's index key: an atom's name, an integer's value, a
+    compound's (name, arity); None for a variable (or no argument)."""
+    if type(t) is Atom:
+        return t.name
+    if type(t) is Int:
+        return t.value
+    if type(t) is Struct:
+        return (t.name, len(t.args))
+    return None
+
+
+def _clause_key(c: Clause) -> object:
+    """The key of a ground clause's first argument; None for a clause that
+    belongs in every key's list."""
+    if type(c.head) is Struct and is_ground(c.head) and all(map(is_ground, c.body)):
+        return _key(c.head.args[0])
+    return None
+
+
+def _drop(items: list, sc: StoredClause) -> None:
+    del items[next(i for i, x in enumerate(items) if x is sc)]
+
+
 class Database:
     def __init__(self):
         self._preds: dict[PredIndicator, list[StoredClause]] = {}
+        # first-argument indexes, built on demand: per predicate, the
+        # candidate list of each key a ground clause has, and the list of
+        # the clauses that every key's list holds
+        self._index: dict[PredIndicator, tuple[dict, list]] = {}
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
 
@@ -51,14 +92,38 @@ class Database:
         self._next_id += 1
         return sc
 
+    def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> tuple[list, ...]:
+        """The index lists that hold ``sc``, or are to hold it: a new key of
+        a ground clause gets its list here.  No list before the predicate
+        has an index."""
+        index = self._index.get(ind)
+        if index is None:
+            return ()
+        keyed, common = index
+        key = _clause_key(sc.clause)
+        if key is None:
+            return (common, *keyed.values())
+        items = keyed.get(key)
+        if items is None:
+            items = keyed[key] = common.copy()
+        return (items,)
+
     def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         sc = self._store(clause, kind)
-        self._preds.setdefault(indicator_of(clause.head), []).insert(0, sc)
+        ind = indicator_of(clause.head)
+        self._preds.setdefault(ind, []).insert(0, sc)
+        if ind in self._index:
+            for items in self._index_lists(ind, sc):
+                items.insert(0, sc)
         return sc
 
     def assertz(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         sc = self._store(clause, kind)
-        self._preds.setdefault(indicator_of(clause.head), []).append(sc)
+        ind = indicator_of(clause.head)
+        self._preds.setdefault(ind, []).append(sc)
+        if ind in self._index:
+            for items in self._index_lists(ind, sc):
+                items.append(sc)
         return sc
 
     # assert/1 is assertz; "assert" itself is a Python keyword.
@@ -69,23 +134,41 @@ class Database:
         pattern, and return the unifier: each variable it binds, of the
         pattern or of the clause renamed apart, to its resolved value.  A
         bare fact pattern only matches clauses with an empty body."""
-        bucket = self._preds.get(indicator_of(pattern.head), [])
+        ind, head = indicator_of(pattern.head), pattern.head
         store = Store()
-        for i, sc in enumerate(bucket):
+        for sc in self.clauses(ind, head.args[0] if type(head) is Struct else None):
             if len(sc.clause.body) != len(pattern.body):
                 continue
             candidate = rename_clause(sc.clause, self._fresh)
             pairs = zip((pattern.head, *pattern.body), (candidate.head, *candidate.body))
             if all(store.unify(a, b) for a, b in pairs):
-                del bucket[i]
+                for items in (self._preds[ind], *self._index_lists(ind, sc)):
+                    _drop(items, sc)
                 res = store.resolver()
                 return {v: res.resolve(v) for v in store.trail}
             store.undo(0)
         return None
 
-    def clauses(self, ind: PredIndicator) -> tuple[StoredClause, ...]:
-        """Snapshot of a predicate's clauses in resolution order."""
-        return tuple(self._preds.get(ind, ()))
+    def clauses(self, ind: PredIndicator, first: Optional[Term] = None) -> tuple[StoredClause, ...]:
+        """Snapshot of a predicate's clauses in resolution order.  Given a
+        call's dereferenced first argument ``first``, only those the index
+        keeps for its key: every clause that can match, and some that
+        cannot but must still be renamed (see the module docstring)."""
+        key = _key(first)
+        if key is None:
+            return tuple(self._preds.get(ind, ()))
+        index = self._index.get(ind)
+        if index is None:
+            index = self._index[ind] = ({}, [])
+            for sc in self._preds.get(ind, ()):
+                for items in self._index_lists(ind, sc):
+                    items.append(sc)
+        keyed, common = index
+        return tuple(keyed.get(key, common))
+
+    def defines(self, ind: PredIndicator) -> bool:
+        """Whether the predicate has any clause."""
+        return bool(self._preds.get(ind))
 
     def predicates(self) -> list[PredIndicator]:
         return [ind for ind, bucket in self._preds.items() if bucket]
@@ -100,6 +183,8 @@ class Database:
         bucket = self._preds.get(ind, [])
         n = len(bucket)
         self._preds[ind] = []
+        if ind in self._index:
+            self._index[ind] = ({}, [])
         return n
 
     def clause_count(self) -> int:

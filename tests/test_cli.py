@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ APPEND = str(corpus_path("append.pl"))
 TWINS = str(corpus_path("twins.pl"))
 COURSE = str(corpus_path("course.pl"))
 ANSWERS_COUNTRY = str(corpus_path("answers_country.txt"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- run ---------------------------------------------------------------------
@@ -24,6 +27,18 @@ def test_run_append_binding(tmp_path):
     r = run_cli(["run", APPEND, "--goal", "append([a,b],[c,d],Ls)."])
     assert r.code == 0
     assert r.out == "Ls = [a,b,c,d]\n"
+
+
+def test_readme_quick_start_transcript(monkeypatch):
+    # the paper's transcript, _G numbering included, as README.md shows it
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("$ skolog run "))
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
+    argv = shlex.split(lines[start][len("$ skolog "):])
+    monkeypatch.chdir(ROOT)
+    r = run_cli(argv)
+    assert r.code == 0
+    assert r.out == "".join(line + "\n" for line in lines[start + 1:end])
 
 
 def test_run_no_solution_exit_1():
@@ -414,6 +429,18 @@ def test_repl_assert_retract_listing():
     assert r.out.count("p(b).") == 2
 
 
+def test_repl_retract_shows_the_bindings_of_its_pattern(tmp_path):
+    f = tmp_path / "p.pl"
+    f.write_text("p(1).\np(2).\nq(a, b).\n")
+    r = run_cli(
+        ["repl", str(f)],
+        stdin_text="retract(p(Z)).\nretract(p(2)).\nretract(p(_)).\nretract(q(B, _)).\n:quit\n",
+    )
+    assert r.out == "?- Z = 1\n?- yes\n?- no\n?- B = a\n?- "
+    batch = run_cli(["run", str(f), "--goal", "retract(p(Z))."])
+    assert batch.out == "Z = 1\n"
+
+
 def test_repl_parse_error_recovers():
     for bad in ("p(a.", "p(²)."):
         r = run_cli(["repl"], stdin_text=f"{bad}\nassert(q(x)).\nq(W).\n\n:quit\n")
@@ -571,7 +598,8 @@ def test_repl_survives_deep_terms(tmp_path):
         stdin_text=f"nat({deep}).\n\nhow.\nassert(p({deep})).\nretract(p(X)).\n:quit\n",
     )
     assert r.code == 0
-    assert r.out.count("yes") == 3
+    assert r.out.count("yes") == 2
+    assert r.out.count("?- X = s(") == 1  # retract(p(X)) shows its binding
     assert r.out.count(" BECAUSE nat(s(N)) :- nat(N) WITH ") == 2000
 
 

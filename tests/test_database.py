@@ -1,9 +1,12 @@
 """Clause store: ordering, retraction, snapshots."""
 
+import io
+
 from hypothesis import given, settings, strategies as st
 
-from skolog import Atom, Clause, Database, Struct, Var, constants_of, load_program
+from skolog import Atom, Clause, Database, Struct, Var, constants_of, load_program, parse_query, solve
 from skolog.database import KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
+from skolog.parser import format_clause
 from skolog.terms import FreshVars, Int, apply, compose, rename_clause, unify
 
 from strategies import terms, variables
@@ -128,6 +131,104 @@ def test_stored_clause_is_variant_not_shared():
     load_program(db, "r(X, X).")
     (sc,) = db.clauses(("r", 2))
     assert variant_equal(sc.clause.head, Struct("r", (Var("A"), Var("A"))))
+
+
+# --- the first-argument index --------------------------------------------
+
+def _listed(db, ind, first):
+    return [format_clause(sc.clause) for sc in db.clauses(ind, first)]
+
+
+def test_index_keys_tell_atoms_integers_and_functors_apart():
+    db = Database()
+    load_program(db, "p(1). p('1'). p(f(a)). p(f(a, b)). p(g(a)). p([]). p([a]). p(a).")
+    assert _listed(db, ("p", 1), Int(1)) == ["p(1)."]
+    assert _listed(db, ("p", 1), Atom("1")) == ["p('1')."]
+    assert _listed(db, ("p", 1), Struct("f", (Var("X"),))) == ["p(f(a))."]
+    assert _listed(db, ("p", 1), Struct("f", (Atom("b"), Atom("c")))) == ["p(f(a,b))."]
+    assert _listed(db, ("p", 1), Atom("[]")) == ["p([])."]
+    assert _listed(db, ("p", 1), Struct(".", (Var("H"), Var("T")))) == ["p([a])."]
+    assert _listed(db, ("p", 1), Atom("zz")) == []
+    # an unbound first argument, or none given, sees every clause
+    assert len(db.clauses(("p", 1), Var("X"))) == len(db.clauses(("p", 1))) == 8
+
+
+def test_variable_first_clauses_keep_their_place_through_writes():
+    db = Database()
+    load_program(db, "p(a). p(X). p(b).")
+    assert _listed(db, ("p", 1), Atom("a")) == ["p(a).", "p(X)."]  # builds the index
+    db.asserta(Clause(head=Struct("p", (Var("Y"),))))
+    db.assertz(Clause(head=p("a")))
+    db.asserta(Clause(head=p("a")))
+    db.assertz(Clause(head=Struct("p", (Var("Z"),))))
+    db.assertz(Clause(head=p("c")))
+    assert _listed(db, ("p", 1), Atom("a")) == ["p(a).", "p(Y).", "p(a).", "p(X).", "p(a).", "p(Z)."]
+    assert _listed(db, ("p", 1), Atom("b")) == ["p(Y).", "p(X).", "p(b).", "p(Z)."]
+    assert _listed(db, ("p", 1), Atom("c")) == ["p(Y).", "p(X).", "p(Z).", "p(c)."]
+    assert _listed(db, ("p", 1), Atom("new")) == ["p(Y).", "p(X).", "p(Z)."]
+
+
+def test_non_ground_keyed_clause_is_in_every_list():
+    # renaming it apart uses up fresh variable ids, whether or not it matches
+    db = Database()
+    load_program(db, "p(f(X), X). p(a, b). p(g, c) :- q(Y).")
+    assert _listed(db, ("p", 2), Atom("a")) == ["p(f(X),X).", "p(a,b).", "p(g,c) :- q(Y)."]
+    assert _listed(db, ("p", 2), Atom("zz")) == ["p(f(X),X).", "p(g,c) :- q(Y)."]
+
+
+def test_retracting_a_variable_first_clause_leaves_every_list():
+    db = Database()
+    load_program(db, "p(a). p(X) :- q(X). p(b).")
+    assert len(db.clauses(("p", 1), Atom("a"))) == 2
+    pattern = Clause(head=Struct("p", (Var("V"),)), body=(Struct("q", (Var("V"),)),))
+    assert db.retract(pattern) is not None
+    assert _listed(db, ("p", 1), Atom("a")) == ["p(a)."]
+    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
+    assert _listed(db, ("p", 1), Atom("zz")) == []
+    assert db.retract(Clause(head=p("b"))) == {}
+    assert _listed(db, ("p", 1), Atom("b")) == []
+
+
+def test_clear_predicate_empties_an_index():
+    db = Database()
+    load_program(db, "p(a). p(X).")
+    assert len(db.clauses(("p", 1), Atom("a"))) == 2
+    assert db.clear_predicate(("p", 1)) == 2
+    assert db.clauses(("p", 1), Atom("a")) == ()
+    db.assertz(Clause(head=p("b")))
+    assert db.clauses(("p", 1), Atom("a")) == ()
+    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
+
+
+def test_copy_after_indexing_is_independent():
+    db = Database()
+    load_program(db, "p(a). p(b).")
+    assert len(db.clauses(("p", 1), Atom("a"))) == 1
+    other = db.copy()
+    other.assertz(Clause(head=p("a")))
+    assert other.retract(Clause(head=p("b"))) == {}
+    assert _listed(other, ("p", 1), Atom("a")) == ["p(a).", "p(a)."]
+    assert _listed(db, ("p", 1), Atom("a")) == ["p(a)."]
+    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
+
+
+def test_an_index_miss_fails_without_the_unknown_predicate_warning():
+    db = Database()
+    load_program(db, "p(a).")
+    diag, live = io.StringIO(), io.StringIO()
+    assert solve(db, parse_query("p(b)."), diag=diag, trace_out=live).status == "no"
+    assert diag.getvalue() == ""
+    assert live.getvalue() == "fail\tp(b)\n"
+    assert solve(db, parse_query("zz(b)."), diag=diag).status == "no"
+    assert diag.getvalue() == "warning: unknown predicate zz/1\n"
+
+
+def test_a_bound_first_argument_gets_one_candidate_among_thousands():
+    db = Database()
+    load_program(db, "".join(f"emp(e{i}, d{i % 40}, {1000 + i}).\n" for i in range(5000)))
+    assert len(db.clauses(("emp", 3), Atom("e4999"))) == 1
+    assert len(db.clauses(("emp", 3), Atom("e0"))) == 1
+    assert len(db.clauses(("emp", 3), Var("E"))) == 5000
 
 
 # --- retract against a reference built from the pure unifier ----------------
