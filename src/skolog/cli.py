@@ -15,7 +15,7 @@ from typing import Optional, TextIO
 from .database import Database, load_program
 from .engine import Outcome, Solver, SolveOptions
 from .errors import ParseError, SkologError
-from .explain import how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
+from .explain import bindings_json, how, json_text, proof_to_json, trace_of, trace_to_json, format_trace
 from .negation import FreshnessLedger, negate_fact
 from .oracle import InteractiveOracle, Oracle, ScriptedOracle, WhyContext, reset_known
 from .parser import format_clause, format_term, parse_clause_text, parse_program, parse_query
@@ -165,16 +165,10 @@ def run_batch(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def _json_payload(outcome: Outcome) -> dict:
-    solutions = []
-    for sol in outcome.solutions:
-        solutions.append(
-            {
-                "bindings": [
-                    {"var": v.name, "term": format_term(t)} for v, t in sol.bindings.items()
-                ],
-                "proof": proof_to_json(sol.proof),
-            }
-        )
+    solutions = [
+        {"bindings": bindings_json(sol.bindings), "proof": proof_to_json(sol.proof)}
+        for sol in outcome.solutions
+    ]
     trace = trace_to_json(trace_of(outcome.solutions[0].proof)) if outcome.solutions else []
     return {"status": outcome.status, "solutions": solutions, "trace": trace}
 

@@ -36,19 +36,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
-from .database import Database, StoredClause, KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
+from .database import Database, StoredClause, KIND_DYNAMIC
 from .errors import EngineError, InstantiationError
-from .explain import (
-    AssertedFactJust,
-    BuiltinJust,
-    ClauseJust,
-    ProofNode,
-    QUERY_ROOT,
-    SFactJust,
-    UserSaidJust,
-    format_trace_entry,
-    TraceEntry,
-)
+from .explain import ProofNode, QUERY_ROOT, UserSaidJust, format_trace_entry, TraceEntry
 from .negation import find_s_fact
 from .parser import format_goal
 from .terms import (
@@ -111,7 +101,6 @@ class _Choice:
 _EXIT = object()  # cell after a traced call's body; its barrier slot holds the call
 _SUCCEEDED = object()  # cell after not/1's argument; its barrier slot holds the fence
 _CUT, _NOT = object(), object()  # control constructs the solver runs itself
-_CUT_PROOF, _NOT_PROOF = BuiltinJust("!"), BuiltinJust("not")
 
 
 class Solver:
@@ -200,7 +189,7 @@ class Solver:
                     self._truncated = cp.truncated or cut_off
                     if cut_off:
                         continue
-                    records.append((cp.raw, cp.mark, cp.mark, _NOT_PROOF))
+                    records.append((cp.raw, cp.mark, cp.mark, "not"))
                     cont = cp.rest
                 depth = cp.depth + 1
                 resume = False
@@ -242,7 +231,7 @@ class Solver:
                     )
                 resume = True
             elif handler is _CUT:
-                records.append((raw, len(trail), len(trail), _CUT_PROOF))
+                records.append((raw, len(trail), len(trail), "!"))
                 del choices[barrier:]
                 cont = rest
             elif handler is _NOT:
@@ -313,7 +302,6 @@ class Solver:
                 if n:
                     children = tuple(reversed(built[-n:]))
                     del built[-n:]
-                just = _justify(just)
             built.append(ProofNode(final, entry, just, theta, children))
         built.reverse()
         if len(built) == 1:
@@ -347,19 +335,19 @@ class Solver:
         return format_goal(self._store.resolver().resolve(g))
 
     def _bi_true(self, g):
-        return BuiltinJust("true")
+        return "true"
 
     def _bi_fail(self, g):
         return None
 
     def _bi_unify(self, g):
-        return BuiltinJust("=") if self._store.unify(g.args[0], g.args[1]) else None
+        return "=" if self._store.unify(g.args[0], g.args[1]) else None
 
     def _bi_not_unify(self, g):
         mark = len(self._store.trail)
         unified = self._store.unify(g.args[0], g.args[1])
         self._store.undo(mark)
-        return None if unified else BuiltinJust("\\=")
+        return None if unified else "\\="
 
     def _bi_plus(self, g):
         args = [self._store.deref(x) for x in g.args]
@@ -368,18 +356,18 @@ class Solver:
         if known < 2:
             raise InstantiationError(f"plus/3 needs at least two integers: {self._shown(g)}")
         if known == 3:
-            return BuiltinJust("plus") if a + b == c else None
+            return "plus" if a + b == c else None
         if c is None:
             missing, value = args[2], a + b
         elif b is None:
             missing, value = args[1], c - a
         else:
             missing, value = args[0], c - b
-        return BuiltinJust("plus") if self._store.unify(missing, Int(value)) else None
+        return "plus" if self._store.unify(missing, Int(value)) else None
 
     def _bi_write(self, g):
         self.out.write(self._shown(g.args[0]))
-        return BuiltinJust("write")
+        return "write"
 
     def _bi_ask(self, g):
         # ask_value/3 with a ground value is a yes/no question, and ask/3 with
@@ -398,9 +386,7 @@ class Solver:
             raise InstantiationError(f"ask value must be ground or a variable: {self._shown(g)}")
         if not res.succeeded:
             return None
-        if res.source == "memo":
-            return AssertedFactJust(res.known)
-        return UserSaidJust(res.question, res.answer)
+        return res.known if res.source == "memo" else UserSaidJust(res.question, res.answer)
 
     def _clause_arg(self, g, verb: str) -> Clause:
         t = self._store.resolver().resolve(g.args[0])
@@ -410,11 +396,11 @@ class Solver:
 
     def _bi_asserta(self, g):
         self.db.asserta(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
-        return BuiltinJust("asserta")
+        return "asserta"
 
     def _bi_assertz(self, g):
         self.db.assertz(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
-        return BuiltinJust("assertz")
+        return "assertz"
 
     def _bi_retract(self, g):
         theta = self.db.retract(self._clause_arg(g, "retract"))
@@ -422,7 +408,7 @@ class Solver:
             return None
         for v, t in theta.items():
             self._store.bind(v, t)
-        return BuiltinJust("retract")
+        return "retract"
 
     def _bi_holds_negated(self, g):
         inner = self._store.resolver().resolve(g.args[0])
@@ -430,16 +416,7 @@ class Solver:
             raise InstantiationError("holds_negated/1 needs a callable argument")
         if not is_ground(inner):
             raise InstantiationError(f"holds_negated/1 needs a ground argument: {self._shown(g)}")
-        sc = find_s_fact(self.db, inner)
-        return None if sc is None else SFactJust(sc)
-
-
-def _justify(sc: StoredClause):
-    if sc.kind == KIND_STATIC:
-        return ClauseJust(sc)
-    if sc.kind == KIND_S_FACT:
-        return SFactJust(sc)
-    return AssertedFactJust(sc)
+        return find_s_fact(self.db, inner)
 
 
 # Keys are exactly terms.BUILTIN_INDICATORS.

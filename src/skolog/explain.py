@@ -1,6 +1,13 @@
 """Proof trees and their renderings: HOW, the derived trace, and JSON.
 WHY (``WhyContext``, ``why``) explains a question, so it lives in ``oracle``.
 
+A proof node is justified by one of three values: the ``StoredClause`` it
+cites (a clause reduction, a known/4 memo hit, a holds_negated/1 hit), a
+builtin's name (``"query"`` for the root over a multi-goal query), or a
+``UserSaidJust`` for a fresh answer.  A cited clause's ``kind`` says where
+it came from: program text, an assert or acquisition at run time, or the
+fact-negation transform.
+
 Negation as failure leaves nothing to explain (a failed search has no
 tree), which is the gap the s-fact transform fills: a success through a
 stored negative fact cites that fact like any other justification.
@@ -12,25 +19,10 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .database import StoredClause
+from .database import StoredClause, KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
 from .oracle import Answer, Question, WhyContext, answer_text, prompt_for, why  # noqa: F401
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, indicator_of
-
-
-@dataclass(frozen=True)
-class ClauseJust:
-    clause: StoredClause
-
-
-@dataclass(frozen=True)
-class BuiltinJust:
-    name: str
-
-
-@dataclass(frozen=True)
-class AssertedFactJust:
-    clause: StoredClause
 
 
 @dataclass(frozen=True)
@@ -39,15 +31,13 @@ class UserSaidJust:
     answer: Answer
 
 
-@dataclass(frozen=True)
-class SFactJust:
-    clause: StoredClause
+Justification = Union[StoredClause, str, UserSaidJust]
 
+# The builtin name that justifies the synthetic root over multi-goal queries.
+QUERY_ROOT = "query"
 
-Justification = Union[ClauseJust, BuiltinJust, AssertedFactJust, UserSaidJust, SFactJust]
-
-# Marker justification for the synthetic root over multi-goal queries.
-QUERY_ROOT = BuiltinJust("query")
+# A cited clause's JSON kind, by where the clause came from.
+_CLAUSE_LABELS = {KIND_STATIC: "clause", KIND_DYNAMIC: "asserted_fact", KIND_S_FACT: "s_fact"}
 
 
 @dataclass(frozen=True)
@@ -72,10 +62,6 @@ class TraceEntry:
     bindings: Subst
 
 
-def _is_reduction(node: ProofNode) -> bool:
-    return isinstance(node.justification, (ClauseJust, AssertedFactJust, SFactJust))
-
-
 def trace_of(proof: ProofNode) -> list[TraceEntry]:
     """Goal-by-goal account of the successful derivation, one entry per
     clause reduction in proof order, closed by a ``true`` entry for the
@@ -84,7 +70,7 @@ def trace_of(proof: ProofNode) -> list[TraceEntry]:
     todo = [proof]  # a stack, not recursion: a proof nests as deep as its derivation
     while todo:
         node = todo.pop()
-        if _is_reduction(node):
+        if type(node.justification) is StoredClause:
             entries.append(TraceEntry(node.entry_goal, dict(node.bindings)))
         todo.extend(reversed(node.children))
     entries.append(TraceEntry(TRUE, {}))
@@ -104,22 +90,21 @@ def format_trace(entries: list[TraceEntry]) -> str:
 def _node_line(node: ProofNode) -> str:
     j = node.justification
     g = format_goal(node.goal)
-    if isinstance(j, (ClauseJust, AssertedFactJust)):
-        c = j.clause.clause
+    if type(j) is StoredClause:
+        c = j.clause
+        if j.kind == KIND_S_FACT:
+            return f"{g} negated by s-fact {format_term(c.head)}"
         if not c.body:
             if indicator_of(node.goal) != indicator_of(c.head):
                 # a fact about the goal rather than an instance of it:
-                # an ask answered from the known/4 memo
+                # an ask answered from the known/4 memo, or holds_negated/1
                 return f"{g} BECAUSE {format_term(c.head)} is a fact"
             return f"{g} is a fact"
         rule = format_term(c.head) + " :- " + format_goals(c.body)
         return f"{g} BECAUSE {rule} WITH {{{format_bindings(node.bindings)}}}"
-    if isinstance(j, UserSaidJust):
+    if type(j) is UserSaidJust:
         return f'user said {answer_text(j.answer)} to "{prompt_for(j.question)}"'
-    if isinstance(j, SFactJust):
-        return f"{g} negated by s-fact {format_term(j.clause.clause.head)}"
-    assert isinstance(j, BuiltinJust)
-    return f"{g} by builtin {j.name}"
+    return f"{g} by builtin {j}"
 
 
 def how(proof: ProofNode) -> str:
@@ -129,7 +114,7 @@ def how(proof: ProofNode) -> str:
     todo = [(proof, 0)]
     while todo:
         node, depth = todo.pop()
-        if node.justification is QUERY_ROOT:
+        if node.justification == QUERY_ROOT:
             todo.extend((c, depth) for c in reversed(node.children))
             continue
         lines.append("  " * depth + _node_line(node))
@@ -137,25 +122,20 @@ def how(proof: ProofNode) -> str:
     return "\n".join(lines)
 
 
-def _bindings_json(theta: Subst) -> list[dict]:
+def bindings_json(theta: Subst) -> list[dict]:
     return [{"var": v.name, "term": format_term(t)} for v, t in theta.items()]
 
 
 def _justification_json(j: Justification) -> dict:
-    if isinstance(j, ClauseJust):
-        return {"kind": "clause", "id": j.clause.id, "clause": format_clause(j.clause.clause)}
-    if isinstance(j, AssertedFactJust):
-        return {"kind": "asserted_fact", "id": j.clause.id, "clause": format_clause(j.clause.clause)}
-    if isinstance(j, SFactJust):
-        return {"kind": "s_fact", "id": j.clause.id, "clause": format_clause(j.clause.clause)}
-    if isinstance(j, UserSaidJust):
+    if type(j) is StoredClause:
+        return {"kind": _CLAUSE_LABELS[j.kind], "id": j.id, "clause": format_clause(j.clause)}
+    if type(j) is UserSaidJust:
         return {
             "kind": "user_said",
             "prompt": prompt_for(j.question),
             "answer": answer_text(j.answer),
         }
-    assert isinstance(j, BuiltinJust)
-    return {"kind": "builtin", "name": j.name}
+    return {"kind": "builtin", "name": j}
 
 
 def proof_to_json(proof: ProofNode) -> dict:
@@ -170,7 +150,7 @@ def proof_to_json(proof: ProofNode) -> dict:
             {
                 "goal": format_goal(node.goal),
                 "justification": _justification_json(node.justification),
-                "bindings": _bindings_json(node.bindings),
+                "bindings": bindings_json(node.bindings),
                 "children": children,
             }
         )
@@ -209,6 +189,6 @@ def json_text(value) -> str:
 
 def trace_to_json(entries: list[TraceEntry]) -> list[dict]:
     return [
-        {"goal": format_goal(e.goal), "bindings": _bindings_json(e.bindings)}
+        {"goal": format_goal(e.goal), "bindings": bindings_json(e.bindings)}
         for e in entries
     ]

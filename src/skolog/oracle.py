@@ -278,16 +278,11 @@ def ask(
             hit = args[0] == Atom("yes")
             return AskResult(hit, "memo", q, known=sc)
     ans = consult(oracle, q, why_supplier)
-    if ans.kind == "yes":
-        reply: Term = Atom("yes")
-    elif ans.kind == "no":
-        reply = Atom("no")
-    else:
-        # A term offered where yes/no was wanted is recorded as given;
-        # only a literal yes lets the ask succeed.
-        reply = ans.value
+    # A term offered where yes/no was wanted is recorded as given, and the
+    # ask succeeds exactly when the memo hit on that record later would.
+    reply = ans.value if ans.kind == "value" else Atom(ans.kind)
     sc = _record(db, reply, attribute, subject, value)
-    return AskResult(ans.kind == "yes", "fresh", q, known=sc, answer=ans)
+    return AskResult(reply == Atom("yes"), "fresh", q, known=sc, answer=ans)
 
 
 def ask_value(

@@ -7,8 +7,8 @@ in a value term, so applying a substitution twice equals applying it once.
 ``unify`` here is the pure reference.  At run time every unification
 (resolution, retract/1, holds_negated/1) binds variables in a ``Store``
 instead: one dict of bindings with a trail that backtracking pops, tested
-to agree with ``unify``.  ``compose`` and ``restrict`` stay beside the
-reference, for the tests.
+to agree with ``unify``.  ``compose`` stays beside the reference, for its
+tests and for the benchmark's tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ def compose(s1: Subst, s2: Subst) -> Subst:
         if y not in s1:
             out[y] = t
     return out
-
-
-def restrict(theta: Subst, variables: Iterable[Var]) -> Subst:
-    """Keys limited to ``variables``, preserving the given order."""
-    return {v: theta[v] for v in variables if v in theta}
 
 
 def unify(t1: Term, t2: Term) -> Optional[Subst]:

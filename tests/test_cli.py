@@ -102,6 +102,20 @@ def test_run_engine_error_exit_2():
     assert "plus" in r.err
 
 
+@pytest.mark.parametrize("goal, message", [
+    ("ask(X, p, v).", "ask attribute and subject must be atoms: ask(X,p,v)"),
+    ("ask(a, p, f(X)).", "ask value must be ground or a variable: ask(a,p,f(X))"),
+    ("assert(1).", "cannot assert: assert(1)"),
+    ("retract(X).", "cannot retract: retract(X)"),
+    ("holds_negated(X).", "holds_negated/1 needs a callable argument"),
+    ("holds_negated(p(X)).", "holds_negated/1 needs a ground argument: holds_negated(p(X))"),
+    ("not(1).", "integer is not a callable goal"),
+])
+def test_run_builtin_misuse_is_an_error(goal, message):
+    r = run_cli(["run", APPEND, "--goal", goal])
+    assert (r.code, r.out, r.err) == (2, "", f"error: {message}\n")
+
+
 def test_run_missing_file_exit_2():
     r = run_cli(["run", "/definitely/not/here.pl", "--goal", "p."])
     assert r.code == 2
@@ -275,12 +289,39 @@ JSON_SCHEMA = {
             "required": ["var", "term"],
             "properties": {"var": {"type": "string"}, "term": {"type": "string"}},
         },
+        "justification": {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["clause", "asserted_fact", "s_fact", "user_said", "builtin"]},
+            },
+            "allOf": [
+                {
+                    "if": {"properties": {"kind": {"enum": ["clause", "asserted_fact", "s_fact"]}}},
+                    "then": {
+                        "required": ["id", "clause"],
+                        "properties": {"id": {"type": "integer"}, "clause": {"type": "string"}},
+                    },
+                },
+                {
+                    "if": {"properties": {"kind": {"const": "user_said"}}},
+                    "then": {
+                        "required": ["prompt", "answer"],
+                        "properties": {"prompt": {"type": "string"}, "answer": {"type": "string"}},
+                    },
+                },
+                {
+                    "if": {"properties": {"kind": {"const": "builtin"}}},
+                    "then": {"required": ["name"], "properties": {"name": {"type": "string"}}},
+                },
+            ],
+        },
         "proof": {
             "type": "object",
             "required": ["goal", "justification", "bindings", "children"],
             "properties": {
                 "goal": {"type": "string"},
-                "justification": {"type": "object", "required": ["kind"]},
+                "justification": {"$ref": "#/$defs/justification"},
                 "bindings": {"type": "array", "items": {"$ref": "#/$defs/binding"}},
                 "children": {"type": "array", "items": {"$ref": "#/$defs/proof"}},
             },
@@ -321,6 +362,102 @@ def test_json_output_validates_on_corpus_queries():
         payload = json.loads(r.out)
         _validate(payload)
         assert payload["status"] == status
+
+
+@pytest.mark.parametrize("justification", [
+    {"kind": "rule"},
+    {"kind": "clause", "id": 1},
+    {"kind": "asserted_fact", "clause": "p(a)."},
+    {"kind": "s_fact", "id": "1", "clause": "s(neg(p),sk_1)."},
+    {"kind": "user_said", "prompt": "colour of person sky is ?"},
+    {"kind": "builtin"},
+])
+def test_json_schema_rejects_a_malformed_justification(justification):
+    import jsonschema
+
+    proof = {"goal": "p", "justification": justification, "bindings": [], "children": []}
+    with pytest.raises(jsonschema.ValidationError):
+        _validate({"status": "yes", "solutions": [{"bindings": [], "proof": proof}], "trace": []})
+
+
+def _justifications(proof):
+    """Every justification in a JSON proof, in preorder."""
+    out, todo = [], [proof]
+    while todo:
+        node = todo.pop()
+        out.append(node["justification"])
+        todo.extend(reversed(node["children"]))
+    return out
+
+
+def test_json_labels_an_asserted_fact_cited_by_resolution(tmp_path):
+    f = tmp_path / "e.pl"
+    f.write_text("e(0).\n")
+    r = run_cli(["run", str(f), "--goal", "assert(p(a)), p(X).", "--json"])
+    assert r.code == 0
+    payload = json.loads(r.out)
+    _validate(payload)
+    builtin, fact = _justifications(payload["solutions"][0]["proof"])[1:]
+    assert builtin == {"kind": "builtin", "name": "assertz"}
+    assert fact["kind"] == "asserted_fact" and fact["clause"] == "p(a)."
+
+
+def test_json_labels_an_acquired_memo_hit_as_asserted_fact(tmp_path):
+    f = tmp_path / "ask.pl"
+    f.write_text("nice(P) :- ask(likes, P, icecream).\n")
+    script = tmp_path / "s.txt"
+    script.write_text("ask likes peter icecream -> yes\n")
+    r = run_cli(["run", str(f), "--goal", "nice(peter), nice(peter).", "--oracle", str(script), "--json"])
+    assert r.code == 0
+    payload = json.loads(r.out)
+    _validate(payload)
+    justifications = _justifications(payload["solutions"][0]["proof"])
+    kinds = [j["kind"] for j in justifications]
+    assert kinds == ["builtin", "clause", "user_said", "clause", "asserted_fact"]
+    assert justifications[-1]["clause"] == "known(yes,likes,peter,icecream)."
+
+
+def test_json_labels_holds_negated_after_negate_fact_as_s_fact():
+    from skolog import negate_fact, parse_clause_text, parse_query, solve, SolveOptions
+    from skolog.database import Database
+    from skolog.explain import proof_to_json
+
+    db = Database()
+    nf = negate_fact(db, parse_clause_text("enrolled(X, logic)."))
+    out = solve(db, parse_query("holds_negated(enrolled(sk_1, logic))."), SolveOptions())
+    proof = proof_to_json(out.solutions[0].proof)
+    _validate({"status": "yes", "solutions": [{"bindings": [], "proof": proof}], "trace": []})
+    assert proof["justification"] == {
+        "kind": "s_fact", "id": nf.stored_clause.id, "clause": "s(neg(enrolled),sk_1,logic).",
+    }
+
+
+def test_a_memo_hit_on_a_known_fact_from_program_text_cites_it_as_a_clause(tmp_path):
+    f = tmp_path / "k.pl"
+    f.write_text("known(yes, likes, tom, tea).\n")
+    r = run_cli(["run", str(f), "--goal", "ask(likes, tom, tea).", "--json"])
+    assert r.code == 0
+    payload = json.loads(r.out)
+    _validate(payload)
+    assert payload["solutions"][0]["proof"]["justification"] == {
+        "kind": "clause", "id": 1, "clause": "known(yes,likes,tom,tea).",
+    }
+    r = run_cli(["run", str(f), "--goal", "ask(likes, tom, tea).", "--explain"])
+    assert r.out == "yes\nask(likes,tom,tea) BECAUSE known(yes,likes,tom,tea) is a fact\n"
+
+
+def test_holds_negated_cites_an_s_fact_from_program_text_like_any_fact(tmp_path):
+    # only negate_fact makes an s-fact; one written in the program is a clause
+    f = tmp_path / "s.pl"
+    f.write_text("s(neg(p), a).\n")
+    r = run_cli(["run", str(f), "--goal", "holds_negated(p(a)).", "--explain"])
+    assert r.out == "yes\nholds_negated(p(a)) BECAUSE s(neg(p),a) is a fact\n"
+    r = run_cli(["run", str(f), "--goal", "holds_negated(p(a)).", "--json"])
+    payload = json.loads(r.out)
+    _validate(payload)
+    assert payload["solutions"][0]["proof"]["justification"] == {
+        "kind": "clause", "id": 1, "clause": "s(neg(p),a).",
+    }
 
 
 def test_json_depth_exceeded(tmp_path):
@@ -473,6 +610,13 @@ def test_repl_question_why_then_answer(tmp_path):
     assert "trying to prove nice(peter) using nice(P) :- ask(likes,P,icecream)." in r.out
     assert "to answer your query nice(peter)" in r.out
     assert r.out.count("likes of person peter is icecream ?") == 2
+
+
+def test_repl_a_quoted_yes_reply_answers_the_same_now_and_from_the_memo(tmp_path):
+    f = tmp_path / "ask.pl"
+    f.write_text("likes(P) :- ask(likes, P, icecream).\n")
+    r = run_cli(["repl", str(f)], stdin_text="likes(peter).\n'yes'.\n\nlikes(peter).\n\n:quit\n")
+    assert r.out == "?- likes of person peter is icecream ?\nyes\n?- yes\n?- "
 
 
 def test_repl_reset_clears_known(tmp_path):

@@ -131,9 +131,22 @@ def test_not_success_has_builtin_leaf_no_children():
     (sol,) = out.solutions
     node = sol.proof
     assert node.children == ()
-    from skolog.explain import BuiltinJust
+    assert node.justification == "not"
 
-    assert node.justification == BuiltinJust("not")
+
+def test_a_variable_body_goal_is_an_instantiation_error():
+    # the reader rejects a variable as a goal, so build the clause by hand
+    db = Database()
+    db.assertz(Clause(head=Atom("p"), body=(Var("X"),)))
+    with pytest.raises(InstantiationError, match="^goal is an unbound variable: "):
+        Solver(db).run([Atom("p")])
+
+
+def test_an_integer_body_goal_is_an_engine_error():
+    db = Database()
+    db.assertz(Clause(head=Atom("p"), body=(Int(1),)))
+    with pytest.raises(EngineError, match="^integer is not a callable goal: 1$"):
+        Solver(db).run([Atom("p")])
 
 
 def test_double_negation():

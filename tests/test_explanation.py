@@ -198,7 +198,7 @@ def test_why_during_engine_question():
 
 def test_proof_replay_soundness():
     # every clause-justified node's children match its clause body
-    from skolog.explain import ClauseJust
+    from skolog.database import StoredClause
     from skolog.terms import unify
 
     db = Database()
@@ -207,8 +207,8 @@ def test_proof_replay_soundness():
 
     def check(node):
         just = node.justification
-        if isinstance(just, ClauseJust):
-            stored = just.clause.clause
+        if isinstance(just, StoredClause):
+            stored = just.clause
             assert unify(node.goal, stored.head) is not None
             assert len(node.children) == len(stored.body)
         for child in node.children:

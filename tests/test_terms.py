@@ -13,7 +13,6 @@ from skolog.terms import (
     is_ground,
     occurs,
     rename_clause,
-    restrict,
     variables_of,
 )
 
@@ -51,12 +50,6 @@ def test_compose_drops_identity_bindings():
     s1 = {Var("X"): Var("Y")}
     s2 = {Var("Y"): Var("X")}
     assert Var("X") not in compose(s1, s2)
-
-
-def test_restrict_preserves_order():
-    theta = {Var("A"): Atom("a"), Var("B"): Atom("b"), Var("C"): Atom("c")}
-    r = restrict(theta, (Var("C"), Var("A")))
-    assert list(r.items()) == [(Var("C"), Atom("c")), (Var("A"), Atom("a"))]
 
 
 def test_variables_of_first_occurrence_order():
