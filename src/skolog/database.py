@@ -5,18 +5,23 @@ order.  ``clauses`` hands out an immutable snapshot, so an in-flight
 solve keeps the view it started with even while asserta/assertz/retract
 rearrange the lists (logical update view).
 
-A call whose first argument is bound skips the clauses that a
-first-argument index (Warren 1983) rules out.  The first such call of a
-predicate builds its index, and every later write keeps it up to date
-(demand-driven indexing: Santos Costa, Sagonas & Lopes, ICLP 2007).  A
+A call skips the clauses that an index on one of its bound arguments
+rules out (first-argument indexing, Warren 1983, on every argument
+position).  The first call that binds a position builds that position's
+index, and every later write keeps it up to date (demand-driven indexing:
+Santos Costa, Sagonas & Lopes, ICLP 2007).  A call that binds several
+positions gets the shortest of their lists, the leftmost on a tie.  A
 key's list leaves out only the ground clauses with another key: a
 non-ground clause stays in every list, since renaming it apart uses up
 fresh variable ids, and leaving it out would renumber the ``_G<n>`` and
-``_R<n>`` names of everything after it.
+``_R<n>`` names of everything after it.  So every list keeps stored order
+and holds every clause that can match, and whichever list a call gets,
+it tries the same matching clauses and uses up the same ids.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -54,7 +59,7 @@ class StoredClause:
 
 
 def _key(t: Optional[Term]) -> object:
-    """A first argument's index key: an atom's name, an integer's value, a
+    """An argument's index key: an atom's name, an integer's value, a
     compound's (name, arity); None for a variable (or no argument)."""
     if type(t) is Atom:
         return t.name
@@ -65,12 +70,17 @@ def _key(t: Optional[Term]) -> object:
     return None
 
 
-def _clause_key(c: Clause) -> object:
-    """The key of a ground clause's first argument; None for a clause that
-    belongs in every key's list."""
-    if type(c.head) is Struct and is_ground(c.head) and all(map(is_ground, c.body)):
-        return _key(c.head.args[0])
-    return None
+def _lists(index: tuple[dict, list], pos: int, c: Clause) -> tuple[list, ...]:
+    """The lists of one argument position's index that hold ``c``, or are
+    to hold it: a new key of a ground clause gets its list here."""
+    keyed, common = index
+    if not (type(c.head) is Struct and is_ground(c.head) and all(map(is_ground, c.body))):
+        return (common, *keyed.values())
+    key = _key(c.head.args[pos])
+    items = keyed.get(key)
+    if items is None:
+        items = keyed[key] = common.copy()
+    return (items,)
 
 
 def _drop(items: list, sc: StoredClause) -> None:
@@ -80,10 +90,10 @@ def _drop(items: list, sc: StoredClause) -> None:
 class Database:
     def __init__(self):
         self._preds: dict[PredIndicator, list[StoredClause]] = {}
-        # first-argument indexes, built on demand: per predicate, the
-        # candidate list of each key a ground clause has, and the list of
-        # the clauses that every key's list holds
-        self._index: dict[PredIndicator, tuple[dict, list]] = {}
+        # argument indexes, built on demand: per predicate and argument
+        # position, the candidate list of each key a ground clause has
+        # there, and the list of the clauses that every key's list holds
+        self._index: defaultdict[PredIndicator, dict[int, tuple[dict, list]]] = defaultdict(dict)
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
 
@@ -92,21 +102,14 @@ class Database:
         self._next_id += 1
         return sc
 
-    def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> tuple[list, ...]:
-        """The index lists that hold ``sc``, or are to hold it: a new key of
-        a ground clause gets its list here.  No list before the predicate
-        has an index."""
-        index = self._index.get(ind)
-        if index is None:
-            return ()
-        keyed, common = index
-        key = _clause_key(sc.clause)
-        if key is None:
-            return (common, *keyed.values())
-        items = keyed.get(key)
-        if items is None:
-            items = keyed[key] = common.copy()
-        return (items,)
+    def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> list[list]:
+        """The lists of every built index of the predicate that hold ``sc``,
+        or are to hold it."""
+        return [
+            items
+            for pos, index in self._index.get(ind, {}).items()
+            for items in _lists(index, pos, sc.clause)
+        ]
 
     def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         sc = self._store(clause, kind)
@@ -136,7 +139,7 @@ class Database:
         bare fact pattern only matches clauses with an empty body."""
         ind, head = indicator_of(pattern.head), pattern.head
         store = Store()
-        for sc in self.clauses(ind, head.args[0] if type(head) is Struct else None):
+        for sc in self.clauses(ind, head.args if type(head) is Struct else ()):
             if len(sc.clause.body) != len(pattern.body):
                 continue
             candidate = rename_clause(sc.clause, self._fresh)
@@ -149,22 +152,37 @@ class Database:
             store.undo(0)
         return None
 
-    def clauses(self, ind: PredIndicator, first: Optional[Term] = None) -> tuple[StoredClause, ...]:
+    def clauses(self, ind: PredIndicator, args: Iterable[Optional[Term]] = ()) -> tuple[StoredClause, ...]:
         """Snapshot of a predicate's clauses in resolution order.  Given a
-        call's dereferenced first argument ``first``, only those the index
-        keeps for its key: every clause that can match, and some that
-        cannot but must still be renamed (see the module docstring)."""
-        key = _key(first)
-        if key is None:
-            return tuple(self._preds.get(ind, ()))
-        index = self._index.get(ind)
-        if index is None:
-            index = self._index[ind] = ({}, [])
-            for sc in self._preds.get(ind, ()):
-                for items in self._index_lists(ind, sc):
-                    items.append(sc)
-        keyed, common = index
-        return tuple(keyed.get(key, common))
+        call's dereferenced arguments ``args``, only those that the index
+        of one bound position keeps for its key: every clause that can
+        match, and some that cannot but must still be renamed (see the
+        module docstring).  Of the bound positions' lists it takes the
+        shortest, the leftmost on a tie.
+
+        ``args`` is read lazily and only as far as needed: reading stops
+        at a list of at most one clause, or at one of only the clauses
+        that every list holds, since no position can give a shorter one.
+        """
+        best = None
+        for pos, arg in enumerate(args):
+            key = _key(arg)
+            if key is None:
+                continue
+            positions = self._index[ind]
+            index = positions.get(pos)
+            if index is None:
+                index = positions[pos] = ({}, [])
+                for sc in self._preds.get(ind, ()):
+                    for items in _lists(index, pos, sc.clause):
+                        items.append(sc)
+            keyed, common = index
+            items = keyed.get(key, common)
+            if best is None or len(items) < len(best):
+                best = items
+                if len(best) <= 1 or len(best) == len(common):
+                    break
+        return tuple(self._preds.get(ind, ()) if best is None else best)
 
     def defines(self, ind: PredIndicator) -> bool:
         """Whether the predicate has any clause."""
@@ -183,8 +201,7 @@ class Database:
         bucket = self._preds.get(ind, [])
         n = len(bucket)
         self._preds[ind] = []
-        if ind in self._index:
-            self._index[ind] = ({}, [])
+        self._index.pop(ind, None)
         return n
 
     def clause_count(self) -> int:

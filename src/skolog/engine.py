@@ -7,11 +7,11 @@ through ``deref``, and a trail of the variables bound, so backtracking
 undoes bindings by popping the trail back to a mark.  The goals still to
 prove form a linked list of cells; a user call with clauses left sits on a
 choicepoint stack, which failure pops to resume the latest alternative.
-A call tries the clauses that the database's first-argument index keeps
-for its first argument (all of them when that is unbound), in stored
-order.  Each reduction renames the chosen clause apart, unifies the goal
-with its head (occurs check on), and puts the clause body in front of the
-goals.
+A call tries, in stored order, the clauses that the database keeps for
+its arguments: the shortest list that an index on a bound argument
+position gives (all of them when no argument is bound).  Each reduction
+renames the chosen clause apart, unifies the goal with its head (occurs
+check on), and puts the clause body in front of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  A
 path cut off that way raises ``truncated``, and a run without solutions
@@ -202,7 +202,7 @@ class Solver:
             while type(goal) is Var:
                 goal = bindings.get(goal)
                 if goal is None:
-                    raise InstantiationError(f"goal is an unbound variable: {raw!r}")
+                    raise InstantiationError(f"goal is an unbound variable: {format_goal(raw)}")
             if type(goal) is Struct:
                 ind = (goal.name, len(goal.args))
             elif type(goal) is Atom:
@@ -220,7 +220,7 @@ class Solver:
                 continue
             handler = _BUILTINS.get(ind)
             if handler is None:
-                clauses = self.db.clauses(ind, store.deref(goal.args[0]) if ind[1] else None)
+                clauses = self.db.clauses(ind, map(store.deref, goal.args) if ind[1] else ())
                 if not clauses and not self.db.defines(ind):
                     if ind not in self._warned:
                         self._warned.add(ind)

@@ -169,7 +169,7 @@ def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
     name, arity = indicator_of(goal)
     args = goal.args if hasattr(goal, "args") else ()
     probe = s_term(name, tuple(args))
-    for sc in db.clauses(("s", arity + 1)):
+    for sc in db.clauses(("s", arity + 1), probe.args):
         if sc.clause.body:
             continue
         if Store().unify(probe, sc.clause.head):

@@ -250,8 +250,9 @@ class AskResult:
     value: Optional[Term] = None          # ask_value: term bound to V
 
 
-def _known_facts(db: Database):
-    for sc in db.clauses(KNOWN):
+def _known_facts(db: Database, attribute: str, subject: str):
+    """The known/4 facts that can be about ``attribute`` of ``subject``."""
+    for sc in db.clauses(KNOWN, (None, Atom(attribute), Atom(subject))):
         if not sc.clause.body:
             yield sc
 
@@ -272,7 +273,7 @@ def ask(
     """Yes/no question about a ground (attribute, subject, value) triple."""
     q = Question(attribute, subject, value)
     target = (Atom(attribute), Atom(subject), value)
-    for sc in _known_facts(db):
+    for sc in _known_facts(db, attribute, subject):
         args = sc.clause.head.args
         if args[1:] == target:
             hit = args[0] == Atom("yes")
@@ -295,7 +296,7 @@ def ask_value(
     """Value question: what is <attribute> of <subject>?"""
     q = Question(attribute, subject, None)
     key = (Atom(attribute), Atom(subject))
-    matching = [sc for sc in _known_facts(db) if sc.clause.head.args[1:3] == key]
+    matching = [sc for sc in _known_facts(db, attribute, subject) if sc.clause.head.args[1:3] == key]
     # any yes entry answers the question, wherever a refusal marker sits
     for sc in matching:
         args = sc.clause.head.args

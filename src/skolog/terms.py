@@ -82,10 +82,11 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-# ``subterms`` is the one read-only walk; the walkers that rebuild terms
-# (``_rebuild``, ``_Resolver``) and the store's occurs check, which reads
-# through bindings, keep stacks of their own.  None recurses: a list of n
-# elements nests n deep.
+# ``subterms`` is the one read-only walk but for ``is_ground``, which
+# building an argument index asks of every clause; the walkers that rebuild
+# terms (``_rebuild``, ``_Resolver``) and the store's occurs check, which
+# reads through bindings, keep stacks of their own.  None recurses: a list
+# of n elements nests n deep.
 
 def subterms(t: Term) -> Iterator[Term]:
     """``t`` and every term inside it, in left-to-right preorder."""
@@ -98,7 +99,16 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def is_ground(t: Term) -> bool:
-    return not any(type(x) is Var for x in subterms(t))
+    """Whether ``t`` holds no variable; a walk of its own is about twice
+    as fast as one over ``subterms``."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            todo.extend(x.args)
+        elif type(x) is Var:
+            return False
+    return True
 
 
 def occurs(v: Var, t: Term) -> bool:

@@ -1,11 +1,14 @@
 """Clause store: ordering, retraction, snapshots."""
 
 import io
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from skolog import Atom, Clause, Database, Struct, Var, constants_of, load_program, parse_query, solve
 from skolog.database import KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
+from skolog.negation import holds_negated
+from skolog.oracle import ask, ask_value
 from skolog.parser import format_clause
 from skolog.terms import FreshVars, Int, apply, compose, rename_clause, unify
 
@@ -133,83 +136,83 @@ def test_stored_clause_is_variant_not_shared():
     assert variant_equal(sc.clause.head, Struct("r", (Var("A"), Var("A"))))
 
 
-# --- the first-argument index --------------------------------------------
+# --- the argument indexes ------------------------------------------------
 
-def _listed(db, ind, first):
-    return [format_clause(sc.clause) for sc in db.clauses(ind, first)]
+def _listed(db, ind, args):
+    return [format_clause(sc.clause) for sc in db.clauses(ind, args)]
 
 
 def test_index_keys_tell_atoms_integers_and_functors_apart():
     db = Database()
     load_program(db, "p(1). p('1'). p(f(a)). p(f(a, b)). p(g(a)). p([]). p([a]). p(a).")
-    assert _listed(db, ("p", 1), Int(1)) == ["p(1)."]
-    assert _listed(db, ("p", 1), Atom("1")) == ["p('1')."]
-    assert _listed(db, ("p", 1), Struct("f", (Var("X"),))) == ["p(f(a))."]
-    assert _listed(db, ("p", 1), Struct("f", (Atom("b"), Atom("c")))) == ["p(f(a,b))."]
-    assert _listed(db, ("p", 1), Atom("[]")) == ["p([])."]
-    assert _listed(db, ("p", 1), Struct(".", (Var("H"), Var("T")))) == ["p([a])."]
-    assert _listed(db, ("p", 1), Atom("zz")) == []
+    assert _listed(db, ("p", 1), (Int(1),)) == ["p(1)."]
+    assert _listed(db, ("p", 1), (Atom("1"),)) == ["p('1')."]
+    assert _listed(db, ("p", 1), (Struct("f", (Var("X"),)),)) == ["p(f(a))."]
+    assert _listed(db, ("p", 1), (Struct("f", (Atom("b"), Atom("c"))),)) == ["p(f(a,b))."]
+    assert _listed(db, ("p", 1), (Atom("[]"),)) == ["p([])."]
+    assert _listed(db, ("p", 1), (Struct(".", (Var("H"), Var("T"))),)) == ["p([a])."]
+    assert _listed(db, ("p", 1), (Atom("zz"),)) == []
     # an unbound first argument, or none given, sees every clause
-    assert len(db.clauses(("p", 1), Var("X"))) == len(db.clauses(("p", 1))) == 8
+    assert len(db.clauses(("p", 1), (Var("X"),))) == len(db.clauses(("p", 1))) == 8
 
 
 def test_variable_first_clauses_keep_their_place_through_writes():
     db = Database()
     load_program(db, "p(a). p(X). p(b).")
-    assert _listed(db, ("p", 1), Atom("a")) == ["p(a).", "p(X)."]  # builds the index
+    assert _listed(db, ("p", 1), (Atom("a"),)) == ["p(a).", "p(X)."]  # builds the index
     db.asserta(Clause(head=Struct("p", (Var("Y"),))))
     db.assertz(Clause(head=p("a")))
     db.asserta(Clause(head=p("a")))
     db.assertz(Clause(head=Struct("p", (Var("Z"),))))
     db.assertz(Clause(head=p("c")))
-    assert _listed(db, ("p", 1), Atom("a")) == ["p(a).", "p(Y).", "p(a).", "p(X).", "p(a).", "p(Z)."]
-    assert _listed(db, ("p", 1), Atom("b")) == ["p(Y).", "p(X).", "p(b).", "p(Z)."]
-    assert _listed(db, ("p", 1), Atom("c")) == ["p(Y).", "p(X).", "p(Z).", "p(c)."]
-    assert _listed(db, ("p", 1), Atom("new")) == ["p(Y).", "p(X).", "p(Z)."]
+    assert _listed(db, ("p", 1), (Atom("a"),)) == ["p(a).", "p(Y).", "p(a).", "p(X).", "p(a).", "p(Z)."]
+    assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(Y).", "p(X).", "p(b).", "p(Z)."]
+    assert _listed(db, ("p", 1), (Atom("c"),)) == ["p(Y).", "p(X).", "p(Z).", "p(c)."]
+    assert _listed(db, ("p", 1), (Atom("new"),)) == ["p(Y).", "p(X).", "p(Z)."]
 
 
 def test_non_ground_keyed_clause_is_in_every_list():
     # renaming it apart uses up fresh variable ids, whether or not it matches
     db = Database()
     load_program(db, "p(f(X), X). p(a, b). p(g, c) :- q(Y).")
-    assert _listed(db, ("p", 2), Atom("a")) == ["p(f(X),X).", "p(a,b).", "p(g,c) :- q(Y)."]
-    assert _listed(db, ("p", 2), Atom("zz")) == ["p(f(X),X).", "p(g,c) :- q(Y)."]
+    assert _listed(db, ("p", 2), (Atom("a"), Var("Y"))) == ["p(f(X),X).", "p(a,b).", "p(g,c) :- q(Y)."]
+    assert _listed(db, ("p", 2), (Atom("zz"), Var("Y"))) == ["p(f(X),X).", "p(g,c) :- q(Y)."]
 
 
 def test_retracting_a_variable_first_clause_leaves_every_list():
     db = Database()
     load_program(db, "p(a). p(X) :- q(X). p(b).")
-    assert len(db.clauses(("p", 1), Atom("a"))) == 2
+    assert len(db.clauses(("p", 1), (Atom("a"),))) == 2
     pattern = Clause(head=Struct("p", (Var("V"),)), body=(Struct("q", (Var("V"),)),))
     assert db.retract(pattern) is not None
-    assert _listed(db, ("p", 1), Atom("a")) == ["p(a)."]
-    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
-    assert _listed(db, ("p", 1), Atom("zz")) == []
+    assert _listed(db, ("p", 1), (Atom("a"),)) == ["p(a)."]
+    assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(b)."]
+    assert _listed(db, ("p", 1), (Atom("zz"),)) == []
     assert db.retract(Clause(head=p("b"))) == {}
-    assert _listed(db, ("p", 1), Atom("b")) == []
+    assert _listed(db, ("p", 1), (Atom("b"),)) == []
 
 
 def test_clear_predicate_empties_an_index():
     db = Database()
     load_program(db, "p(a). p(X).")
-    assert len(db.clauses(("p", 1), Atom("a"))) == 2
+    assert len(db.clauses(("p", 1), (Atom("a"),))) == 2
     assert db.clear_predicate(("p", 1)) == 2
-    assert db.clauses(("p", 1), Atom("a")) == ()
+    assert db.clauses(("p", 1), (Atom("a"),)) == ()
     db.assertz(Clause(head=p("b")))
-    assert db.clauses(("p", 1), Atom("a")) == ()
-    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
+    assert db.clauses(("p", 1), (Atom("a"),)) == ()
+    assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(b)."]
 
 
 def test_copy_after_indexing_is_independent():
     db = Database()
     load_program(db, "p(a). p(b).")
-    assert len(db.clauses(("p", 1), Atom("a"))) == 1
+    assert len(db.clauses(("p", 1), (Atom("a"),))) == 1
     other = db.copy()
     other.assertz(Clause(head=p("a")))
     assert other.retract(Clause(head=p("b"))) == {}
-    assert _listed(other, ("p", 1), Atom("a")) == ["p(a).", "p(a)."]
-    assert _listed(db, ("p", 1), Atom("a")) == ["p(a)."]
-    assert _listed(db, ("p", 1), Atom("b")) == ["p(b)."]
+    assert _listed(other, ("p", 1), (Atom("a"),)) == ["p(a).", "p(a)."]
+    assert _listed(db, ("p", 1), (Atom("a"),)) == ["p(a)."]
+    assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(b)."]
 
 
 def test_an_index_miss_fails_without_the_unknown_predicate_warning():
@@ -223,12 +226,73 @@ def test_an_index_miss_fails_without_the_unknown_predicate_warning():
     assert diag.getvalue() == "warning: unknown predicate zz/1\n"
 
 
-def test_a_bound_first_argument_gets_one_candidate_among_thousands():
+def _emps():
     db = Database()
     load_program(db, "".join(f"emp(e{i}, d{i % 40}, {1000 + i}).\n" for i in range(5000)))
-    assert len(db.clauses(("emp", 3), Atom("e4999"))) == 1
-    assert len(db.clauses(("emp", 3), Atom("e0"))) == 1
-    assert len(db.clauses(("emp", 3), Var("E"))) == 5000
+    return db
+
+
+def test_a_bound_first_argument_gets_one_candidate_among_thousands():
+    db = _emps()
+    assert len(db.clauses(("emp", 3), (Atom("e4999"), Var("D"), Var("S")))) == 1
+    assert len(db.clauses(("emp", 3), (Atom("e0"), Var("D"), Var("S")))) == 1
+    assert len(db.clauses(("emp", 3), (Var("E"), Var("D"), Var("S")))) == 5000
+
+
+def test_a_bound_second_argument_gets_exactly_its_key_s_clauses():
+    db = _emps()
+    roster = [format_clause(sc.clause) for sc in db.clauses(("emp", 3), (Var("E"), Atom("d7"), Var("S")))]
+    assert roster == [f"emp(e{i},d7,{1000 + i})." for i in range(7, 5000, 40)]
+    out = solve(db, parse_query("emp(E, d7, S)."))
+    assert len(out.solutions) == 125
+
+
+def test_a_call_binding_two_arguments_gets_the_shorter_list():
+    db = _emps()
+    assert _listed(db, ("emp", 3), (Var("E"), Atom("d7"), Int(1047))) == ["emp(e47,d7,1047)."]
+    assert _listed(db, ("emp", 3), (Atom("e47"), Atom("d7"), Var("S"))) == ["emp(e47,d7,1047)."]
+    # the lists are not intersected: the shorter one may hold no match
+    assert _listed(db, ("emp", 3), (Var("E"), Atom("d7"), Int(1048))) == ["emp(e48,d8,1048)."]
+    # a tie goes to the leftmost position
+    db = Database()
+    load_program(db, "p(a, x). p(b, y).")
+    assert _listed(db, ("p", 2), (Atom("a"), Atom("y"))) == ["p(a,x)."]
+    assert _listed(db, ("p", 2), (Atom("b"), Atom("x"))) == ["p(b,y)."]
+
+
+def _candidates(call):
+    """What ``call()`` returns, and the length of every snapshot that
+    ``Database.clauses`` handed out during it."""
+    seen = []
+    full = Database.clauses
+
+    def spy(self, ind, args=()):
+        out = full(self, ind, args)
+        seen.append(len(out))
+        return out
+
+    with mock.patch.object(Database, "clauses", spy):
+        return call(), seen
+
+
+def test_an_ask_sees_only_its_subject_s_known_facts():
+    db = Database()
+    for i in range(300):
+        for attr in ("hair", "eyes", "height"):
+            db.asserta(Clause(head=Struct("known", (Atom("yes"), Atom(attr), Atom(f"s{i}"), Atom(f"v{i}")))))
+    res, seen = _candidates(lambda: ask(db, "eyes", "s17", Atom("v17"), None))
+    assert (res.succeeded, res.source, seen) == (True, "memo", [3])
+    res, seen = _candidates(lambda: ask_value(db, "hair", "s250", None))
+    assert (res.value, res.source, seen) == (Atom("v250"), "memo", [3])
+
+
+def test_a_holds_negated_probe_sees_one_s_fact_among_a_thousand():
+    db = Database()
+    load_program(db, "".join(f"s(neg(likes), a{i}, b{i}).\n" for i in range(1000)), kind=KIND_S_FACT)
+    goal = Struct("likes", (Atom("a617"), Atom("b617")))
+    sc, seen = _candidates(lambda: holds_negated(db, goal))
+    assert (format_clause(sc.clause), seen) == ("s(neg(likes),a617,b617).", [1])
+    assert holds_negated(db, Struct("likes", (Atom("a617"), Atom("b618")))) is None
 
 
 # --- retract against a reference built from the pure unifier ----------------

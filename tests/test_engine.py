@@ -140,6 +140,9 @@ def test_a_variable_body_goal_is_an_instantiation_error():
     db.assertz(Clause(head=Atom("p"), body=(Var("X"),)))
     with pytest.raises(InstantiationError, match="^goal is an unbound variable: "):
         Solver(db).run([Atom("p")])
+    with pytest.raises(InstantiationError) as err:
+        Solver(db).run([Atom("p")])
+    assert str(err.value) == "goal is an unbound variable: _G1"
 
 
 def test_an_integer_body_goal_is_an_engine_error():

@@ -1,8 +1,8 @@
-"""First-argument indexing changes nothing a user can see.
+"""Argument indexing changes nothing a user can see.
 
 Random programs and write sequences run twice: once as they stand, and
-once with ``Database.clauses`` made to ignore the first argument, so that
-every call and every retract/1 scans the whole predicate.  Both runs must
+once with ``Database.clauses`` made to ignore the call's arguments, so
+that every call and every retract/1 scans the whole predicate.  Both runs must
 give the same solutions in the same order, the same bindings (renamed
 ``_G<n>`` and ``_R<n>`` variables included), the same ``trace_of`` text,
 live trace and warnings, and leave the same database behind.
@@ -24,23 +24,24 @@ from skolog.errors import SkologError
 from skolog.explain import format_trace, trace_of
 from skolog.parser import format_clause, format_term, parse_clause_text
 
-# First arguments that share or split keys: 1 and '1', f/1 and f/2, [] and
-# lists, variables; the other arguments keep some clauses non-ground.
-FIRST = ("a", "b", "1", "'1'", "[]", "[a]", "[X|T]", "f(a)", "f(a, b)", "f(X)", "X", "_")
-OTHER = ("a", "b", "X", "Y", "_")
-GROUND = tuple(x for x in FIRST if not any(c.isupper() or c == "_" for c in x))
+# Arguments that share or split keys: 1 and '1', f/1 and f/2, [] and lists,
+# variables.  Both of q/2's arguments draw from them, so a call that binds
+# only the second goes through the second position's index, and one that
+# binds both through the shorter of two lists.
+ARGS = ("a", "b", "1", "'1'", "[]", "[a]", "[X|T]", "f(a)", "f(a, b)", "f(X)", "X", "Y", "_")
+GROUND = tuple(x for x in ARGS if not any(c.isupper() or c == "_" for c in x))
 PREDICATES = (("p", 1), ("q", 2))
 
 
-def calls(first=FIRST, other=OTHER):
+def calls(args=ARGS):
     def build(pred, a, b):
         name, arity = pred
         return f"{name}({', '.join((a, b)[:arity])})"
 
-    return st.builds(build, st.sampled_from(PREDICATES), st.sampled_from(first), st.sampled_from(other))
+    return st.builds(build, st.sampled_from(PREDICATES), st.sampled_from(args), st.sampled_from(args))
 
 
-ground_calls = calls(GROUND, ("a", "b"))
+ground_calls = calls(GROUND)
 writes = st.tuples(st.sampled_from(("asserta", "assertz", "retract")), calls())
 body_goals = st.one_of(
     calls(),
@@ -96,7 +97,7 @@ def test_indexed_selection_matches_a_full_scan(text, raw_steps):
     parsed = [(k, parse_query(x) if k == "query" else parse_clause_text(x + ".")) for k, x in raw_steps]
     full_scan = Database.clauses
 
-    def unindexed(self, ind, first=None):
+    def unindexed(self, ind, args=()):
         return full_scan(self, ind)
 
     with mock.patch.object(Database, "clauses", unindexed):
