@@ -45,10 +45,10 @@ PredIndicator = tuple[str, int]
 
 KNOWN = ("known", 4)
 
-# Provenance of a stored clause; proof nodes cite it.
-KIND_STATIC = "static"      # consulted from program text
-KIND_DYNAMIC = "dynamic"    # asserted at runtime
-KIND_S_FACT = "s_fact"      # added by the fact-negation transform
+# Provenance of a stored clause, by the name that HOW and JSON give it.
+KIND_STATIC = "clause"  # consulted from program text
+KIND_DYNAMIC = "asserted_fact"  # asserted, or acquired by ask, at run time
+KIND_S_FACT = "s_fact"  # added by the fact-negation transform
 
 
 @dataclass(frozen=True)

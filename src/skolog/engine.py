@@ -38,7 +38,7 @@ from typing import Iterator, Optional, TextIO
 from . import oracle as oracle_mod
 from .database import Database, StoredClause, KIND_DYNAMIC
 from .errors import EngineError, InstantiationError
-from .explain import ProofNode, QUERY_ROOT, UserSaidJust, format_trace_entry, TraceEntry
+from .explain import ProofNode, QUERY_ROOT, format_trace_entry, TraceEntry
 from .negation import find_s_fact
 from .parser import format_goal
 from .terms import (
@@ -235,17 +235,12 @@ class Solver:
                 del choices[barrier:]
                 cont = rest
             elif handler is _NOT:
-                inner = store.deref(goal.args[0])
-                if type(inner) is Var:
-                    raise InstantiationError("not/1 needs a callable argument")
-                if type(inner) is Int:
-                    raise EngineError("integer is not a callable goal")
                 fence = _Choice(raw, rest, depth, len(trail), len(records), len(choices),
                                 truncated=self._truncated)
                 choices.append(fence)
                 self._truncated = False
                 depth += 1
-                cont = (inner, len(choices), (_SUCCEEDED, fence, None))
+                cont = (goal.args[0], len(choices), (_SUCCEEDED, fence, None))
             else:
                 mark = len(trail)
                 just = handler(self, goal)
@@ -384,9 +379,7 @@ class Solver:
                 self._store.bind(v, res.value)
         else:
             raise InstantiationError(f"ask value must be ground or a variable: {self._shown(g)}")
-        if not res.succeeded:
-            return None
-        return res.known if res.source == "memo" else UserSaidJust(res.question, res.answer)
+        return res.just if res.succeeded else None
 
     def _clause_arg(self, g, verb: str) -> Clause:
         t = self._store.resolver().resolve(g.args[0])
@@ -413,7 +406,7 @@ class Solver:
     def _bi_holds_negated(self, g):
         inner = self._store.resolver().resolve(g.args[0])
         if not isinstance(inner, (Atom, Struct)):
-            raise InstantiationError("holds_negated/1 needs a callable argument")
+            raise InstantiationError(f"holds_negated/1 needs a callable argument: {self._shown(g)}")
         if not is_ground(inner):
             raise InstantiationError(f"holds_negated/1 needs a ground argument: {self._shown(g)}")
         return find_s_fact(self.db, inner)

@@ -1,12 +1,13 @@
 """Proof trees and their renderings: HOW, the derived trace, and JSON.
-WHY (``WhyContext``, ``why``) explains a question, so it lives in ``oracle``.
+WHY (``WhyContext``, ``why``) explains a question, so it lives in ``oracle``,
+as does ``UserSaidJust``: the oracle alone knows what justifies an answer.
 
 A proof node is justified by one of three values: the ``StoredClause`` it
 cites (a clause reduction, a known/4 memo hit, a holds_negated/1 hit), a
 builtin's name (``"query"`` for the root over a multi-goal query), or a
-``UserSaidJust`` for a fresh answer.  A cited clause's ``kind`` says where
-it came from: program text, an assert or acquisition at run time, or the
-fact-negation transform.
+``UserSaidJust`` for a fresh answer.  A cited clause's ``kind`` names where
+it came from, as JSON prints it: ``clause`` for program text,
+``asserted_fact`` for an assert or acquisition at run time, or ``s_fact``.
 
 Negation as failure leaves nothing to explain (a failed search has no
 tree), which is the gap the s-fact transform fills: a success through a
@@ -19,25 +20,15 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .database import StoredClause, KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
-from .oracle import Answer, Question, WhyContext, answer_text, prompt_for, why  # noqa: F401
+from .database import StoredClause, KIND_S_FACT
+from .oracle import UserSaidJust, WhyContext, answer_text, prompt_for, why  # noqa: F401
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, indicator_of
-
-
-@dataclass(frozen=True)
-class UserSaidJust:
-    question: Question
-    answer: Answer
-
 
 Justification = Union[StoredClause, str, UserSaidJust]
 
 # The builtin name that justifies the synthetic root over multi-goal queries.
 QUERY_ROOT = "query"
-
-# A cited clause's JSON kind, by where the clause came from.
-_CLAUSE_LABELS = {KIND_STATIC: "clause", KIND_DYNAMIC: "asserted_fact", KIND_S_FACT: "s_fact"}
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ def bindings_json(theta: Subst) -> list[dict]:
 
 def _justification_json(j: Justification) -> dict:
     if type(j) is StoredClause:
-        return {"kind": _CLAUSE_LABELS[j.kind], "id": j.id, "clause": format_clause(j.clause)}
+        return {"kind": j.kind, "id": j.id, "clause": format_clause(j.clause)}
     if type(j) is UserSaidJust:
         return {
             "kind": "user_said",

@@ -23,7 +23,7 @@ asked when told ``why`` (on the stream the question went to), and answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional, TextIO, Union
 
 from .database import Database, StoredClause, KNOWN
 from .errors import EngineError, OracleScriptError, ParseError, UnansweredQuestionError
@@ -240,14 +240,21 @@ class InteractiveOracle(Oracle):
                 self.out_stream.write("please answer yes., no., why., or a term\n")
 
 
+@dataclass(frozen=True)
+class UserSaidJust:
+    question: Question
+    answer: Answer
+
+
 @dataclass
 class AskResult:
+    """An ask's outcome.  ``just`` is what a proof of the ask cites: the
+    known/4 fact of a memo hit, or a ``UserSaidJust`` for a fresh answer."""
+
     succeeded: bool
     source: str  # "memo" | "fresh"
-    question: Question
-    known: Optional[StoredClause] = None  # the memo hit, or the fact just stored
-    answer: Optional[Answer] = None       # fresh consultations only
-    value: Optional[Term] = None          # ask_value: term bound to V
+    just: Union[StoredClause, UserSaidJust]
+    value: Optional[Term] = None  # ask_value: term bound to V
 
 
 def _known_facts(db: Database, attribute: str, subject: str):
@@ -257,9 +264,9 @@ def _known_facts(db: Database, attribute: str, subject: str):
             yield sc
 
 
-def _record(db: Database, reply: Term, attribute: str, subject: str, value: Term) -> StoredClause:
+def _record(db: Database, reply: Term, attribute: str, subject: str, value: Term) -> None:
     head = Struct("known", (reply, Atom(attribute), Atom(subject), value))
-    return db.asserta(Clause(head=head))
+    db.asserta(Clause(head=head))
 
 
 def ask(
@@ -276,14 +283,13 @@ def ask(
     for sc in _known_facts(db, attribute, subject):
         args = sc.clause.head.args
         if args[1:] == target:
-            hit = args[0] == Atom("yes")
-            return AskResult(hit, "memo", q, known=sc)
+            return AskResult(args[0] == Atom("yes"), "memo", sc)
     ans = consult(oracle, q, why_supplier)
     # A term offered where yes/no was wanted is recorded as given, and the
     # ask succeeds exactly when the memo hit on that record later would.
     reply = ans.value if ans.kind == "value" else Atom(ans.kind)
-    sc = _record(db, reply, attribute, subject, value)
-    return AskResult(reply == Atom("yes"), "fresh", q, known=sc, answer=ans)
+    _record(db, reply, attribute, subject, value)
+    return AskResult(reply == Atom("yes"), "fresh", UserSaidJust(q, ans))
 
 
 def ask_value(
@@ -301,18 +307,18 @@ def ask_value(
     for sc in matching:
         args = sc.clause.head.args
         if args[0] == Atom("yes"):
-            return AskResult(True, "memo", q, known=sc, value=args[3])
+            return AskResult(True, "memo", sc, args[3])
     for sc in matching:
         args = sc.clause.head.args
         if args[0] == Atom("no") and args[3] == NO_VALUE:
-            return AskResult(False, "memo", q, known=sc)
+            return AskResult(False, "memo", sc)
     ans = consult(oracle, q, why_supplier)
     if ans.kind == "no":
-        sc = _record(db, Atom("no"), attribute, subject, NO_VALUE)
-        return AskResult(False, "fresh", q, known=sc, answer=ans)
+        _record(db, Atom("no"), attribute, subject, NO_VALUE)
+        return AskResult(False, "fresh", UserSaidJust(q, ans))
     value = Atom("yes") if ans.kind == "yes" else ans.value
-    sc = _record(db, Atom("yes"), attribute, subject, value)
-    return AskResult(True, "fresh", q, known=sc, answer=ans, value=value)
+    _record(db, Atom("yes"), attribute, subject, value)
+    return AskResult(True, "fresh", UserSaidJust(q, ans), value)
 
 
 def reset_known(db: Database) -> int:

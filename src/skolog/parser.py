@@ -221,9 +221,8 @@ class _Parser:
         if self.at_punct(":-"):
             self.advance()
             body = tuple(self.parse_goals())
-        end = self.expect_punct(".")
-        span = (start.line, start.col, end.line, end.col)
-        return Clause(head=head, body=body, span=span)
+        self.expect_punct(".")
+        return Clause(head=head, body=body)
 
     def expect_eof(self) -> None:
         if self.peek().kind != "eof":

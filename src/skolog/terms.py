@@ -14,7 +14,7 @@ tests and for the benchmark's tracer, which wraps it by name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_
 from typing import Iterable, Iterator, Optional, Union
 
@@ -63,16 +63,10 @@ CUT = Atom("!")
 
 @dataclass(frozen=True)
 class Clause:
-    """One program clause: ``head.`` or ``head :- body.``
-
-    ``span`` is the source position (line, col, end_line, end_col) when the
-    clause came from text; clauses built at runtime carry ``None``.  Spans
-    are ignored by equality so a reparsed clause compares equal.
-    """
+    """One program clause: ``head.`` or ``head :- body.``"""
 
     head: Term
     body: tuple[Term, ...] = ()
-    span: Optional[tuple[int, int, int, int]] = field(default=None, compare=False)
 
 
 def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
@@ -420,7 +414,7 @@ def rename_clause(c: Clause, fresh: FreshVars, mapping: Optional[Subst] = None) 
         return c
     if mapping is not None:
         mapping.update(renaming)
-    return Clause(head=head, body=body, span=c.span)
+    return Clause(head=head, body=body)
 
 
 # Predicates the engine implements itself.  A definite program uses none of

@@ -107,9 +107,12 @@ def test_run_engine_error_exit_2():
     ("ask(a, p, f(X)).", "ask value must be ground or a variable: ask(a,p,f(X))"),
     ("assert(1).", "cannot assert: assert(1)"),
     ("retract(X).", "cannot retract: retract(X)"),
-    ("holds_negated(X).", "holds_negated/1 needs a callable argument"),
+    ("holds_negated(X).", "holds_negated/1 needs a callable argument: holds_negated(X)"),
+    ("holds_negated(1).", "holds_negated/1 needs a callable argument: holds_negated(1)"),
     ("holds_negated(p(X)).", "holds_negated/1 needs a ground argument: holds_negated(p(X))"),
-    ("not(1).", "integer is not a callable goal"),
+    # not/1's argument is selected like any goal, so it gets a body goal's message
+    ("not(1).", "integer is not a callable goal: 1"),
+    ("not(X).", "goal is an unbound variable: X"),
 ])
 def test_run_builtin_misuse_is_an_error(goal, message):
     r = run_cli(["run", APPEND, "--goal", goal])

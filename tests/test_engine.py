@@ -188,8 +188,9 @@ def test_not_matches_two_clause_encoding():
 
 def test_not_on_unbound_variable_is_instantiation_error():
     db = fresh_db("p(a).")
-    with pytest.raises(InstantiationError):
+    with pytest.raises(InstantiationError) as err:
         results(db, "not(X).")
+    assert str(err.value) == "goal is an unbound variable: X"
 
 
 # --- depth ---------------------------------------------------------------------

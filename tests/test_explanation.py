@@ -264,6 +264,19 @@ def test_why_lists_only_open_ancestors():
     ]
 
 
+def test_why_after_a_finished_sibling_lists_the_open_clauses():
+    # q's subproof is finished when the question comes up inside mid
+    (lines,) = _why_lines_at_question(
+        "top :- mid. mid :- q, ask(likes, peter, icecream). q.", "top.",
+        "ask likes peter icecream -> yes\n",
+    )
+    assert lines == [
+        "trying to prove mid using mid :- q, ask(likes,peter,icecream).",
+        "trying to prove top using top :- mid.",
+        "to answer your query top",
+    ]
+
+
 def test_why_in_the_twins_case_skips_finished_subproofs():
     from skolog.corpus import corpus_text
 

@@ -17,6 +17,7 @@ from skolog import (
     Struct,
     Var,
     constants_of,
+    format_term,
     fresh_constant,
     holds_negated,
     load_program,
@@ -109,6 +110,16 @@ def test_negate_rejected_proposal_reprompts_then_accepts():
     assert "apple" in diag.getvalue()
 
 
+def test_negate_non_atom_proposals_are_refused():
+    db = Database()
+    diag = io.StringIO()
+    proposals = [parse_term_text("f(x)"), Int(3), Atom("w")]
+    orc = QueuedOracle([value_answer(t) for t in proposals])
+    nf = negate_fact(db, parse_clause_text("q(X)."), oracle=orc, diag=diag)
+    assert diag.getvalue() == "skolem constant must be a new atom\n" * 2
+    assert format_term(nf.stored) == "s(neg(q),w)"
+
+
 def test_negate_exhausted_proposals_fall_back_to_gensym():
     db = Database()
     load_program(db, "likes(X, apple).")
@@ -192,6 +203,12 @@ def test_holds_negated_via_engine_with_proof():
     (sol,) = out.solutions
     assert sol.proof.justification.kind == KIND_S_FACT
     assert out.solutions[0].proof is not None
+
+
+def test_holds_negated_ignores_s_rules():
+    db = Database()
+    load_program(db, "s(neg(p), a) :- r.")
+    assert solve(db, parse_query("holds_negated(p(a))."), SolveOptions()).status == "no"
 
 
 def test_engine_not_does_not_see_s_facts():

@@ -23,7 +23,7 @@ from skolog import (
     solve,
 )
 from skolog.errors import OracleScriptError
-from skolog.oracle import NO, YES, NO_VALUE, answer_text, ask, ask_value, value_answer
+from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, answer_text, ask, ask_value, value_answer
 
 
 def known_facts(db):
@@ -66,6 +66,20 @@ def test_ask_stored_no_fails_without_contact():
     res = ask(db, "country", "marsha", Atom("egypt"), orc)
     assert not res.succeeded and res.source == "memo"
     assert orc.asked == []
+
+
+def test_ask_result_cites_the_memo_fact_or_the_users_answer():
+    db = Database()
+    q = Question("country", "marsha", Atom("egypt"))
+    fresh = ask(db, "country", "marsha", Atom("egypt"), QueuedOracle([YES]))
+    assert fresh.just == UserSaidJust(q, YES)
+    memo = ask(db, "country", "marsha", Atom("egypt"), QueuedOracle([]))
+    assert memo.just is db.clauses(("known", 4))[0]
+    v = value_answer(Atom("egypt"))
+    fresh = ask_value(db, "home", "marsha", QueuedOracle([v]))
+    assert fresh.just == UserSaidJust(Question("home", "marsha"), v)
+    memo = ask_value(db, "home", "marsha", QueuedOracle([]))
+    assert memo.just is db.clauses(("known", 4))[0] and memo.value == Atom("egypt")
 
 
 def test_ask_distinct_values_are_distinct_questions():
@@ -166,6 +180,21 @@ def test_scripted_oracle_unmatched_names_the_prompt():
     assert "other of person p is v ?" in str(e.value)
 
 
+def test_scripted_oracle_skips_used_entries_and_the_other_kind():
+    orc = ScriptedOracle("askv a p -> x\nask a p v -> no\nask a p v -> yes\n")
+    assert orc.answer(Question("a", "p", Atom("v")), None) == NO
+    assert orc.answer(Question("a", "p", Atom("v")), None) == YES
+    assert orc.answer(Question("a", "p", None), None) == value_answer(Atom("x"))
+
+
+def test_queued_oracle_with_no_answer_left_names_the_prompt():
+    orc = QueuedOracle([])
+    with pytest.raises(UnansweredQuestionError) as e:
+        orc.answer(Question("a", "p", Atom("v")), None)
+    assert str(e.value) == "no answer queued for: a of person p is v ?"
+    assert orc.asked == [Question("a", "p", Atom("v"))]
+
+
 def test_scripted_oracle_refusing_value():
     orc = ScriptedOracle("askv country marsha -> no\n")
     assert orc.answer(Question("country", "marsha", None), None) == NO
@@ -178,6 +207,17 @@ def test_script_parse_error_diagnostics():
         ScriptedOracle("nonsense line\n")
     with pytest.raises(OracleScriptError):
         ScriptedOracle("ask a p v -> maybe\n")
+
+
+@pytest.mark.parametrize("script, message", [
+    ("-> yes\n", "empty question"),
+    ("askv a -> b\n", "askv needs attribute, subject"),
+    ("tell a b -> c\n", "unknown entry kind 'tell'"),
+], ids=["empty", "askv-arity", "kind"])
+def test_script_error_names_the_line(script, message):
+    with pytest.raises(OracleScriptError) as e:
+        ScriptedOracle(script)
+    assert str(e.value) == f"script line 1: {message}"
 
 
 @pytest.mark.parametrize(

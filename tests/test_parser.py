@@ -123,6 +123,26 @@ def test_parse_rejects_variable_goal():
         parse_program("p(a) :- X.")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_query, "p. q.", "1:4: unexpected atom 'q' (expected end of input)"),
+    (parse_clause_text, "p. q.", "1:4: unexpected atom 'q' (expected end of input)"),
+    (parse_term_text, "a b", "1:3: unexpected atom 'b' (expected end of input)"),
+], ids=["query", "clause", "term"])
+def test_trailing_input_is_an_error(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+def test_parse_rejects_integer_goal():
+    with pytest.raises(ParseError) as e:
+        parse_query("1.")
+    assert str(e.value) == "1:1: integer is not a callable goal (expected goal)"
+    with pytest.raises(ParseError) as e:
+        parse_program("p :- q,\n  1.")
+    assert str(e.value) == "2:3: integer is not a callable goal (expected goal)"
+
+
 def test_parse_rejects_variable_head():
     with pytest.raises(ParseError):
         parse_program("X :- p(a).")
