@@ -97,11 +97,6 @@ class Database:
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
 
-    def _store(self, clause: Clause, kind: str) -> StoredClause:
-        sc = StoredClause(self._next_id, kind, clause)
-        self._next_id += 1
-        return sc
-
     def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> list[list]:
         """The lists of every built index of the predicate that hold ``sc``,
         or are to hold it."""
@@ -111,23 +106,24 @@ class Database:
             for items in _lists(index, pos, sc.clause)
         ]
 
-    def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
-        sc = self._store(clause, kind)
+    def _add(self, clause: Clause, kind: str, front: bool) -> StoredClause:
+        """Store ``clause`` under the next id, first or last in its
+        predicate's list and in every built index list that holds it."""
+        sc = StoredClause(self._next_id, kind, clause)
+        self._next_id += 1
         ind = indicator_of(clause.head)
-        self._preds.setdefault(ind, []).insert(0, sc)
+        lists = [self._preds.setdefault(ind, [])]
         if ind in self._index:
-            for items in self._index_lists(ind, sc):
-                items.insert(0, sc)
+            lists += self._index_lists(ind, sc)
+        for items in lists:
+            items.insert(0 if front else len(items), sc)
         return sc
 
+    def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
+        return self._add(clause, kind, front=True)
+
     def assertz(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
-        sc = self._store(clause, kind)
-        ind = indicator_of(clause.head)
-        self._preds.setdefault(ind, []).append(sc)
-        if ind in self._index:
-            for items in self._index_lists(ind, sc):
-                items.append(sc)
-        return sc
+        return self._add(clause, kind, front=False)
 
     # assert/1 is assertz; "assert" itself is a Python keyword.
     assert_ = assertz

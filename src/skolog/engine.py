@@ -20,6 +20,8 @@ exhaustive search said no.  Cut drops the choicepoints pushed since the
 call of its clause.  not/1 runs its argument as a sub-run on the same
 stacks, above a fence choicepoint: it fails if the sub-run succeeds,
 succeeds if it fails, and fails, raising ``truncated``, if it was cut off.
+A variable in not/1's compound argument, or in an argument of ``\\=``, is
+an InstantiationError: the answer would hold for some of its values only.
 
 Each goal proved on the current path leaves a record in proof-tree
 preorder (a clause's children are the records of its body goals after it):
@@ -128,12 +130,7 @@ class Solver:
         self.out = out if out is not None else sys.stdout
         self.diag = diag if diag is not None else sys.stderr
         self.trace_out = trace_out
-        self._truncated = False
-
-    @property
-    def truncated(self) -> bool:
-        """Whether the depth limit cut off a branch of the latest search."""
-        return self._truncated
+        self.truncated = False  # the depth limit cut off a branch of the latest search
 
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
@@ -145,7 +142,7 @@ class Solver:
                 break
         if solutions:
             return Outcome("yes", solutions)
-        return Outcome("depth_exceeded" if self._truncated else "no")
+        return Outcome("depth_exceeded" if self.truncated else "no")
 
     def solutions(self, goals) -> Iterator[Solution]:
         """Lazy stream of solutions in derivation order."""
@@ -157,7 +154,7 @@ class Solver:
         # renamed variables are _G<n>, numbered from 1 unless a query
         # variable (passed in as a term, not read as text) holds such an id
         self._fresh = FreshVars(start=1 + max((v.id for v in qvars), default=0))
-        self._truncated = False
+        self.truncated = False
         self._root = goals
         self._warned: set[tuple[str, int]] = set()
         self._store = Store()
@@ -185,8 +182,8 @@ class Solver:
                     if cont is False:
                         continue
                 else:  # the not/1 sub-run failed
-                    cut_off = self._truncated
-                    self._truncated = cp.truncated or cut_off
+                    cut_off = self.truncated
+                    self.truncated = cp.truncated or cut_off
                     if cut_off:
                         continue
                     records.append((cp.raw, cp.mark, cp.mark, "not"))
@@ -215,7 +212,7 @@ class Solver:
                 continue
             else:  # _SUCCEEDED: not/1 fails, and its sub-run is dropped
                 del choices[barrier.height:]
-                self._truncated = self._truncated or barrier.truncated
+                self.truncated = self.truncated or barrier.truncated
                 resume = True
                 continue
             handler = _BUILTINS.get(ind)
@@ -235,10 +232,13 @@ class Solver:
                 del choices[barrier:]
                 cont = rest
             elif handler is _NOT:
+                arg = store.resolver().resolve(goal.args[0])
+                if type(arg) is Struct and not is_ground(arg):
+                    raise InstantiationError(f"not/1 needs a ground argument: {self._shown(goal)}")
                 fence = _Choice(raw, rest, depth, len(trail), len(records), len(choices),
-                                truncated=self._truncated)
+                                truncated=self.truncated)
                 choices.append(fence)
-                self._truncated = False
+                self.truncated = False
                 depth += 1
                 cont = (goal.args[0], len(choices), (_SUCCEEDED, fence, None))
             else:
@@ -264,7 +264,7 @@ class Solver:
                 store.undo(call.mark)
                 continue
             if call.depth >= self.options.depth_limit:
-                self._truncated = True
+                self.truncated = True
                 store.undo(call.mark)
                 break
             if call.next < len(call.clauses) or tracing:
@@ -339,10 +339,11 @@ class Solver:
         return "=" if self._store.unify(g.args[0], g.args[1]) else None
 
     def _bi_not_unify(self, g):
-        mark = len(self._store.trail)
-        unified = self._store.unify(g.args[0], g.args[1])
-        self._store.undo(mark)
-        return None if unified else "\\="
+        a, b = map(self._store.resolver().resolve, g.args)
+        if not (is_ground(a) and is_ground(b)):
+            raise InstantiationError(f"\\=/2 needs ground arguments: {self._shown(g)}")
+        # ground terms unify without binding anything, so nothing to undo
+        return None if self._store.unify(a, b) else "\\="
 
     def _bi_plus(self, g):
         args = [self._store.deref(x) for x in g.args]
@@ -404,12 +405,7 @@ class Solver:
         return "retract"
 
     def _bi_holds_negated(self, g):
-        inner = self._store.resolver().resolve(g.args[0])
-        if not isinstance(inner, (Atom, Struct)):
-            raise InstantiationError(f"holds_negated/1 needs a callable argument: {self._shown(g)}")
-        if not is_ground(inner):
-            raise InstantiationError(f"holds_negated/1 needs a ground argument: {self._shown(g)}")
-        return find_s_fact(self.db, inner)
+        return find_s_fact(self.db, self._store.resolver().resolve(g.args[0]))
 
 
 # Keys are exactly terms.BUILTIN_INDICATORS.

@@ -16,8 +16,9 @@ may propose a name; proposals that fail the freshness check are refused
 with a ``constant_occurs_in_kb`` note and re-asked up to three times, then
 a generated ``sk_<k>`` is used instead.
 
-Queries reach the stored negatives only through ``holds_negated``; there
-is no automatic bridge between p and s(neg(p), ...).
+Queries reach the stored negatives only through the ``holds_negated/1``
+builtin, which ``find_s_fact`` implements; there is no automatic bridge
+between p and s(neg(p), ...).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
 
 from .database import Database, StoredClause, constants_of, KIND_S_FACT
-from .errors import NotAFactError
+from .errors import InstantiationError, NotAFactError
 from .oracle import Oracle, Question, consult
 from .parser import format_term
 from .terms import (
@@ -57,7 +58,6 @@ class FreshnessLedger:
 
 @dataclass(frozen=True)
 class NegatedFact:
-    source: tuple[str, int]
     skolem_constants: tuple[Atom, ...]
     retained_terms: tuple[Term, ...]
     stored: Term
@@ -127,7 +127,7 @@ def negate_fact(
     if fact.body:
         raise NotAFactError(f"cannot negate a rule: {format_term(fact.head)} has a body")
     head = fact.head
-    name, arity = indicator_of(head)
+    name, _ = indicator_of(head)
     args = head.args if hasattr(head, "args") else ()
     if ledger is None:
         ledger = FreshnessLedger()
@@ -147,7 +147,6 @@ def negate_fact(
     sc = db.assertz(Clause(head=stored), kind=KIND_S_FACT)
     retained = tuple(a for a in args if is_ground(a))
     return NegatedFact(
-        source=(name, arity),
         skolem_constants=tuple(constants),
         retained_terms=retained,
         stored=stored,
@@ -161,11 +160,16 @@ def s_term(predicate: str, args: tuple[Term, ...]) -> Term:
 
 
 def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
-    """The first stored s-fact matching ``goal`` read negatively, or None.
+    """The first stored s-fact matching ``goal`` read negatively, or None:
+    the ``holds_negated/1`` builtin, whose argument must be ground.
 
     For a goal p(a1..ak) the probe is s(neg(p), a1..ak); only empty-body
     s/(k+1) clauses are considered.
     """
+    if not isinstance(goal, (Atom, Struct)):
+        raise InstantiationError(f"holds_negated/1 needs a callable argument: holds_negated({format_term(goal)})")
+    if not is_ground(goal):
+        raise InstantiationError(f"holds_negated/1 needs a ground argument: holds_negated({format_term(goal)})")
     name, arity = indicator_of(goal)
     args = goal.args if hasattr(goal, "args") else ()
     probe = s_term(name, tuple(args))
@@ -175,11 +179,3 @@ def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
         if Store().unify(probe, sc.clause.head):
             return sc
     return None
-
-
-def holds_negated(db: Database, goal: Term) -> Optional[StoredClause]:
-    """Query bridge: succeeds (returns the witness clause) when the goal's
-    negation was stored.  The goal must be ground."""
-    if not is_ground(goal):
-        return None
-    return find_s_fact(db, goal)

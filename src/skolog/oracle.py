@@ -118,24 +118,15 @@ class QueuedOracle(Oracle):
         return self.queue.pop(0)
 
 
-@dataclass
-class _ScriptEntry:
-    kind: str  # "ask" | "askv"
-    attribute: str
-    subject: str
-    value: Optional[Term]  # ask only
-    reply: Answer
-    used: bool = False
-
-
 class ScriptedOracle(Oracle):
     """Answers from a script, one entry per line:
 
         ask <attribute> <subject> <value> -> yes|no
         askv <attribute> <subject> -> <value>|no
 
-    ``#`` starts a comment.  Entries are matched in order and consumed;
-    an unmatched question raises, naming the question.  Never asks why.
+    ``#`` starts a comment.  An entry is a ``Question`` and its ``Answer``;
+    a question uses up the first entry that asks exactly it.  An unmatched
+    question raises, naming the question.  Never asks why.
     """
 
     def __init__(self, text: str):
@@ -145,23 +136,15 @@ class ScriptedOracle(Oracle):
     def answer(self, question: Question, why_supplier=None) -> Answer:
         prompt = prompt_for(question)
         self.transcript.append(prompt)
-        want_value = question.value is None
-        for e in self.entries:
-            if e.used:
-                continue
-            if want_value != (e.kind == "askv"):
-                continue
-            if e.attribute != question.attribute or e.subject != question.subject:
-                continue
-            if not want_value and e.value != question.value:
-                continue
-            e.used = True
-            return e.reply
+        for i, (q, reply) in enumerate(self.entries):
+            if q == question:
+                del self.entries[i]
+                return reply
         raise UnansweredQuestionError(f"no script entry for: {prompt}")
 
 
-def _parse_script(text: str) -> list[_ScriptEntry]:
-    entries: list[_ScriptEntry] = []
+def _parse_script(text: str) -> list[tuple[Question, Answer]]:
+    entries: list[tuple[Question, Answer]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,12 +166,12 @@ def _parse_script(text: str) -> list[_ScriptEntry]:
                 reply = NO
             else:
                 raise OracleScriptError(f"script line {lineno}: ask reply must be yes or no")
-            entries.append(_ScriptEntry("ask", fields[1], fields[2], value, reply))
+            entries.append((Question(fields[1], fields[2], value), reply))
         elif kind == "askv":
             if len(fields) != 3:
                 raise OracleScriptError(f"script line {lineno}: askv needs attribute, subject")
             reply = NO if rhs == "no" else value_answer(_script_value(rhs, lineno))
-            entries.append(_ScriptEntry("askv", fields[1], fields[2], None, reply))
+            entries.append((Question(fields[1], fields[2]), reply))
         else:
             raise OracleScriptError(f"script line {lineno}: unknown entry kind {kind!r}")
     return entries

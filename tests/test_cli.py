@@ -119,6 +119,20 @@ def test_run_builtin_misuse_is_an_error(goal, message):
     assert (r.code, r.out, r.err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("goal, code, out, err", [
+    # q(Y) and r(Y) hold for Y = b but not for Y = a: neither yes nor no is sound
+    ("q(Y).", 2, "", "error: not/1 needs a ground argument: not(p(_G1))\n"),
+    ("r(Y).", 2, "", "error: \\=/2 needs ground arguments: _G1 \\= a\n"),
+    ("q(b).", 0, "yes\n", ""),
+    ("r(b).", 0, "yes\n", ""),
+])
+def test_run_not_and_not_unify_need_ground_arguments(tmp_path, goal, code, out, err):
+    f = tmp_path / "neg.pl"
+    f.write_text("p(a). q(X) :- not(p(X)). r(X) :- X \\= a.\n")
+    r = run_cli(["run", str(f), "--goal", goal])
+    assert (r.code, r.out, r.err) == (code, out, err)
+
+
 def test_run_missing_file_exit_2():
     r = run_cli(["run", "/definitely/not/here.pl", "--goal", "p."])
     assert r.code == 2

@@ -229,7 +229,10 @@ def test_not_unify_builtin():
     db = Database()
     assert results(db, "a \\= b.").status == "yes"
     assert results(db, "a \\= a.").status == "no"
-    assert results(db, "X \\= a.").status == "no"  # they unify, so \= fails
+    # X \= a holds for some X and not for others: no answer is sound
+    with pytest.raises(InstantiationError) as err:
+        results(db, "X \\= a.")
+    assert str(err.value) == "\\=/2 needs ground arguments: X \\= a"
 
 
 def test_plus_modes():

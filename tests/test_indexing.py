@@ -5,7 +5,8 @@ once with ``Database.clauses`` made to ignore the call's arguments, so
 that every call and every retract/1 scans the whole predicate.  Both runs must
 give the same solutions in the same order, the same bindings (renamed
 ``_G<n>`` and ``_R<n>`` variables included), the same ``trace_of`` text,
-live trace and warnings, and leave the same database behind.
+live trace and warnings, and leave the same database behind.  A query
+is stopped after ``LINE_BUDGET`` lines of live trace.
 
 CI runs this once more under the ``robustness`` profile of ``conftest.py``.
 """
@@ -59,6 +60,29 @@ queries = st.lists(calls(), min_size=1, max_size=2).map(lambda gs: ", ".join(gs)
 steps = st.lists(st.one_of(queries.map(lambda q: ("query", q)), writes), min_size=1, max_size=8)
 
 
+# Trace lines a query may write before it is stopped.  The generator can
+# build searches that are exponential under the depth limit, e.g. a p/1
+# clause that calls p(_) after an assertz that grows p/1.  Both runs write
+# the same trace, so they stop at the same line.
+LINE_BUDGET = 5_000
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class _BudgetedTrace(io.StringIO):
+    """A live trace stream that stops the query after LINE_BUDGET lines."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        if self.lines > LINE_BUDGET:
+            raise _OverBudget
+        return super().write(text)
+
+
 def _session(program, parsed_steps):
     """Everything a user could see of the steps, and the database after."""
     db = Database()
@@ -66,13 +90,16 @@ def _session(program, parsed_steps):
     seen = []
     for kind, item in parsed_steps:
         if kind == "query":
-            live, diag = io.StringIO(), io.StringIO()
+            live, diag = _BudgetedTrace(), io.StringIO()
             solver = Solver(db, SolveOptions(depth_limit=8, max_solutions=12),
                             out=io.StringIO(), diag=diag, trace_out=live)
             try:
                 outcome = solver.run(item)
             except SkologError as e:
                 seen.append((type(e).__name__, str(e), live.getvalue(), diag.getvalue()))
+                continue
+            except _OverBudget:
+                seen.append(("budget", live.getvalue(), diag.getvalue()))
                 continue
             seen.append((outcome.status, live.getvalue(), diag.getvalue()))
             for sol in outcome.solutions:

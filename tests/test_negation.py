@@ -10,6 +10,7 @@ from skolog import (
     Clause,
     Database,
     FreshnessLedger,
+    InstantiationError,
     Int,
     NotAFactError,
     QueuedOracle,
@@ -19,7 +20,6 @@ from skolog import (
     constants_of,
     format_term,
     fresh_constant,
-    holds_negated,
     load_program,
     negate_fact,
     parse_clause_text,
@@ -28,6 +28,7 @@ from skolog import (
     solve,
 )
 from skolog.database import KIND_S_FACT
+from skolog.negation import find_s_fact
 from skolog.oracle import NO, value_answer
 
 
@@ -189,9 +190,10 @@ def test_second_negation_sees_first_skolem_in_db():
 def test_holds_negated_requires_ground_goal():
     db = Database()
     negate_fact(db, parse_clause_text("p(X)."))
-    assert holds_negated(db, parse_term_text("p(sk_1)")) is not None
-    assert holds_negated(db, parse_term_text("p(Y)")) is None
-    assert holds_negated(db, parse_term_text("p(other)")) is None
+    assert find_s_fact(db, parse_term_text("p(sk_1)")) is not None
+    with pytest.raises(InstantiationError):
+        find_s_fact(db, parse_term_text("p(Y)"))
+    assert find_s_fact(db, parse_term_text("p(other)")) is None
 
 
 def test_holds_negated_via_engine_with_proof():

@@ -185,6 +185,11 @@ def test_scripted_oracle_skips_used_entries_and_the_other_kind():
     assert orc.answer(Question("a", "p", Atom("v")), None) == NO
     assert orc.answer(Question("a", "p", Atom("v")), None) == YES
     assert orc.answer(Question("a", "p", None), None) == value_answer(Atom("x"))
+    # a compound value must equal the entry's, argument for argument
+    orc = ScriptedOracle("ask colour sky f(a) -> yes\n")
+    with pytest.raises(UnansweredQuestionError):
+        orc.answer(Question("colour", "sky", Struct("f", (Atom("b"),))), None)
+    assert orc.answer(Question("colour", "sky", Struct("f", (Atom("a"),))), None) == YES
 
 
 def test_queued_oracle_with_no_answer_left_names_the_prompt():
