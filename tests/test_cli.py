@@ -532,6 +532,21 @@ def test_semantics_functor_bound_note(tmp_path):
     assert "depth-approximate" in r.err
 
 
+def test_semantics_append_at_the_default_bound(tmp_path):
+    # the 74-term universe at bound 2 has about 30M ground instances of the
+    # append rule; matching bodies against derived facts visits few of them
+    f = tmp_path / "append_more.pl"
+    f.write_text(Path(APPEND).read_text() + "t(b).\nq(b, f([])).\n")
+    r = run_cli(["semantics", str(f), "--bound", "2"])
+    assert r.code == 0
+    atoms = r.out.splitlines()
+    assert len(atoms) == 172
+    for atom in ("append([],b,b)", "append([b],[],[b])", "append([b],f([]),[b|f([])])",
+                 "q(b,f([]))", "t(b)"):
+        assert atom in atoms
+    assert "append([b,b],[b],[b,b,b])" not in atoms, "its third argument is deeper than the bound"
+
+
 # --- repl ----------------------------------------------------------------------
 
 def test_repl_query_yes_and_quit():

@@ -8,11 +8,16 @@ and REPL lines, now and then a file that is not UTF-8 and terms nested
 and within the deadline.
 
 The generator keeps the cost of each run small.  ``--depth`` is at most
-200: the search can be exponential in it.  ``semantics`` grounds each
-clause over the whole depth-bounded universe, |U|^(variables of the
-clause) instances by definition, so its programs are definite clauses
-over the variables X and Y alone (plus, rarely, noise, deep terms and a
-clause that is not definite), and its ``--bound`` is at most 1.
+200: the search can be exponential in it.  ``semantics`` matches rule
+bodies against the atoms derived so far and ranges over the universe
+only for a fact's variables and for head variables that no body goal
+binds, so its cost follows the size of the depth-bounded universe U:
+facts and clauses over X and Y alone can derive |U|^2 atoms.
+Range-restricted clauses (every head variable in the body) may use Z as
+well: they derive only what their body goals join.
+Rarely there is noise, a deep term or a clause that is not definite.
+Its ``--bound`` is at most 1: at bound 2 the lists and f/g compounds of
+the signature make U too large.
 
 Tier-1 runs the default example count; CI runs more through the
 ``robustness`` profile registered in ``conftest.py``.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import string
 import tempfile
 
@@ -131,10 +137,22 @@ program_items = _rarely(
     _rarely(clauses(user_goals(), body_goals()), st.sampled_from([corpus_text(n) for n in PROGRAMS])),
     text_noise | deep_facts,
 )
-# Definite clauses over the variables X and Y alone (see above).
+# Definite clauses over the variables X and Y alone, and range-restricted
+# ones over X, Y and Z (see above).
 definite_goals = user_goals(terms_over(LEAVES))
+CONSTANTS = tuple(x for x in LEAVES if x not in ("X", "Y"))
+
+
+@st.composite
+def range_restricted_clauses(draw):
+    body = draw(st.lists(user_goals(terms_over(LEAVES + ("Z",))), min_size=1, max_size=2))
+    seen = tuple(v for v in ("X", "Y", "Z") if re.search(rf"\b{v}\b", " ".join(body)))
+    head = draw(user_goals(terms_over(CONSTANTS + seen)))
+    return f"{head} :- {', '.join(body)}."
+
+
 semantics_items = _rarely(
-    clauses(definite_goals, definite_goals),
+    clauses(definite_goals, definite_goals) | range_restricted_clauses(),
     st.sampled_from(("p(X) :- not(q(X)).", "r :- !.")) | text_noise | deep_facts,
 )
 
