@@ -87,10 +87,7 @@ def main(
         if args.command == "repl":
             return run_repl(args, stdin, stdout, stderr)
         return semantics_cmd(args.file, args.bound, stdout, stderr)
-    except SkologError as e:
-        stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (SkologError, OSError) as e:
         stderr.write(f"error: {e}\n")
         return 2
     except RecursionError:
@@ -239,8 +236,7 @@ def repl_loop(session: Session, stdin: TextIO, stdout: TextIO, stderr: TextIO) -
 def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
     """Handle one line; True means quit."""
     if line.startswith(":"):
-        _colon_command(session, line, stdout)
-        return line.rstrip(".") == ":quit"
+        return _colon_command(session, line, stdout)
     if line == "listing.":
         for sc in session.db.all_stored():
             stdout.write(format_clause(sc.clause) + "\n")
@@ -275,17 +271,16 @@ def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
     return False
 
 
-def _colon_command(session: Session, line: str, stdout: TextIO) -> None:
-    words = line.rstrip(".").split()
-    if words[0] == ":quit":
-        return
-    if words[0] == ":reset":
+def _colon_command(session: Session, line: str, stdout: TextIO) -> bool:
+    """Run one ``:`` command; True means quit."""
+    command = " ".join(line.rstrip(".").split())
+    if command == ":reset":
         reset_known(session.db)
-        return
-    if words[0] == ":trace" and len(words) == 2 and words[1] in ("on", "off"):
-        session.trace = words[1] == "on"
-        return
-    stdout.write(f"unknown command: {line}\n")
+    elif command in (":trace on", ":trace off"):
+        session.trace = command == ":trace on"
+    elif command != ":quit":
+        stdout.write(f"unknown command: {line}\n")
+    return command == ":quit"
 
 
 def _negate_command(session: Session, text: str, stdout: TextIO, stderr: TextIO) -> None:
@@ -311,21 +306,8 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
         diag=stderr,
         trace_out=stdout if session.trace else None,
     )
-    stream = solver.solutions(goals)
     session.last_proof = None
-    found = False
-    while True:
-        try:
-            sol = next(stream)
-        except StopIteration:
-            if not found:
-                stdout.write(
-                    ("depth_exceeded" if solver.truncated else "no") + "\n"
-                )
-            else:
-                stdout.write("no\n")  # user asked for more; none left
-            return
-        found = True
+    for sol in solver.solutions(goals):
         session.last_proof = sol.proof
         stdout.write(_answer_text(sol.bindings) + "\n")
         more = stdin.readline()
@@ -333,6 +315,9 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
             if more.strip():
                 session.unread = more
             return
+    # none at all, or none left after the user asked for more
+    cut_off = session.last_proof is None and solver.cutoffs
+    stdout.write(("depth_exceeded" if cut_off else "no") + "\n")
 
 
 if __name__ == "__main__":

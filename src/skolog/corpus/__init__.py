@@ -14,9 +14,3 @@ def corpus_text(name: str) -> str:
 
 
 PROGRAMS = ("append.pl", "course.pl", "twins.pl")
-SCRIPTS = (
-    "answers_country.txt",
-    "answers_family.txt",
-    "answers_day.txt",
-    "answers_triplets.txt",
-)

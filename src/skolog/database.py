@@ -43,8 +43,6 @@ from .terms import (
 
 PredIndicator = tuple[str, int]
 
-KNOWN = ("known", 4)
-
 # Provenance of a stored clause, by the name that HOW and JSON give it.
 KIND_STATIC = "clause"  # consulted from program text
 KIND_DYNAMIC = "asserted_fact"  # asserted, or acquired by ask, at run time

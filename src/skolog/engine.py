@@ -13,15 +13,17 @@ position gives (all of them when no argument is bound).  Each reduction
 renames the chosen clause apart, unifies the goal with its head (occurs
 check on), and puts the clause body in front of the goals.
 
-Reductions along one derivation path are capped by ``depth_limit``.  A
-path cut off that way raises ``truncated``, and a run without solutions
+Reductions along one derivation path are capped by ``depth_limit``.  Each
+path cut off that way adds one to ``cutoffs``, and a run without solutions
 then reports ``depth_exceeded`` instead of ``no``: ``no`` always means an
 exhaustive search said no.  Cut drops the choicepoints pushed since the
-call of its clause.  not/1 runs its argument as a sub-run on the same
-stacks, above a fence choicepoint: it fails if the sub-run succeeds,
-succeeds if it fails, and fails, raising ``truncated``, if it was cut off.
-A variable in not/1's compound argument, or in an argument of ``\\=``, is
-an InstantiationError: the answer would hold for some of its values only.
+call of its clause.  not/1 runs the textbook ``not(G) :- G, !, fail.
+not(_).`` (Clark 1978): above a fence choicepoint, the ``not(_)`` branch,
+it runs ``G, !, fail``, whose cut drops the fence and G's choicepoints.
+Resumed once G has failed, the fence fails too if a path of G was cut
+off, for then that failure proves nothing.  A variable in not/1's compound
+argument, or in an argument of ``\\=``, is an InstantiationError: the
+answer would hold for some of its values only.
 
 Each goal proved on the current path leaves a record in proof-tree
 preorder (a clause's children are the records of its body goals after it):
@@ -38,12 +40,14 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
-from .database import Database, StoredClause, KIND_DYNAMIC
+from .database import Database, StoredClause
 from .errors import EngineError, InstantiationError
 from .explain import ProofNode, QUERY_ROOT, format_trace_entry, TraceEntry
 from .negation import find_s_fact
 from .parser import format_goal
 from .terms import (
+    CUT,
+    FAIL,
     Atom,
     Clause,
     FreshVars,
@@ -97,11 +101,10 @@ class _Choice:
     clauses: tuple = ()
     next: int = 0
     produced: bool = False  # some clause body was proved
-    truncated: bool = False  # not/1: the flag before the sub-run
+    cutoffs: int = 0  # not/1: the solver's count when the fence was pushed
 
 
 _EXIT = object()  # cell after a traced call's body; its barrier slot holds the call
-_SUCCEEDED = object()  # cell after not/1's argument; its barrier slot holds the fence
 _CUT, _NOT = object(), object()  # control constructs the solver runs itself
 
 
@@ -130,7 +133,7 @@ class Solver:
         self.out = out if out is not None else sys.stdout
         self.diag = diag if diag is not None else sys.stderr
         self.trace_out = trace_out
-        self.truncated = False  # the depth limit cut off a branch of the latest search
+        self.cutoffs = 0  # branches of the latest search cut off by the depth limit
 
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
@@ -142,7 +145,7 @@ class Solver:
                 break
         if solutions:
             return Outcome("yes", solutions)
-        return Outcome("depth_exceeded" if self.truncated else "no")
+        return Outcome("depth_exceeded" if self.cutoffs else "no")
 
     def solutions(self, goals) -> Iterator[Solution]:
         """Lazy stream of solutions in derivation order."""
@@ -154,7 +157,7 @@ class Solver:
         # renamed variables are _G<n>, numbered from 1 unless a query
         # variable (passed in as a term, not read as text) holds such an id
         self._fresh = FreshVars(start=1 + max((v.id for v in qvars), default=0))
-        self.truncated = False
+        self.cutoffs = 0
         self._root = goals
         self._warned: set[tuple[str, int]] = set()
         self._store = Store()
@@ -181,10 +184,8 @@ class Solver:
                     cont = self._reduce(cp)
                     if cont is False:
                         continue
-                else:  # the not/1 sub-run failed
-                    cut_off = self.truncated
-                    self.truncated = cp.truncated or cut_off
-                    if cut_off:
+                else:  # the not/1 sub-run failed; if it was cut off, so is not/1
+                    if self.cutoffs > cp.cutoffs:
                         continue
                     records.append((cp.raw, cp.mark, cp.mark, "not"))
                     cont = cp.rest
@@ -206,14 +207,9 @@ class Solver:
                 ind = (goal.name, 0)
             elif type(goal) is Int:
                 raise EngineError(f"integer is not a callable goal: {goal.value}")
-            elif goal is _EXIT:
+            else:  # _EXIT
                 barrier.produced = True
                 cont = rest
-                continue
-            else:  # _SUCCEEDED: not/1 fails, and its sub-run is dropped
-                del choices[barrier.height:]
-                self.truncated = self.truncated or barrier.truncated
-                resume = True
                 continue
             handler = _BUILTINS.get(ind)
             if handler is None:
@@ -236,11 +232,10 @@ class Solver:
                 if type(arg) is Struct and not is_ground(arg):
                     raise InstantiationError(f"not/1 needs a ground argument: {self._shown(goal)}")
                 fence = _Choice(raw, rest, depth, len(trail), len(records), len(choices),
-                                truncated=self.truncated)
+                                cutoffs=self.cutoffs)
                 choices.append(fence)
-                self.truncated = False
                 depth += 1
-                cont = (goal.args[0], len(choices), (_SUCCEEDED, fence, None))
+                cont = (goal.args[0], len(choices), (CUT, fence.height, (FAIL, 0, None)))
             else:
                 mark = len(trail)
                 just = handler(self, goal)
@@ -264,7 +259,7 @@ class Solver:
                 store.undo(call.mark)
                 continue
             if call.depth >= self.options.depth_limit:
-                self.truncated = True
+                self.cutoffs += 1
                 store.undo(call.mark)
                 break
             if call.next < len(call.clauses) or tracing:
@@ -389,11 +384,11 @@ class Solver:
         return Clause(head=t)
 
     def _bi_asserta(self, g):
-        self.db.asserta(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
+        self.db.asserta(self._clause_arg(g, "assert"))
         return "asserta"
 
     def _bi_assertz(self, g):
-        self.db.assertz(self._clause_arg(g, "assert"), kind=KIND_DYNAMIC)
+        self.db.assertz(self._clause_arg(g, "assert"))
         return "assertz"
 
     def _bi_retract(self, g):

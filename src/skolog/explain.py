@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .database import StoredClause, KIND_S_FACT
-from .oracle import UserSaidJust, WhyContext, answer_text, prompt_for, why  # noqa: F401
+from .oracle import UserSaidJust, answer_text, prompt_for
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, indicator_of
 

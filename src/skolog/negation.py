@@ -23,7 +23,7 @@ between p and s(neg(p), ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
 from .database import Database, StoredClause, constants_of, KIND_S_FACT
@@ -48,12 +48,9 @@ from .terms import (
 _MAX_PROPOSALS = 4
 
 
-@dataclass
-class FreshnessLedger:
-    """Constants issued this session, so two negations never share a
-    witness even before the first one is stored."""
-
-    issued: set = field(default_factory=set)
+# Constants issued this session, so two negations never share a witness
+# even before the first one is stored.
+FreshnessLedger = set
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,12 @@ def fresh_constant(db: Database, candidate: Optional[Atom], ledger: FreshnessLed
 
 
 def _fresh_constant(db_constants: set, candidate: Optional[Atom], ledger: FreshnessLedger) -> Atom:
-    issued = ledger.issued
     c = candidate
-    if not isinstance(c, Atom) or c in db_constants or c in issued:
+    if not isinstance(c, Atom) or c in db_constants or c in ledger:
         k = 1
-        while (c := Atom(f"sk_{k}")) in db_constants or c in issued:
+        while (c := Atom(f"sk_{k}")) in db_constants or c in ledger:
             k += 1
-    issued.add(c)
+    ledger.add(c)
     return c
 
 
@@ -99,7 +95,7 @@ def _obtain_constant(
             if ans.kind == "no":
                 break
             if ans.kind == "value" and isinstance(ans.value, Atom):
-                if ans.value not in db_constants and ans.value not in ledger.issued:
+                if ans.value not in db_constants and ans.value not in ledger:
                     return _fresh_constant(db_constants, ans.value, ledger)
                 if diag is not None:
                     diag.write(

@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO, Union
 
-from .database import Database, StoredClause, KNOWN
+from .database import Database, StoredClause
 from .errors import EngineError, OracleScriptError, ParseError, UnansweredQuestionError
 from .parser import format_clause, format_goal, format_goals, format_term, parse_term_text
 from .terms import Atom, Clause, Struct, Term
 
+KNOWN = ("known", 4)
 NO_VALUE = Atom("no_value")
 
 

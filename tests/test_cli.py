@@ -686,6 +686,25 @@ def test_repl_unknown_colon_command():
     assert "unknown command" in r.out
 
 
+def test_repl_a_colon_command_takes_no_extra_words(tmp_path):
+    f = tmp_path / "memo.pl"
+    f.write_text("known(yes, likes, peter, icecream).\n")
+    r = run_cli(
+        ["repl", str(f)],
+        stdin_text=":quit now\n:reset x\n:trace maybe\nlisting.\n:quit.\nlisting.\n",
+    )
+    assert r.code == 0
+    assert r.out == (
+        "?- unknown command: :quit now\n"
+        "?- unknown command: :reset x\n"
+        "?- unknown command: :trace maybe\n"
+        "?- known(yes,likes,peter,icecream).\n"  # :reset x forgot nothing
+        "?- "  # :quit. quit before the second listing
+    )
+    r = run_cli(["repl"], stdin_text=":quit .\nlisting.\n")
+    assert (r.code, r.out) == (0, "?- ")
+
+
 def test_repl_oracle_script_answers_questions(tmp_path):
     f = tmp_path / "ask.pl"
     f.write_text("nice(P) :- ask(likes, P, icecream).\n")
@@ -777,6 +796,14 @@ def test_repl_survives_deep_terms(tmp_path):
     assert r.out.count("yes") == 2
     assert r.out.count("?- X = s(") == 1  # retract(p(X)) shows its binding
     assert r.out.count(" BECAUSE nat(s(N)) :- nat(N) WITH ") == 2000
+
+
+def test_run_reports_a_term_too_deep_to_compare(tmp_path):
+    # the batch command's handler for the same deep comparison
+    f = tmp_path / "memo.pl"
+    f.write_text(f"known(yes, colour, sky, {_nested(5000)}).\n")
+    r = run_cli(["run", str(f), "--goal", f"ask(colour, sky, {_nested(5000)})."])
+    assert (r.code, r.out, r.err) == (2, "", "error: a term is nested too deeply to handle\n")
 
 
 def test_repl_reports_a_term_too_deep_to_compare(tmp_path):

@@ -381,9 +381,25 @@ def test_truncated_flag_is_public():
     db = fresh_db("q :- q. p :- not(q). r(a).")
     solver = Solver(db, SolveOptions(depth_limit=20), None)
     assert solver.run(parse_query("p.")).status == "depth_exceeded"
-    assert solver.truncated
+    assert solver.cutoffs == 1
     assert solver.run(parse_query("r(b).")).status == "no"
-    assert not solver.truncated
+    assert solver.cutoffs == 0
+
+
+def test_each_cut_off_not_counts_once():
+    # each p clause calls not(q), whose one path reaches the limit once
+    db = fresh_db("q :- q. p :- not(q). p :- not(q).")
+    solver = Solver(db, SolveOptions(depth_limit=20), None)
+    assert solver.run(parse_query("p.")).status == "depth_exceeded"
+    assert solver.cutoffs == 2
+
+
+def test_a_failing_not_drops_the_choicepoints_of_its_argument():
+    # m(a, [a, a]) succeeds with an alternative left; were that alternative
+    # kept, backtracking into it would let not/1 succeed: a second q
+    db = fresh_db("m(X, [X|_]). m(X, [_|T]) :- m(X, T). q :- not(m(a, [a, a])). q.")
+    out = solve(db, parse_query("q."), SolveOptions(max_solutions=None))
+    assert len(out.solutions) == 1
 
 
 def test_long_derivation_needs_no_recursion_headroom():

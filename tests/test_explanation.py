@@ -21,12 +21,12 @@ from skolog import (
 )
 from skolog.explain import (
     TraceEntry,
-    WhyContext,
     format_trace_entry,
     proof_to_json,
     trace_to_json,
 )
 from skolog.negation import negate_fact
+from skolog.oracle import WhyContext
 from skolog.parser import parse_clause_text
 
 from util import variant_equal, variant_equal_seq

@@ -38,7 +38,7 @@ def test_fresh_constant_accepts_fresh_candidate():
     ledger = FreshnessLedger()
     c = fresh_constant(db, Atom("stranger"), ledger)
     assert c == Atom("stranger")
-    assert Atom("stranger") in ledger.issued
+    assert Atom("stranger") in ledger
 
 
 def test_fresh_constant_rejects_db_constant():

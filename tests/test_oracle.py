@@ -263,6 +263,15 @@ def test_interactive_oracle_reprompts_on_noise():
     assert out.getvalue().count("a of person p is v ?") == 3
 
 
+def test_interactive_oracle_reprompts_on_a_blank_reply():
+    # an empty line and a lone period say nothing; the question is put again
+    stdin = io.StringIO("\n  .\nyes.\n")
+    out = io.StringIO()
+    orc = InteractiveOracle(stdin, out)
+    assert orc.answer(Question("a", "p", Atom("v")), None) == YES
+    assert out.getvalue() == "a of person p is v ?\n" * 3
+
+
 def test_interactive_oracle_eof_raises():
     orc = InteractiveOracle(io.StringIO(""), io.StringIO())
     with pytest.raises(UnansweredQuestionError):
@@ -273,7 +282,7 @@ def test_why_answer_does_not_consume_question():
     stdin = io.StringIO("why.\nwhy.\nyes.\n")
     out = io.StringIO()
     orc = InteractiveOracle(stdin, out)
-    from skolog.explain import WhyContext
+    from skolog.oracle import WhyContext
 
     ctx = WhyContext((), (Atom("root"),))
     ans = orc.answer(Question("a", "p", Atom("v")), lambda: ctx)

@@ -263,6 +263,8 @@ def test_semi_naive_on_hand_programs():
         ("p(f(a)). q(X) :- p(g(X)).", 1),
         ("n(z). n(s(X)) :- n(X). add(z, Y, Y) :- n(Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).", 2),
         ("e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).", 0),
+        # two ground arguments of a non-ground goal, each clashing in turn
+        ("e(a, b, c). e(x, b, d). e(a, y, d). e(a, z, d). r(Z) :- e(a, b, Z).", 0),
     ]:
         clauses = prog(text)
         assert minimal_model_with_steps(clauses, UniverseBound(bound)) == naive_model_with_steps(
