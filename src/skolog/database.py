@@ -12,17 +12,26 @@ index, and every later write keeps it up to date (demand-driven indexing:
 Santos Costa, Sagonas & Lopes, ICLP 2007).  A call that binds several
 positions gets the shortest of their lists, the leftmost on a tie.  A
 key's list leaves out only the ground clauses with another key: a
-non-ground clause stays in every list, since renaming it apart uses up
-fresh variable ids, and leaving it out would renumber the ``_G<n>`` and
+non-ground clause stays in every list, since trying it uses up fresh
+variable ids, and leaving it out would renumber the ``_G<n>`` and
 ``_R<n>`` names of everything after it.  So every list keeps stored order
 and holds every clause that can match, and whichever list a call gets,
-it tries the same matching clauses and uses up the same ids.
+it tries the same matching clauses and uses up the same ids.  A tried
+clause whose head clashes with the call on a bound argument (the two
+keys differ) is skipped without being renamed or unified: ``clashes``
+advances the fresh ids by the clause's variable count, as if it had been
+renamed.  A clause computes its keys and count on first use.
+
+``constants_of`` counts the constants of every clause the first time it
+is asked, and every later write keeps the counts current.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 from .parser import parse_program
@@ -39,6 +48,7 @@ from .terms import (
     indicator_of,
     is_ground,
     rename_clause,
+    variables_in,
 )
 
 PredIndicator = tuple[str, int]
@@ -55,6 +65,17 @@ class StoredClause:
     kind: str
     clause: Clause
 
+    @cached_property
+    def head_keys(self) -> Optional[tuple]:
+        """None for a ground clause, which renaming leaves as it is; else the
+        clause's variable count and the (position, key) pairs of its head's
+        non-variable arguments, or () if it has none and so never clashes."""
+        c = self.clause
+        if is_ground(c.head) and all(map(is_ground, c.body)):
+            return None
+        keys = tuple((i, k) for i, k in enumerate(map(_key, getattr(c.head, "args", ()))) if k is not None)
+        return (len(variables_in((c.head, *c.body))), keys) if keys else ()
+
 
 def _key(t: Optional[Term]) -> object:
     """An argument's index key: an atom's name, an integer's value, a
@@ -66,6 +87,19 @@ def _key(t: Optional[Term]) -> object:
     if type(t) is Struct:
         return (t.name, len(t.args))
     return None
+
+
+def clashes(head_keys, goal: Term, deref, fresh: FreshVars) -> bool:
+    """Whether an argument of ``goal``, read through ``deref``, is bound to
+    another key than the head argument there that ``head_keys`` describes.
+    If so, ``fresh`` skips the ids that renaming the clause would use up."""
+    n, keys = head_keys
+    for pos, key in keys:
+        k = _key(deref(goal.args[pos]))
+        if k is not None and k != key:
+            fresh.next_id += n
+            return True
+    return False
 
 
 def _lists(index: tuple[dict, list], pos: int, c: Clause) -> tuple[list, ...]:
@@ -94,6 +128,9 @@ class Database:
         self._index: defaultdict[PredIndicator, dict[int, tuple[dict, list]]] = defaultdict(dict)
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
+        # per constant, the number of stored clauses that hold it; built by
+        # the first constants_of call, kept current by every write after it
+        self._constants: Optional[Counter] = None
 
     def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> list[list]:
         """The lists of every built index of the predicate that hold ``sc``,
@@ -115,7 +152,17 @@ class Database:
             lists += self._index_lists(ind, sc)
         for items in lists:
             items.insert(0 if front else len(items), sc)
+        self._count(clause, 1)
         return sc
+
+    def _count(self, c: Clause, step: int) -> None:
+        """Add ``step`` to the count of each constant of ``c``, if counted."""
+        counts = self._constants
+        if counts is not None:
+            for x in _constants_in(c):
+                counts[x] += step
+                if not counts[x]:
+                    del counts[x]
 
     def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         return self._add(clause, kind, front=True)
@@ -136,11 +183,14 @@ class Database:
         for sc in self.clauses(ind, head.args if type(head) is Struct else ()):
             if len(sc.clause.body) != len(pattern.body):
                 continue
+            if (keys := sc.head_keys) and clashes(keys, head, store.deref, self._fresh):
+                continue
             candidate = rename_clause(sc.clause, self._fresh)
             pairs = zip((pattern.head, *pattern.body), (candidate.head, *candidate.body))
             if all(store.unify(a, b) for a, b in pairs):
                 for items in (self._preds[ind], *self._index_lists(ind, sc)):
                     _drop(items, sc)
+                self._count(sc.clause, -1)
                 res = store.resolver()
                 return {v: res.resolve(v) for v in store.trail}
             store.undo(0)
@@ -150,8 +200,9 @@ class Database:
         """Snapshot of a predicate's clauses in resolution order.  Given a
         call's dereferenced arguments ``args``, only those that the index
         of one bound position keeps for its key: every clause that can
-        match, and some that cannot but must still be renamed (see the
-        module docstring).  Of the bound positions' lists it takes the
+        match, and the non-ground ones that cannot, which the caller skips
+        with ``clashes`` as if it had renamed them (see the module
+        docstring).  Of the bound positions' lists it takes the
         shortest, the leftmost on a tie.
 
         ``args`` is read lazily and only as far as needed: reading stops
@@ -193,10 +244,11 @@ class Database:
 
     def clear_predicate(self, ind: PredIndicator) -> int:
         bucket = self._preds.get(ind, [])
-        n = len(bucket)
         self._preds[ind] = []
         self._index.pop(ind, None)
-        return n
+        for sc in bucket:
+            self._count(sc.clause, -1)
+        return len(bucket)
 
     def clause_count(self) -> int:
         return sum(len(b) for b in self._preds.values())
@@ -228,7 +280,13 @@ def constants_of(db: Database) -> set[Term]:
 
     Predicate and functor names do not count; known/4 facts and s-facts do.
     """
-    return goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
+    if db._constants is None:
+        db._constants = Counter(chain.from_iterable(_constants_in(sc.clause) for sc in db.all_stored()))
+    return set(db._constants)
+
+
+def _constants_in(c: Clause) -> set[Term]:
+    return goal_constants((c.head, *c.body))
 
 
 def load_program(db: Database, text: str, kind: str = KIND_STATIC) -> list[StoredClause]:

@@ -9,9 +9,12 @@ prove form a linked list of cells; a user call with clauses left sits on a
 choicepoint stack, which failure pops to resume the latest alternative.
 A call tries, in stored order, the clauses that the database keeps for
 its arguments: the shortest list that an index on a bound argument
-position gives (all of them when no argument is bound).  Each reduction
-renames the chosen clause apart, unifies the goal with its head (occurs
-check on), and puts the clause body in front of the goals.
+position gives (all of them when no argument is bound).  A clause whose
+head clashes with the goal on a bound argument is skipped without being
+renamed, and the fresh ids advance as if it had been.  Each reduction
+renames the chosen clause apart (a ground one is its own renaming),
+unifies the goal with its head (occurs check on), and puts the clause
+body in front of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  Each
 path cut off that way adds one to ``cutoffs``, and a run without solutions
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
-from .database import Database, StoredClause
+from .database import Database, StoredClause, clashes
 from .errors import EngineError, InstantiationError
 from .explain import ProofNode, QUERY_ROOT, format_trace_entry, TraceEntry
 from .negation import find_s_fact
@@ -253,8 +256,11 @@ class Solver:
         while call.next < len(call.clauses):
             sc = call.clauses[call.next]
             call.next += 1
+            keys = sc.head_keys
+            if keys and clashes(keys, call.goal, store.deref, fresh):
+                continue
             mapping: dict[Var, Var] = {}
-            renamed = rename_clause(sc.clause, fresh, mapping)
+            renamed = sc.clause if keys is None else rename_clause(sc.clause, fresh, mapping)
             if not store.unify(call.goal, renamed.head, set(mapping.values()) if mapping else None):
                 store.undo(call.mark)
                 continue

@@ -2,9 +2,12 @@
 
 import io
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolog import (
     Atom,
@@ -13,19 +16,26 @@ from skolog import (
     EngineError,
     InstantiationError,
     Int,
+    QueuedOracle,
     SolveOptions,
     Solver,
     Struct,
     Var,
+    constants_of,
     format_term,
     load_program,
     mklist,
+    negate_fact,
     parse_query,
     parse_term_text,
     solve,
 )
+from skolog.corpus import corpus_text
+from skolog.database import StoredClause
 from skolog.engine import Store
-from skolog.terms import CUT, FreshVars, apply, rename_clause, unify, variables_in
+from skolog.oracle import value_answer
+from skolog.parser import parse_clause_text
+from skolog.terms import CUT, FreshVars, apply, goal_constants, rename_clause, unify, variables_in
 
 from strategies import terms
 from util import run_cli, variant_equal
@@ -460,3 +470,109 @@ def test_query_variables_from_an_earlier_answer_stay_apart():
     goal = Struct("t", (Struct("f", (g1,)), Var("W")))
     (sol,) = solve(db, [goal], SolveOptions()).solutions
     assert sol.bindings == {Var("W"): Struct("f", (g1,))}
+
+
+# --- clauses whose head clashes with the call are skipped, not renamed -------
+
+def _renamed_heads(monkeypatch):
+    """Record the head of every clause the solver renames apart."""
+    import skolog.engine
+
+    heads = []
+    real = skolog.engine.rename_clause
+    monkeypatch.setattr(skolog.engine, "rename_clause", lambda c, *a: heads.append(c.head) or real(c, *a))
+    return heads
+
+
+def test_a_skipped_clause_uses_up_its_ids(tmp_path):
+    # p(b, X, Y) clashes on its first argument; it would have been renamed
+    # to _G1 and _G2, so the matching clause's variables are _G3 and _G4
+    f = tmp_path / "p.pl"
+    f.write_text("p(b, X, Y).\np(a, Z, W).\n")
+    r = run_cli(["run", str(f), "--goal", "p(a, A, B)."])
+    assert (r.code, r.out, r.err) == (0, "A = _G3\nB = _G4\n", "")
+
+
+def test_a_clash_is_seen_through_a_binding_chain(monkeypatch):
+    db = fresh_db("p(b, Z). p(a, W).")
+    heads = _renamed_heads(monkeypatch)
+    out = results(db, "X = Y, Y = a, p(X, R).")
+    assert bindings_list(out, "R") == [Var("_G2", 2)]
+    assert heads == [parse_term_text("p(a, W)")]
+    # an argument that is still a variable skips nothing
+    heads.clear()
+    out = results(db, "p(X, R).")
+    assert bindings_list(out, "X") == [Atom("b"), Atom("a")]
+    assert bindings_list(out, "R") == [Var("_G1", 1), Var("_G2", 2)]
+    assert len(heads) == 2
+
+
+@pytest.mark.parametrize(
+    "arg, answer",
+    [("1", "_G1"), ("'1'", "_G2"), ("f(a)", "_G3"), ("f(a, b)", "_G4"), ("[]", "_G5"), ("[a]", "_G8")],
+)
+def test_keys_that_only_look_alike_clash(monkeypatch, arg, answer):
+    # every clause holds a variable, so every one is tried; only the one
+    # whose first argument has the call's key is renamed.  The reference
+    # run gives every clause no keys, so it renames each one, skipping none.
+    text = "q(1, X). q('1', X). q(f(a), X). q(f(a, b), X). q([], X). q([H|T], X)."
+    query = f"q({arg}, R)."
+    with mock.patch.object(StoredClause, "head_keys", property(lambda sc: ())):
+        want = results(fresh_db(text), query)
+    heads = _renamed_heads(monkeypatch)
+    out = results(fresh_db(text), query)
+    assert [format_term(t) for t in bindings_list(out, "R")] == [answer]
+    assert [(s.bindings, s.proof) for s in out.solutions] == [(s.bindings, s.proof) for s in want.solutions]
+    assert len(heads) == 1
+
+
+def test_twins_renames_only_the_person_rule_that_matches(monkeypatch):
+    db = fresh_db(corpus_text("twins.pl"))
+    heads = _renamed_heads(monkeypatch)
+    oracle = QueuedOracle([value_answer(Atom("smith"))])
+    out = results(db, "person(marsha, F, M, Mo, Y, family(X, marsha)).", oracle=oracle)
+    assert bindings_list(out, "X") == [Atom("smith")]
+    person6 = [format_term(h) for h in heads if h.name == "person" and len(h.args) == 6]
+    assert person6 == ["person(P,Father,Mother,Month,Year,family(X,P))"]
+
+
+# --- the database's constant counts against a rescan -------------------------
+
+_CONST_ARGS = ("a", "b", "1", "'1'", "f(a)", "[a]", "X", "Y")
+_atoms = st.builds(
+    lambda p, a, b: f"{p}({a}, {b})", st.sampled_from("pq"), st.sampled_from(_CONST_ARGS), st.sampled_from(_CONST_ARGS)
+)
+_clause_texts = st.tuples(_atoms, st.lists(_atoms, max_size=2)).map(
+    lambda hb: f"{hb[0]} :- {', '.join(hb[1])}." if hb[1] else f"{hb[0]}."
+)
+_writes = st.one_of(
+    st.tuples(st.sampled_from(("asserta", "assertz", "retract", "retract")), _clause_texts),
+    st.tuples(st.just("negate"), _atoms.map(lambda a: a + ".")),
+    st.tuples(st.just("clear_predicate"), st.sampled_from((("p", 2), ("q", 2), ("s", 3)))),
+)
+
+
+def _rescan(db):
+    return Counter(x for sc in db.all_stored() for x in goal_constants((sc.clause.head, *sc.clause.body)))
+
+
+@given(st.lists(_clause_texts, max_size=8), st.lists(_writes, max_size=12), st.integers(0, 12))
+# at least 200 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+def test_constant_counts_equal_a_rescan(program, writes, first):
+    # the counts exist from the first constants_of call on, before write
+    # number ``first`` or never; every write after it keeps them current
+    db = fresh_db("\n".join(program))
+    ledger = set()
+    for i, (kind, item) in enumerate(writes):
+        if i == first:
+            constants_of(db)
+        if kind == "negate":
+            negate_fact(db, parse_clause_text(item), ledger=ledger)
+        elif kind == "clear_predicate":
+            db.clear_predicate(item)
+        else:
+            getattr(db, kind)(parse_clause_text(item))
+        if db._constants is not None:
+            assert db._constants == _rescan(db)
+    assert constants_of(db) == set(_rescan(db))
