@@ -21,17 +21,13 @@ clause whose head clashes with the call on a bound argument (the two
 keys differ) is skipped without being renamed or unified: ``clashes``
 advances the fresh ids by the clause's variable count, as if it had been
 renamed.  A clause computes its keys and count on first use.
-
-``constants_of`` counts the constants of every clause the first time it
-is asked, and every later write keeps the counts current.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Optional
 
 from .parser import parse_program
@@ -128,9 +124,6 @@ class Database:
         self._index: defaultdict[PredIndicator, dict[int, tuple[dict, list]]] = defaultdict(dict)
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
-        # per constant, the number of stored clauses that hold it; built by
-        # the first constants_of call, kept current by every write after it
-        self._constants: Optional[Counter] = None
 
     def _index_lists(self, ind: PredIndicator, sc: StoredClause) -> list[list]:
         """The lists of every built index of the predicate that hold ``sc``,
@@ -152,17 +145,7 @@ class Database:
             lists += self._index_lists(ind, sc)
         for items in lists:
             items.insert(0 if front else len(items), sc)
-        self._count(clause, 1)
         return sc
-
-    def _count(self, c: Clause, step: int) -> None:
-        """Add ``step`` to the count of each constant of ``c``, if counted."""
-        counts = self._constants
-        if counts is not None:
-            for x in _constants_in(c):
-                counts[x] += step
-                if not counts[x]:
-                    del counts[x]
 
     def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         return self._add(clause, kind, front=True)
@@ -190,7 +173,6 @@ class Database:
             if all(store.unify(a, b) for a, b in pairs):
                 for items in (self._preds[ind], *self._index_lists(ind, sc)):
                     _drop(items, sc)
-                self._count(sc.clause, -1)
                 res = store.resolver()
                 return {v: res.resolve(v) for v in store.trail}
             store.undo(0)
@@ -246,8 +228,6 @@ class Database:
         bucket = self._preds.get(ind, [])
         self._preds[ind] = []
         self._index.pop(ind, None)
-        for sc in bucket:
-            self._count(sc.clause, -1)
         return len(bucket)
 
     def clause_count(self) -> int:
@@ -279,14 +259,9 @@ def constants_of(db: Database) -> set[Term]:
     """Every atom and integer in an argument position of any stored clause.
 
     Predicate and functor names do not count; known/4 facts and s-facts do.
+    Each call scans every stored clause.
     """
-    if db._constants is None:
-        db._constants = Counter(chain.from_iterable(_constants_in(sc.clause) for sc in db.all_stored()))
-    return set(db._constants)
-
-
-def _constants_in(c: Clause) -> set[Term]:
-    return goal_constants((c.head, *c.body))
+    return goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
 
 
 def load_program(db: Database, text: str, kind: str = KIND_STATIC) -> list[StoredClause]:

@@ -96,7 +96,8 @@ def _obtain_constant(
                 break
             if ans.kind == "value" and isinstance(ans.value, Atom):
                 if ans.value not in db_constants and ans.value not in ledger:
-                    return _fresh_constant(db_constants, ans.value, ledger)
+                    ledger.add(ans.value)
+                    return ans.value
                 if diag is not None:
                     diag.write(
                         f"constant_occurs_in_kb: {format_term(ans.value)} is not fresh\n"

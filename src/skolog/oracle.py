@@ -132,16 +132,13 @@ class ScriptedOracle(Oracle):
 
     def __init__(self, text: str):
         self.entries = _parse_script(text)
-        self.transcript: list[str] = []
 
     def answer(self, question: Question, why_supplier=None) -> Answer:
-        prompt = prompt_for(question)
-        self.transcript.append(prompt)
         for i, (q, reply) in enumerate(self.entries):
             if q == question:
                 del self.entries[i]
                 return reply
-        raise UnansweredQuestionError(f"no script entry for: {prompt}")
+        raise UnansweredQuestionError(f"no script entry for: {prompt_for(question)}")
 
 
 def _parse_script(text: str) -> list[tuple[Question, Answer]]:

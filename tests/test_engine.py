@@ -2,7 +2,6 @@
 
 import io
 import random
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -21,7 +20,6 @@ from skolog import (
     Solver,
     Struct,
     Var,
-    constants_of,
     format_term,
     load_program,
     mklist,
@@ -536,9 +534,11 @@ def test_twins_renames_only_the_person_rule_that_matches(monkeypatch):
     assert person6 == ["person(P,Father,Mother,Month,Year,family(X,P))"]
 
 
-# --- the database's constant counts against a rescan -------------------------
+# --- every negation issues constants that are fresh at that moment -----------
 
-_CONST_ARGS = ("a", "b", "1", "'1'", "f(a)", "[a]", "X", "Y")
+# sk_1 and sk_2 are the names negate_fact generates, so a write can take
+# one of them before a negation needs it
+_CONST_ARGS = ("a", "b", "1", "'1'", "f(a)", "[a]", "sk_1", "sk_2", "X", "Y")
 _atoms = st.builds(
     lambda p, a, b: f"{p}({a}, {b})", st.sampled_from("pq"), st.sampled_from(_CONST_ARGS), st.sampled_from(_CONST_ARGS)
 )
@@ -552,27 +552,21 @@ _writes = st.one_of(
 )
 
 
-def _rescan(db):
-    return Counter(x for sc in db.all_stored() for x in goal_constants((sc.clause.head, *sc.clause.body)))
-
-
-@given(st.lists(_clause_texts, max_size=8), st.lists(_writes, max_size=12), st.integers(0, 12))
+@given(st.lists(_clause_texts, max_size=8), st.lists(_writes, max_size=12))
 # at least 200 examples; a profile that asks for more (CI's robustness) wins
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
-def test_constant_counts_equal_a_rescan(program, writes, first):
-    # the counts exist from the first constants_of call on, before write
-    # number ``first`` or never; every write after it keeps them current
+def test_every_negation_issues_fresh_constants(program, writes):
+    # fresh: in no stored clause just before the negation (a rescan of the
+    # store, not constants_of), and issued by no earlier negation
     db = fresh_db("\n".join(program))
-    ledger = set()
-    for i, (kind, item) in enumerate(writes):
-        if i == first:
-            constants_of(db)
+    ledger, issued = set(), set()
+    for kind, item in writes:
         if kind == "negate":
-            negate_fact(db, parse_clause_text(item), ledger=ledger)
+            stored = goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
+            new = negate_fact(db, parse_clause_text(item), ledger=ledger).skolem_constants
+            assert stored.isdisjoint(new) and issued.isdisjoint(new)
+            issued.update(new)
         elif kind == "clear_predicate":
             db.clear_predicate(item)
         else:
             getattr(db, kind)(parse_clause_text(item))
-        if db._constants is not None:
-            assert db._constants == _rescan(db)
-    assert constants_of(db) == set(_rescan(db))

@@ -187,6 +187,19 @@ def test_second_negation_sees_first_skolem_in_db():
     assert nf2.skolem_constants == (Atom("sk_2"),)
 
 
+def test_negation_reads_the_constants_the_store_holds_now():
+    # a constant asserted between two negations is skipped; once retracted,
+    # it is fresh again for a negation that has not issued it
+    db = Database()
+    ledger = FreshnessLedger()
+    assert negate_fact(db, parse_clause_text("p(X)."), ledger=ledger).skolem_constants == (Atom("sk_1"),)
+    db.assertz(parse_clause_text("q(sk_2)."))
+    assert negate_fact(db, parse_clause_text("p(X)."), ledger=ledger).skolem_constants == (Atom("sk_3"),)
+    assert db.retract(parse_clause_text("q(sk_2).")) == {}
+    nf = negate_fact(db, parse_clause_text("r(X)."), ledger=FreshnessLedger())
+    assert nf.skolem_constants == (Atom("sk_2"),)
+
+
 def test_holds_negated_requires_ground_goal():
     db = Database()
     negate_fact(db, parse_clause_text("p(X)."))

@@ -234,12 +234,6 @@ def test_script_value_parse_error_names_the_script_line(script):
     assert str(e.value) == "script line 2: 1:1: illegal character '\u00b2' (expected token)"
 
 
-def test_scripted_oracle_records_transcript():
-    orc = ScriptedOracle("ask a p v -> yes\n")
-    orc.answer(Question("a", "p", Atom("v")), None)
-    assert orc.transcript == ["a of person p is v ?"]
-
-
 # --- interactive oracle -----------------------------------------------------------
 
 def test_interactive_oracle_parses_answers():
