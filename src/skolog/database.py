@@ -16,18 +16,15 @@ non-ground clause stays in every list, since trying it uses up fresh
 variable ids, and leaving it out would renumber the ``_G<n>`` and
 ``_R<n>`` names of everything after it.  So every list keeps stored order
 and holds every clause that can match, and whichever list a call gets,
-it tries the same matching clauses and uses up the same ids.  A tried
-clause whose head clashes with the call on a bound argument (the two
-keys differ) is skipped without being renamed or unified: ``clashes``
-advances the fresh ids by the clause's variable count, as if it had been
-renamed.  A clause computes its keys and count on first use.
+it tries the same matching clauses and uses up the same ids.  Each stored
+clause numbers its variables once, on its first try, for the head match
+that resolution makes (``Store.unify_head``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .parser import parse_program
@@ -60,17 +57,16 @@ class StoredClause:
     id: int
     kind: str
     clause: Clause
+    _order: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def head_keys(self) -> Optional[tuple]:
-        """None for a ground clause, which renaming leaves as it is; else the
-        clause's variable count and the (position, key) pairs of its head's
-        non-variable arguments, or () if it has none and so never clashes."""
-        c = self.clause
-        if is_ground(c.head) and all(map(is_ground, c.body)):
-            return None
-        keys = tuple((i, k) for i, k in enumerate(map(_key, getattr(c.head, "args", ()))) if k is not None)
-        return (len(variables_in((c.head, *c.body))), keys) if keys else ()
+    def variable_order(self) -> dict:
+        """The clause's variables numbered in first-occurrence order, head
+        first; worked out on the first call, so loading a program pays
+        nothing for the clauses that are never tried."""
+        if self._order is None:
+            c = self.clause
+            object.__setattr__(self, "_order", {v: i for i, v in enumerate(variables_in((c.head, *c.body)))})
+        return self._order
 
 
 def _key(t: Optional[Term]) -> object:
@@ -83,19 +79,6 @@ def _key(t: Optional[Term]) -> object:
     if type(t) is Struct:
         return (t.name, len(t.args))
     return None
-
-
-def clashes(head_keys, goal: Term, deref, fresh: FreshVars) -> bool:
-    """Whether an argument of ``goal``, read through ``deref``, is bound to
-    another key than the head argument there that ``head_keys`` describes.
-    If so, ``fresh`` skips the ids that renaming the clause would use up."""
-    n, keys = head_keys
-    for pos, key in keys:
-        k = _key(deref(goal.args[pos]))
-        if k is not None and k != key:
-            fresh.next_id += n
-            return True
-    return False
 
 
 def _lists(index: tuple[dict, list], pos: int, c: Clause) -> tuple[list, ...]:
@@ -166,8 +149,6 @@ class Database:
         for sc in self.clauses(ind, head.args if type(head) is Struct else ()):
             if len(sc.clause.body) != len(pattern.body):
                 continue
-            if (keys := sc.head_keys) and clashes(keys, head, store.deref, self._fresh):
-                continue
             candidate = rename_clause(sc.clause, self._fresh)
             pairs = zip((pattern.head, *pattern.body), (candidate.head, *candidate.body))
             if all(store.unify(a, b) for a, b in pairs):
@@ -182,10 +163,9 @@ class Database:
         """Snapshot of a predicate's clauses in resolution order.  Given a
         call's dereferenced arguments ``args``, only those that the index
         of one bound position keeps for its key: every clause that can
-        match, and the non-ground ones that cannot, which the caller skips
-        with ``clashes`` as if it had renamed them (see the module
-        docstring).  Of the bound positions' lists it takes the
-        shortest, the leftmost on a tie.
+        match, and the non-ground ones that cannot, whose tries use up
+        fresh ids (see the module docstring).  Of the bound positions'
+        lists it takes the shortest, the leftmost on a tie.
 
         ``args`` is read lazily and only as far as needed: reading stops
         at a list of at most one clause, or at one of only the clauses

@@ -9,12 +9,14 @@ prove form a linked list of cells; a user call with clauses left sits on a
 choicepoint stack, which failure pops to resume the latest alternative.
 A call tries, in stored order, the clauses that the database keeps for
 its arguments: the shortest list that an index on a bound argument
-position gives (all of them when no argument is bound).  A clause whose
-head clashes with the goal on a bound argument is skipped without being
-renamed, and the fresh ids advance as if it had been.  Each reduction
-renames the chosen clause apart (a ground one is its own renaming),
-unifies the goal with its head (occurs check on), and puts the clause
-body in front of the goals.
+position gives (all of them when no argument is bound).  Each try
+unifies the goal with the clause's head as if the clause had been
+renamed apart (occurs check on), without renaming it: ``Store.unify_head``
+walks the stored head against the goal, so a clause that cannot match
+fails at its first clashing comparison, having built nothing.  Every try
+uses up one fresh id per clause variable, so the ``_G<n>`` names are
+those of renaming each clause tried.  A reduction puts the clause body,
+built under the head's match, in front of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  Each
 path cut off that way adds one to ``cutoffs``, and a run without solutions
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import oracle as oracle_mod
-from .database import Database, StoredClause, clashes
+from .database import Database, StoredClause
 from .errors import EngineError, InstantiationError
 from .explain import ProofNode, QUERY_ROOT, format_trace_entry, TraceEntry
 from .negation import find_s_fact
@@ -61,14 +63,13 @@ from .terms import (
     Term,
     Var,
     is_ground,
-    rename_clause,
     variables_in,
     variables_of,
 )
 
 # The solver calls none of these; they stay names of this module because
 # perfbench/tracer.py wraps the term operations here by name.
-from .terms import apply, compose, unify  # noqa: F401
+from .terms import apply, compose, rename_clause, unify  # noqa: F401
 
 
 @dataclass
@@ -256,12 +257,8 @@ class Solver:
         while call.next < len(call.clauses):
             sc = call.clauses[call.next]
             call.next += 1
-            keys = sc.head_keys
-            if keys and clashes(keys, call.goal, store.deref, fresh):
-                continue
-            mapping: dict[Var, Var] = {}
-            renamed = sc.clause if keys is None else rename_clause(sc.clause, fresh, mapping)
-            if not store.unify(call.goal, renamed.head, set(mapping.values()) if mapping else None):
+            body = store.unify_head(call.goal, sc.clause, sc.variable_order(), fresh)
+            if body is None:
                 store.undo(call.mark)
                 continue
             if call.depth >= self.options.depth_limit:
@@ -277,7 +274,7 @@ class Solver:
                 bound = {v: res.resolve(v) for v in variables_of(shown) if v in store.bindings}
                 self.trace_out.write(format_trace_entry(TraceEntry(shown, bound)) + "\n")
                 rest = (_EXIT, call, rest)
-            for g in reversed(renamed.body):
+            for g in reversed(body):
                 rest = (g, call.height, rest)
             return rest
         if tracing and not call.produced:

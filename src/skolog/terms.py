@@ -7,8 +7,11 @@ in a value term, so applying a substitution twice equals applying it once.
 ``unify`` here is the pure reference.  At run time every unification
 (resolution, retract/1, holds_negated/1) binds variables in a ``Store``
 instead: one dict of bindings with a trail that backtracking pops, tested
-to agree with ``unify``.  ``compose`` stays beside the reference, for its
-tests and for the benchmark's tracer, which wraps it by name.
+to agree with ``unify``.  Resolution matches a call against a stored
+clause with ``Store.unify_head``, which never renames the clause whole; it
+is tested to agree with ``rename_clause`` followed by ``Store.unify``.
+``compose`` stays beside the reference, for its tests and for the
+benchmark's tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -243,14 +246,8 @@ class Store:
         pos = {v: i for i, v in enumerate(self.trail)} if history else None
         return _Resolver(self.bindings, pos)
 
-    def unify(self, a: Term, b: Term, fresh: Optional[set] = None) -> bool:
-        """Unify ``a`` with ``b``, the occurs check always on.
-
-        ``fresh`` holds the variables a renaming has just made for ``b``.
-        Such a variable cannot occur in a term of ``a``'s side until a
-        binding made here links it there, which takes it out of ``fresh``;
-        until then its check is skipped: the WAM's first-occurrence rule.
-        """
+    def unify(self, a: Term, b: Term) -> bool:
+        """Unify ``a`` with ``b``, the occurs check always on."""
         bindings, trail = self.bindings, self.trail
         get = bindings.get
         stack = [(a, b)]
@@ -277,15 +274,65 @@ class Store:
                 continue
             else:
                 return False
-            if (fresh is None or v not in fresh) and self._occurs(v, t, fresh):
+            if self._occurs(v, t):
                 return False
             bindings[v] = t
             trail.append(v)
         return True
 
-    def _occurs(self, v: Var, t: Term, fresh: Optional[set]) -> bool:
-        """Does ``v`` occur in ``t``?  Takes the renamed variables met on
-        the way out of ``fresh``, since binding ``v`` to ``t`` links them."""
+    def unify_head(self, goal: Term, clause: Clause, order: dict, fresh: "FreshVars") -> Optional[tuple]:
+        """Unify ``goal`` with the head of ``clause`` renamed apart, and
+        return the body renamed the same way; None if the head does not match.
+
+        The clause is not renamed whole (the WAM's get/unify instructions:
+        Warren 1983).  The walk takes ``unify``'s equations in its order.
+        A clause variable's first occurrence stands for the call's subterm
+        there.  A variable of ``fresh`` is made for it only where the call
+        has an unbound variable, which is bound to it, or where a clause
+        term is built for such a variable; a later occurrence unifies as
+        ``unify`` does.  ``order`` numbers the clause's variables in
+        first-occurrence order, head first, and ``fresh`` advances by their
+        count on every try, so each variable made gets the id that
+        ``rename_clause`` would have given it.
+        """
+        base = fresh.next_id
+        fresh.next_id += len(order)
+        env = _Renaming()  # clause variable -> call subterm or made variable
+        env.new = lambda v: fresh.var(base + order[v])
+        build = env.__getitem__
+        bindings, trail = self.bindings, self.trail
+        get = bindings.get
+        stack = [(goal, clause.head)]
+        while stack:
+            x, y = stack.pop()
+            while type(x) is Var and (value := get(x)) is not None:
+                x = value
+            if type(y) is Var:
+                t = env.get(y)
+                if t is not None:
+                    if not self.unify(x, t):
+                        return None
+                elif type(x) is Var:
+                    bindings[x] = build(y)
+                    trail.append(x)
+                else:
+                    env[y] = x
+            elif type(x) is Var:
+                t = _rebuild(y, build)
+                if type(t) is Struct and self._occurs(x, t):
+                    return None
+                bindings[x] = t
+                trail.append(x)
+            elif type(y) is Struct:
+                if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
+                    return None
+                stack.extend(zip(x.args, y.args))
+            elif x != y:
+                return None
+        return tuple([_rebuild(g, build) for g in clause.body]) if order else clause.body
+
+    def _occurs(self, v: Var, t: Term) -> bool:
+        """Does ``v`` occur in ``t``, read through the bindings?"""
         get = self.bindings.get
         todo = [t]
         while todo:
@@ -294,11 +341,8 @@ class Store:
                 u = value
             if type(u) is Struct:
                 todo.extend(u.args)
-            elif type(u) is Var:
-                if u == v:
-                    return True
-                if fresh:
-                    fresh.discard(u)
+            elif type(u) is Var and u == v:
+                return True
         return False
 
 
@@ -366,18 +410,23 @@ class _Resolver:
 class FreshVars:
     """Issues variables whose ids have not been used before in this source.
 
-    The resolution loop creates one per top-level query, so renamed
-    variables print as _G1, _G2, ... restarting at each query.
+    The resolution loop creates one per top-level query, so the variables
+    that clause matching makes print as _G1, _G2, ... restarting at each
+    query; a clause uses up one id per variable each time it is tried.
     """
 
     def __init__(self, prefix: str = "_G", start: int = 1):
         self._prefix = prefix
         self.next_id = start  # the id of the next variable issued
 
+    def var(self, n: int) -> Var:
+        """The variable of this source with id ``n``."""
+        return Var(f"{self._prefix}{n}", n)
+
     def new(self) -> Var:
         n = self.next_id
         self.next_id += 1
-        return Var(f"{self._prefix}{n}", n)
+        return self.var(n)
 
 
 _ANON_IDS = itertools.count(-1, -1)
@@ -389,31 +438,28 @@ def anonymous_var() -> Var:
 
 
 class _Renaming(dict):
-    """Old variable -> fresh variable, issued on first lookup by ``new``."""
+    """Old variable -> new term, made on first lookup by ``new``."""
 
     __slots__ = ("new",)
 
-    def __missing__(self, v: Var) -> Var:
-        w = self[v] = self.new()
+    def __missing__(self, v: Var) -> Term:
+        w = self[v] = self.new(v)
         return w
 
 
-def rename_clause(c: Clause, fresh: FreshVars, mapping: Optional[Subst] = None) -> Clause:
+def rename_clause(c: Clause, fresh: FreshVars) -> Clause:
     """Variant of ``c`` with every variable replaced by a fresh one.
 
     A ground clause is returned unchanged (same object).  Fresh variables
-    are issued in first-occurrence order, head first.  ``mapping``, when
-    given, receives the renaming: each old variable to its fresh one.
+    are issued in first-occurrence order, head first.
     """
     renaming = _Renaming()
-    renaming.new = fresh.new
+    renaming.new = lambda v: fresh.new()
     replace = renaming.__getitem__
     head = _rebuild(c.head, replace)
     body = tuple([_rebuild(g, replace) for g in c.body]) if c.body else ()
     if not renaming:
         return c
-    if mapping is not None:
-        mapping.update(renaming)
     return Clause(head=head, body=body)
 
 

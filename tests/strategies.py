@@ -33,6 +33,30 @@ def terms(max_depth: int = 4, leaves=None):
 ground_terms = terms(leaves=constants)
 
 
+# Few constants and variable names, so that in a call and a clause drawn
+# from them variables repeat and arguments clash or match often.
+few_terms = st.recursive(
+    st.sampled_from((Atom("a"), Atom("b"), Int(1), Var("X"), Var("Y"), Var("Z"))),
+    lambda children: st.builds(Struct, st.sampled_from(("f", "g")), st.lists(children, min_size=1, max_size=2).map(tuple)),
+    max_leaves=6,
+)
+
+
+def head_matches():
+    """(call, clause) pairs of one predicate p/n over ``few_terms``, the
+    call's arguments either drawn on their own or copied from the head, so
+    that many pairs match.  The two share variable names, which must stay
+    apart."""
+
+    def pair(head_args):
+        head = Struct("p", tuple(head_args))
+        call = st.tuples(*(st.just(a) | few_terms for a in head_args)).map(lambda xs: Struct("p", xs))
+        body = st.lists(goals(few_terms), max_size=2).map(tuple)
+        return st.tuples(call, st.builds(Clause, st.just(head), body))
+
+    return st.lists(few_terms, min_size=1, max_size=3).flatmap(pair)
+
+
 def goals(argument_strategy=None):
     args = argument_strategy if argument_strategy is not None else terms(max_depth=2)
     return st.builds(

@@ -35,8 +35,8 @@ from skolog.oracle import value_answer
 from skolog.parser import parse_clause_text
 from skolog.terms import CUT, FreshVars, apply, goal_constants, rename_clause, unify, variables_in
 
-from strategies import terms
-from util import run_cli, variant_equal
+from strategies import few_terms, head_matches, terms
+from util import rename_then_unify, run_cli, variant_equal
 
 
 def results(db, text, **kw):
@@ -445,17 +445,84 @@ def test_builtins_take_long_lists_at_the_default_recursion_limit():
 @settings(max_examples=300, deadline=None)
 def test_store_unify_agrees_with_reference_unify(a, b):
     # b as it stands, sharing variables with a, and b renamed apart as a
-    # clause head is, which lets the store skip first-occurrence checks
-    mapping = {}
-    renamed = rename_clause(Clause(head=b), FreshVars("_G", 1000), mapping)
-    for other, fresh in ((b, None), (renamed, set(mapping.values()))):
+    # clause head is
+    renamed = rename_clause(Clause(head=b), FreshVars("_G", 1000)).head
+    for other in (b, renamed):
         theta = unify(a, other)
         store = Store()
-        assert store.unify(a, other, fresh) == (theta is not None)
+        assert store.unify(a, other) == (theta is not None)
         if theta is not None:
             res = store.resolver()
             for v in variables_in((a, other)):
                 assert res.resolve(v) == apply(theta, v), f"{v} in {a} = {other}"
+
+
+# --- the head match against renaming the clause apart, then unifying ---------
+
+def _head_match(match, goal, clause, before=()):
+    """What ``match`` (``Store.unify_head`` or the reference) leaves: whether
+    it matched, each call variable and body goal resolved, and the next
+    fresh id.  ``before`` is unified first, so that the call holds bound
+    variables."""
+    store, fresh = Store(), FreshVars()
+    for a, b in before:
+        store.unify(a, b)
+    body = match(store, goal, clause, StoredClause(0, "clause", clause).variable_order(), fresh)
+    if body is None:
+        return None, fresh.next_id
+    res = store.resolver()
+    calls = [(v, res.resolve(v)) for v in variables_in((goal, *(t for pair in before for t in pair)))]
+    return (calls, [res.resolve(g) for g in body]), fresh.next_id
+
+
+@given(head_matches(), st.lists(st.tuples(few_terms, few_terms), max_size=2))
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_head_match_agrees_with_renaming_then_unifying(pair, before):
+    # call and clause draw their variables from the same names, which stay
+    # apart: a clause variable never stands for the call's namesake
+    goal, clause = pair
+    assert _head_match(Store.unify_head, goal, clause, before) == _head_match(rename_then_unify, goal, clause, before)
+
+
+@pytest.mark.parametrize(
+    "goal, head, apart",
+    [
+        # X is bound to the f(_G1) built for it; Y's second occurrence then
+        # unifies _G1 with f(_G1)
+        ("p(X, X)", "p(Y, f(Y))", "p(X, V)"),
+        # Z is bound to W's _G1; W's second occurrence unifies f(Z) with it
+        ("p(f(Z), Z)", "p(W, W)", "p(f(Z), V)"),
+        # Y stands for g(X), so the f(g(X)) built for X holds X
+        ("p(X, g(X))", "p(f(Y), Y)", "p(V, g(X))"),
+    ],
+)
+def test_head_match_runs_the_occurs_check(goal, head, apart):
+    clause = Clause(parse_term_text(head))
+    order = StoredClause(0, "clause", clause).variable_order()
+    for match in (Store.unify_head, rename_then_unify):
+        fresh = FreshVars()
+        assert match(Store(), parse_term_text(goal), clause, order, fresh) is None
+        assert fresh.next_id == 2
+    # with the call's two variables apart, the same head matches
+    assert Store().unify_head(parse_term_text(apart), clause, order, FreshVars()) is not None
+
+
+def test_head_match_takes_the_equations_in_unifys_order():
+    # the last argument first: Z stands for f(Y), so X is bound to Y
+    goal, clause = parse_term_text("p(f(X), f(Y))"), Clause(parse_term_text("p(Z, Z)"))
+    want = ([(Var("X"), Var("Y")), (Var("Y"), Var("Y"))], []), 2
+    assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause) == want
+
+
+def test_head_match_keeps_the_renamed_answer_name():
+    # p(A) against p(B) :- q(B): A is bound to B's variable, _G1, as it is
+    # when the clause is renamed apart; the answer to p(A) names it
+    goal, clause = parse_term_text("p(A)"), parse_clause_text("p(B) :- q(B).")
+    want = ([(Var("A"), Var("_G1", 1))], [Struct("q", (Var("_G1", 1),))]), 2
+    assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause) == want
+    out = results(fresh_db("p(B) :- q(B). q(C)."), "p(A).")
+    assert [format_term(t) for t in bindings_list(out, "A")] == ["_G2"]
 
 
 def test_query_variables_from_an_earlier_answer_stay_apart():
@@ -470,16 +537,17 @@ def test_query_variables_from_an_earlier_answer_stay_apart():
     assert sol.bindings == {Var("W"): Struct("f", (g1,))}
 
 
-# --- clauses whose head clashes with the call are skipped, not renamed -------
+# --- a clause whose head clashes with the call fails its first comparison ---
 
-def _renamed_heads(monkeypatch):
-    """Record the head of every clause the solver renames apart."""
-    import skolog.engine
+def _with_reference_match(run):
+    """``run()`` with each tried clause renamed apart and unified with the
+    call, instead of matched in place."""
+    with mock.patch.object(Store, "unify_head", rename_then_unify):
+        return run()
 
-    heads = []
-    real = skolog.engine.rename_clause
-    monkeypatch.setattr(skolog.engine, "rename_clause", lambda c, *a: heads.append(c.head) or real(c, *a))
-    return heads
+
+def _seen(out):
+    return out.status, [(s.bindings, s.proof) for s in out.solutions]
 
 
 def test_a_skipped_clause_uses_up_its_ids(tmp_path):
@@ -491,47 +559,46 @@ def test_a_skipped_clause_uses_up_its_ids(tmp_path):
     assert (r.code, r.out, r.err) == (0, "A = _G3\nB = _G4\n", "")
 
 
-def test_a_clash_is_seen_through_a_binding_chain(monkeypatch):
+def test_a_clash_is_seen_through_a_binding_chain():
     db = fresh_db("p(b, Z). p(a, W).")
-    heads = _renamed_heads(monkeypatch)
     out = results(db, "X = Y, Y = a, p(X, R).")
     assert bindings_list(out, "R") == [Var("_G2", 2)]
-    assert heads == [parse_term_text("p(a, W)")]
+    assert _seen(out) == _seen(_with_reference_match(lambda: results(db, "X = Y, Y = a, p(X, R).")))
     # an argument that is still a variable skips nothing
-    heads.clear()
     out = results(db, "p(X, R).")
     assert bindings_list(out, "X") == [Atom("b"), Atom("a")]
     assert bindings_list(out, "R") == [Var("_G1", 1), Var("_G2", 2)]
-    assert len(heads) == 2
+    assert _seen(out) == _seen(_with_reference_match(lambda: results(db, "p(X, R).")))
 
 
 @pytest.mark.parametrize(
     "arg, answer",
     [("1", "_G1"), ("'1'", "_G2"), ("f(a)", "_G3"), ("f(a, b)", "_G4"), ("[]", "_G5"), ("[a]", "_G8")],
 )
-def test_keys_that_only_look_alike_clash(monkeypatch, arg, answer):
-    # every clause holds a variable, so every one is tried; only the one
-    # whose first argument has the call's key is renamed.  The reference
-    # run gives every clause no keys, so it renames each one, skipping none.
+def test_keys_that_only_look_alike_clash(arg, answer):
+    # every clause holds a variable, so every one is tried, and only the
+    # one whose first argument has the call's key matches.  The reference
+    # run renames each clause apart before unifying.
     text = "q(1, X). q('1', X). q(f(a), X). q(f(a, b), X). q([], X). q([H|T], X)."
     query = f"q({arg}, R)."
-    with mock.patch.object(StoredClause, "head_keys", property(lambda sc: ())):
-        want = results(fresh_db(text), query)
-    heads = _renamed_heads(monkeypatch)
+    want = _with_reference_match(lambda: results(fresh_db(text), query))
     out = results(fresh_db(text), query)
     assert [format_term(t) for t in bindings_list(out, "R")] == [answer]
-    assert [(s.bindings, s.proof) for s in out.solutions] == [(s.bindings, s.proof) for s in want.solutions]
-    assert len(heads) == 1
+    assert _seen(out) == _seen(want)
 
 
-def test_twins_renames_only_the_person_rule_that_matches(monkeypatch):
-    db = fresh_db(corpus_text("twins.pl"))
-    heads = _renamed_heads(monkeypatch)
-    oracle = QueuedOracle([value_answer(Atom("smith"))])
-    out = results(db, "person(marsha, F, M, Mo, Y, family(X, marsha)).", oracle=oracle)
+def test_twins_renames_only_the_person_rule_that_matches():
+    # the other person/6 rules differ from the call in their sixth argument
+    # alone; the answer and its proof are those of renaming every rule
+    query = "person(marsha, F, M, Mo, Y, family(X, marsha))."
+
+    def run():
+        oracle = QueuedOracle([value_answer(Atom("smith"))])
+        return results(fresh_db(corpus_text("twins.pl")), query, oracle=oracle)
+
+    out = run()
     assert bindings_list(out, "X") == [Atom("smith")]
-    person6 = [format_term(h) for h in heads if h.name == "person" and len(h.args) == 6]
-    assert person6 == ["person(P,Father,Mother,Month,Year,family(X,P))"]
+    assert _seen(out) == _seen(_with_reference_match(run))
 
 
 # --- every negation issues constants that are fresh at that moment -----------

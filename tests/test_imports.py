@@ -9,7 +9,7 @@ SRC = Path(skolog.__file__).parent
 
 # perfbench/tracer.py wraps these by their name in skolog.engine, which
 # calls none of them itself
-WRAPPED_BY_NAME = {"engine.py": {"apply", "compose", "unify"}}
+WRAPPED_BY_NAME = {"engine.py": {"apply", "compose", "rename_clause", "unify"}}
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:

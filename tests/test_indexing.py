@@ -1,14 +1,14 @@
-"""Argument indexing and the clash skip change nothing a user can see.
+"""Argument indexing and the head match change nothing a user can see.
 
 Random programs and write sequences run twice: once as they stand, and
 once with ``Database.clauses`` made to ignore the call's arguments and
-``StoredClause.head_keys`` made to give no keys, so that every call and
-every retract/1 scans the whole predicate and renames every candidate
-apart, skipping none.  Both runs must give the same solutions in the same
-order, the same bindings (renamed ``_G<n>`` and ``_R<n>`` variables
-included), the same ``trace_of`` text, live trace and warnings, and leave
-the same database behind.  A query is stopped after ``LINE_BUDGET`` lines
-of live trace.
+``Store.unify_head`` replaced by the reference that renames each clause
+apart and unifies the call with the renamed head, so that every call and
+every retract/1 scans the whole predicate and renames every candidate.
+Both runs must give the same solutions in the same order, the same
+bindings (renamed ``_G<n>`` and ``_R<n>`` variables included), the same
+``trace_of`` text, live trace and warnings, and leave the same database
+behind.  A query is stopped after ``LINE_BUDGET`` lines of live trace.
 
 CI runs this once more under the ``robustness`` profile of ``conftest.py``.
 """
@@ -22,10 +22,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skolog import Database, Solver, SolveOptions, parse_program, parse_query
-from skolog.database import StoredClause, load_clauses
+from skolog.database import load_clauses
 from skolog.errors import SkologError
 from skolog.explain import format_trace, trace_of
 from skolog.parser import format_clause, format_term, parse_clause_text
+from skolog.terms import Store
+
+from util import rename_then_unify
 
 # Arguments that share or split keys: 1 and '1', f/1 and f/2, [] and lists,
 # variables.  Both of q/2's arguments draw from them, so a call that binds
@@ -118,7 +121,7 @@ def _session(program, parsed_steps):
 
 @given(programs, steps)
 # a clashing non-ground clause before a matching one, for a query and for a
-# retract: a wrong id bump in the clash skip renumbers what follows at once
+# retract: a wrong id count for a failed head match renumbers what follows
 @example("q(b, X) :- p(X).\nq(a, Y).\nq(b, Z).", [("query", "q(a, W)."), ("retract", "q(b, V)")])
 # at least 400 examples; a profile that asks for more (CI's robustness) wins
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None,
@@ -133,6 +136,6 @@ def test_indexed_selection_matches_a_full_scan(text, raw_steps):
         return full_scan(self, ind)
 
     with mock.patch.object(Database, "clauses", unindexed), \
-            mock.patch.object(StoredClause, "head_keys", property(lambda sc: ())):
+            mock.patch.object(Store, "unify_head", rename_then_unify):
         want = _session(program, parsed)
     assert _session(program, parsed) == want

@@ -1,4 +1,4 @@
-"""Shared test helpers: variant equality, trace parsing, CLI harness."""
+"""Shared test helpers: variant equality, a reference head match, CLI harness."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from skolog import Atom, Clause, Int, Struct, Var
 from skolog.cli import main as cli_main
+from skolog.terms import rename_clause
 
 
 def canonical(term, mapping=None):
@@ -43,6 +44,14 @@ def variant_equal_seq(xs, ys) -> bool:
         return False
     ma, mb = {}, {}
     return all(canonical(x, ma) == canonical(y, mb) for x, y in zip(xs, ys))
+
+
+def rename_then_unify(store, goal, clause, order, fresh):
+    """Reference for ``Store.unify_head``, with its signature: rename
+    ``clause`` apart, unify ``goal`` with the renamed head in ``store``,
+    and return the renamed body, or None if they do not unify."""
+    renamed = rename_clause(clause, fresh)
+    return renamed.body if store.unify(goal, renamed.head) else None
 
 
 @dataclass
