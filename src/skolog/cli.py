@@ -90,13 +90,6 @@ def main(
     except (SkologError, OSError) as e:
         stderr.write(f"error: {e}\n")
         return 2
-    except RecursionError:
-        stderr.write(f"error: {_TOO_DEEP}\n")
-        return 2
-
-
-# Term equality and hashing still recurse once per level of nesting.
-_TOO_DEEP = "a term is nested too deeply to handle"
 
 
 def entry() -> None:
@@ -229,8 +222,6 @@ def repl_loop(session: Session, stdin: TextIO, stdout: TextIO, stderr: TextIO) -
             stdout.write(f"parse error: {e}\n")
         except SkologError as e:
             stdout.write(f"error: {e}\n")
-        except RecursionError:
-            stdout.write(f"error: {_TOO_DEEP}\n")
 
 
 def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:

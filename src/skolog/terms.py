@@ -12,27 +12,43 @@ clause with ``Store.unify_head``, which never renames the clause whole; it
 is tested to agree with ``rename_clause`` followed by ``Store.unify``.
 ``compose`` stays beside the reference, for its tests and for the
 benchmark's tracer, which wraps it by name.
+
+Terms are values, equal and hashing equal when their shapes are equal.
+``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
+hashes once, and hashes and compares without recursion, at any depth.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import is_
+from operator import is_, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 
-@dataclass(frozen=True)
-class Var:
-    """A logic variable.
-
+class Var(tuple):
+    """A logic variable, the tuple ``(name, id)``; it equals no plain tuple.
     ``id`` separates same-named variables made by renaming; variables
     written in source text parse with id 0 (anonymous ``_`` gets a fresh
-    negative id per occurrence).
-    """
+    negative id per occurrence)."""
 
-    name: str
-    id: int = 0
+    __slots__ = ()
+
+    def __new__(cls, name: str, id: int = 0):
+        return tuple.__new__(cls, (name, id))
+
+    name = property(itemgetter(0))
+    id = property(itemgetter(1))
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is Var and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not Var or tuple.__ne__(self, other)
+
+    def __repr__(self):
+        return f"Var(name={self[0]!r}, id={self[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -45,14 +61,45 @@ class Int:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Struct:
     name: str
     args: tuple["Term", ...]
+    _hash = None  # not a field: the first ``hash`` sets it on the instance
 
     def __post_init__(self):
         if len(self.args) < 1:
             raise ValueError("compound term needs at least one argument")
+
+    def __hash__(self):
+        # inner compounds first: ``hash((name, args))`` then finds theirs cached
+        todo = [self]
+        while self._hash is None:
+            t = todo[-1]
+            inner = [a for a in t.args if type(a) is Struct and a._hash is None]
+            if inner:
+                todo += inner
+            else:
+                object.__setattr__(t, "_hash", hash((t.name, t.args)))
+                todo.pop()
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not Struct:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not Struct:
+                if a != b:
+                    return False
+            elif type(b) is not Struct or a.name != b.name or len(a.args) != len(b.args):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        return True
 
 
 Term = Union[Var, Atom, Int, Struct]
@@ -274,7 +321,7 @@ class Store:
                 continue
             else:
                 return False
-            if self._occurs(v, t):
+            if type(t) is Struct and self._occurs(v, t):
                 return False
             bindings[v] = t
             trail.append(v)
@@ -318,8 +365,9 @@ class Store:
                 else:
                     env[y] = x
             elif type(x) is Var:
+                mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
                 t = _rebuild(y, build)
-                if type(t) is Struct and self._occurs(x, t):
+                if mapped and type(t) is Struct and self._occurs(x, t):
                     return None
                 bindings[x] = t
                 trail.append(x)

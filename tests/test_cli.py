@@ -798,17 +798,15 @@ def test_repl_survives_deep_terms(tmp_path):
     assert r.out.count(" BECAUSE nat(s(N)) :- nat(N) WITH ") == 2000
 
 
-def test_run_reports_a_term_too_deep_to_compare(tmp_path):
-    # the batch command's handler for the same deep comparison
+def test_run_answers_a_memo_hit_on_a_deep_term(tmp_path):
+    # the known/4 memo comparison of a 5000-deep value needs no recursion
     f = tmp_path / "memo.pl"
     f.write_text(f"known(yes, colour, sky, {_nested(5000)}).\n")
     r = run_cli(["run", str(f), "--goal", f"ask(colour, sky, {_nested(5000)})."])
-    assert (r.code, r.out, r.err) == (2, "", "error: a term is nested too deeply to handle\n")
+    assert (r.code, r.out, r.err) == (0, "yes\n", "")
 
 
-def test_repl_reports_a_term_too_deep_to_compare(tmp_path):
-    # comparing two deep terms for equality still recurses; the session
-    # reports it and goes on
+def test_repl_answers_a_memo_hit_on_a_deep_term(tmp_path):
     f = tmp_path / "memo.pl"
     f.write_text(f"known(yes, colour, sky, {_nested(5000)}).\n")
     r = run_cli(
@@ -816,5 +814,6 @@ def test_repl_reports_a_term_too_deep_to_compare(tmp_path):
         stdin_text=f"ask(colour, sky, {_nested(5000)}).\nknown(R, colour, sky, _).\n:quit\n",
     )
     assert r.code == 0
-    assert "error: a term is nested too deeply to handle" in r.out
+    assert r.out.startswith("?- yes\n")
+    assert "error" not in r.out + r.err
     assert "R = yes" in r.out

@@ -508,6 +508,20 @@ def test_head_match_runs_the_occurs_check(goal, head, apart):
     assert Store().unify_head(parse_term_text(apart), clause, order, FreshVars()) is not None
 
 
+def test_head_match_walks_a_built_term_only_past_a_mapped_variable():
+    # the walk takes app/3's last argument first: [H|R] is built for the
+    # call's Z while no clause variable is mapped yet, so Z cannot occur in
+    # it; X's [H|T] holds H, which stands for the call's a by then
+    clause = parse_clause_text("app([H|T], L, [H|R]) :- app(T, L, R).")
+    order = StoredClause(0, "clause", clause).variable_order()
+    real = Store._occurs
+    with mock.patch.object(Store, "_occurs", autospec=True, side_effect=real) as walk:
+        assert Store().unify_head(parse_term_text("app([a], [b], Z)"), clause, order, FreshVars()) is not None
+        assert walk.call_count == 0
+        assert Store().unify_head(parse_term_text("app(X, Y, [a])"), clause, order, FreshVars()) is not None
+        assert walk.call_count == 1
+
+
 def test_head_match_takes_the_equations_in_unifys_order():
     # the last argument first: Z stands for f(Y), so X is bound to Y
     goal, clause = parse_term_text("p(f(X), f(Y))"), Clause(parse_term_text("p(Z, Z)"))

@@ -1,5 +1,7 @@
 """Terms, substitutions, and unification."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from skolog.terms import (
     variables_of,
 )
 
-from strategies import ground_terms, terms, variables
+from strategies import VAR_NAMES, constants, ground_terms, terms, variables
 from util import variant_equal
 
 
@@ -156,3 +158,116 @@ def test_rename_clause_fresh_and_structure():
 def test_rename_ground_clause_is_identity():
     c = Clause(head=Struct("p", (Atom("a"),)))
     assert rename_clause(c, FreshVars("_T")) is c
+
+
+# --- value semantics: equality and hashing follow the structure -------------
+
+def _copy(t):
+    """``t`` built again from new objects, without recursion."""
+    done = []  # finished copies, the last finished on top
+    todo = [t]  # a term to copy, or an int n: make a compound of the n copies on top
+    while todo:
+        x = todo.pop()
+        if type(x) is int:
+            args = tuple(done[-x:])
+            del done[-x:]
+            done.append(Struct(done.pop(), args))
+        elif type(x) is Struct:
+            todo += [len(x.args), *reversed(x.args)]
+            done.append(str(x.name))
+        elif type(x) is Var:
+            done.append(Var(x.name, x.id))
+        elif type(x) is Atom:
+            done.append(Atom(x.name))
+        else:
+            done.append(Int(x.value))
+    return done[0]
+
+
+def _key(t):
+    """A flat tuple of ``t``'s preorder, each compound with its arity: two
+    terms have the same structure exactly when their keys are equal."""
+    out = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Struct:
+            out.append(("struct", x.name, len(x.args)))
+            todo.extend(reversed(x.args))
+        elif type(x) is Var:
+            out.append(("var", x.name, x.id))
+        elif type(x) is Atom:
+            out.append(("atom", x.name))
+        else:
+            out.append(("int", x.value))
+    return tuple(out)
+
+
+# the variables of strategies.terms(), renamed apart by their ids now and then
+renamed_terms = terms(leaves=constants | st.builds(Var, st.sampled_from(VAR_NAMES), st.integers(0, 2)))
+
+
+@given(renamed_terms, renamed_terms)
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_equality_and_hash_follow_the_structure(a, b):
+    a2, b2 = _copy(a), _copy(b)
+    assert a2 is not a and a2 == a and not a2 != a and hash(a2) == hash(a)
+    same = _key(a) == _key(b)
+    assert (a == b) == (a2 == b) == (a == b2) == (b2 == a) == same
+    assert (a != b) == (not same)
+    # a shared argument, compared first, decides nothing about the others
+    assert (Struct("f", (b, a)) == Struct("f", (a, a))) == same
+    if same:
+        assert hash(a) == hash(b2)
+    assert a2 in {a} and b2 in {a, b} and (a2 in {b}) == same
+    table = {a: "a", b: "b"}
+    assert len(table) == (1 if same else 2)
+    assert table[a2] == table[a] and table[b2] == "b"
+
+
+def test_a_variable_equals_only_a_variable():
+    assert Var("p", 2) != ("p", 2) and not Var("p", 2) == ("p", 2)
+    assert ("p", 2) != Var("p", 2) and not ("p", 2) == Var("p", 2)
+    assert len({("p", 2): 0, Var("p", 2): 1}) == 2
+    assert Var("a") != Atom("a") and Atom("a") != Var("a")
+    assert Var("X", 1) != Var("X", 2) and not Var("X", 1) == Var("X", 2)
+    assert Var("X") == Var("X", 0)
+
+
+def test_term_repr_is_unchanged():
+    assert repr(Var("X")) == "Var(name='X', id=0)"
+    assert repr(Struct("f", (Var("_G3", 3), Atom("a"), Int(1)))) == (
+        "Struct(name='f', args=(Var(name='_G3', id=3), Atom(name='a'), Int(value=1)))"
+    )
+
+
+def test_a_variable_is_read_only():
+    v = Var("X")
+    with pytest.raises(AttributeError):
+        v.name = "Y"
+    with pytest.raises(AttributeError):
+        v.id = 1
+    assert (v.name, v.id) == ("X", 0)
+
+
+def _deep(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = Struct("s", (t,))
+    return t
+
+
+def test_deep_terms_compare_and_hash_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for leaf in (Atom("z"), Var("X")):
+            a, b = _deep(10_000, leaf), _deep(10_000, _copy(leaf))
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+        assert _deep(10_000, Atom("z")) != _deep(10_000, Atom("y"))
+        assert _deep(10_000, Atom("z")) != _deep(9_999, Atom("z"))
+    finally:
+        sys.setrecursionlimit(limit)
