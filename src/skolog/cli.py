@@ -25,7 +25,7 @@ from .semantics import (
     minimal_model,
 )
 from .errors import NotDefiniteError
-from .terms import variables_in
+from .terms import Clause
 
 
 def _at_least(low: int):
@@ -241,25 +241,36 @@ def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
     if line == "why.":
         stdout.write("no question pending\n")
         return False
-    if line.startswith("assert(") and line.endswith(")."):
-        clause = parse_clause_text(line[len("assert(") : -2] + ".")
+    clause = _clause_command(line, "assert")
+    if clause is not None:
         session.db.assertz(clause)
         stdout.write("yes\n")
         return False
-    if line.startswith("retract(") and line.endswith(")."):
-        clause = parse_clause_text(line[len("retract(") : -2] + ".")
+    clause = _clause_command(line, "retract")
+    if clause is not None:
         theta = session.db.retract(clause)
         if theta is None:
             stdout.write("no\n")
         else:
-            named = [v for v in variables_in((clause.head, *clause.body)) if v.name != "_"]
-            stdout.write(_answer_text({v: theta[v] for v in named if v in theta}) + "\n")
+            stdout.write(_answer_text({v: t for v, t in theta.items() if v.name != "_"}) + "\n")
         return False
     if line.startswith("negate "):
         _negate_command(session, line[len("negate ") :], stdout, stderr)
         return False
     _run_query(session, line, stdin, stdout, stderr)
     return False
+
+
+def _clause_command(line: str, verb: str) -> Optional[Clause]:
+    """``C`` when the whole line is ``verb(C).`` for one clause ``C``,
+    which may be a rule; None for any other line, such as a query that
+    calls ``verb`` and goes on with further goals."""
+    if not (line.startswith(verb + "(") and line.endswith(").")):
+        return None
+    try:
+        return parse_clause_text(line[len(verb) + 1 : -2] + ".")
+    except ParseError:
+        return None
 
 
 def _colon_command(session: Session, line: str, stdout: TextIO) -> bool:

@@ -18,7 +18,7 @@ variable ids, and leaving it out would renumber the ``_G<n>`` and
 and holds every clause that can match, and whichever list a call gets,
 it tries the same matching clauses and uses up the same ids.  Each stored
 clause numbers its variables once, on its first try, for the head match
-that resolution makes (``Store.unify_head``).
+that resolution and retract/1 make (``Store.unify_head``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .terms import (
     goal_constants,
     indicator_of,
     is_ground,
-    rename_clause,
     variables_in,
 )
 
@@ -130,8 +129,8 @@ class Database:
             items.insert(0 if front else len(items), sc)
         return sc
 
-    def asserta(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
-        return self._add(clause, kind, front=True)
+    def asserta(self, clause: Clause) -> StoredClause:
+        return self._add(clause, KIND_DYNAMIC, front=True)
 
     def assertz(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         return self._add(clause, kind, front=False)
@@ -141,21 +140,23 @@ class Database:
 
     def retract(self, pattern: Clause) -> Optional[Subst]:
         """Remove the first clause whose head AND body unify with the
-        pattern, and return the unifier: each variable it binds, of the
-        pattern or of the clause renamed apart, to its resolved value.  A
-        bare fact pattern only matches clauses with an empty body."""
+        pattern, and return the bindings of the pattern's own variables in
+        first-occurrence order, each resolved.  A bare fact pattern only
+        matches clauses with an empty body.  The head is matched as a call
+        matches it (``Store.unify_head``), making an ``_R<n>`` variable for
+        a clause variable only where the match needs one; the pattern's
+        body goals then unify, in order, with the body built under it."""
         ind, head = indicator_of(pattern.head), pattern.head
         store = Store()
         for sc in self.clauses(ind, head.args if type(head) is Struct else ()):
             if len(sc.clause.body) != len(pattern.body):
                 continue
-            candidate = rename_clause(sc.clause, self._fresh)
-            pairs = zip((pattern.head, *pattern.body), (candidate.head, *candidate.body))
-            if all(store.unify(a, b) for a, b in pairs):
+            body = store.unify_head(head, sc.clause, sc.variable_order(), self._fresh)
+            if body is not None and all(map(store.unify, pattern.body, body)):
                 for items in (self._preds[ind], *self._index_lists(ind, sc)):
                     _drop(items, sc)
                 res = store.resolver()
-                return {v: res.resolve(v) for v in store.trail}
+                return {v: res.resolve(v) for v in variables_in((head, *pattern.body)) if v in store.bindings}
             store.undo(0)
         return None
 
@@ -244,10 +245,10 @@ def constants_of(db: Database) -> set[Term]:
     return goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
 
 
-def load_program(db: Database, text: str, kind: str = KIND_STATIC) -> list[StoredClause]:
+def load_program(db: Database, text: str) -> list[StoredClause]:
     """Parse program text and append its clauses in source order."""
-    return [db.assertz(c, kind=kind) for c in parse_program(text)]
+    return load_clauses(db, parse_program(text))
 
 
-def load_clauses(db: Database, clauses: Iterable[Clause], kind: str = KIND_STATIC) -> list[StoredClause]:
-    return [db.assertz(c, kind=kind) for c in clauses]
+def load_clauses(db: Database, clauses: Iterable[Clause]) -> list[StoredClause]:
+    return [db.assertz(c, kind=KIND_STATIC) for c in clauses]

@@ -4,14 +4,14 @@ The term language has four shapes: variables, atoms (symbolic constants),
 integers, and compound terms.  A substitution is a plain dict from ``Var``
 to ``Term``, kept idempotent by construction: no key variable ever occurs
 in a value term, so applying a substitution twice equals applying it once.
-``unify`` here is the pure reference.  At run time every unification
-(resolution, retract/1, holds_negated/1) binds variables in a ``Store``
-instead: one dict of bindings with a trail that backtracking pops, tested
-to agree with ``unify``.  Resolution matches a call against a stored
-clause with ``Store.unify_head``, which never renames the clause whole; it
-is tested to agree with ``rename_clause`` followed by ``Store.unify``.
-``compose`` stays beside the reference, for its tests and for the
-benchmark's tracer, which wraps it by name.
+
+There is one unifier, ``Store.unify``, over one dict of bindings with a
+trail that backtracking pops; ``unify`` reads a ``Store``'s bindings back
+as a substitution.  There is one head match, ``Store.unify_head``, by
+which resolution and retract/1 match a stored clause without renaming it
+whole.  Both are tested against a dict-based reference unifier kept with
+the tests.  ``rename_clause`` and ``compose`` serve those tests and the
+benchmark's tracer, which wraps them by name.
 
 Terms are values, equal and hashing equal when their shapes are equal.
 ``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
@@ -155,10 +155,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def occurs(v: Var, t: Term) -> bool:
-    return v in subterms(t)
-
-
 def variables_of(t: Term) -> list[Var]:
     """Variables of ``t`` in first-occurrence order, left to right."""
     return variables_in((t,))
@@ -217,55 +213,13 @@ def compose(s1: Subst, s2: Subst) -> Subst:
     return out
 
 
-def unify(t1: Term, t2: Term) -> Optional[Subst]:
-    """Most general unifier of ``t1`` and ``t2``, or None.
-
-    Works through a stack of equations.  Each variable binding is pushed
-    eagerly into both the remaining equations and the accumulated
-    substitution, so the result is idempotent.  The occurs check is always
-    on: unify(X, f(X)) is None.
-    """
-    theta: Subst = {}
-    stack: list[tuple[Term, Term]] = [(t1, t2)]
-
-    def bind(v: Var, value: Term) -> None:
-        one = {v: value}
-        for i, (a, b) in enumerate(stack):
-            stack[i] = (apply(one, a), apply(one, b))
-        for k in list(theta):
-            theta[k] = apply(one, theta[k])
-        theta[v] = value
-
-    while stack:
-        x, y = stack.pop()
-        if isinstance(x, (Var, Atom, Int)) and x == y:
-            continue
-        if isinstance(x, Var) and not occurs(x, y):
-            bind(x, y)
-            continue
-        if isinstance(y, Var) and not occurs(y, x):
-            bind(y, x)
-            continue
-        if (
-            isinstance(x, Struct)
-            and isinstance(y, Struct)
-            and x.name == y.name
-            and len(x.args) == len(y.args)
-        ):
-            stack.extend(zip(x.args, y.args))
-            continue
-        return None
-    return theta
-
-
 class Store:
-    """Variable bindings with a trail.
+    """Variable bindings with a trail, and the one unifier.
 
-    ``Store.unify`` binds as the reference ``unify`` does: the same order
-    of equations, and a variable of ``a``'s side binds to ``b``'s side, so
-    resolving any variable gives what ``apply`` gives with the unifier.  A
-    failed unification may leave bindings behind; ``undo`` to a mark
-    removes them.
+    ``Store.unify`` takes its equations from a stack and binds a variable
+    of ``a``'s side to ``b``'s side.  It is tested to bind what a dict-based
+    reference unifier binds, in the same order.  A failed unification may
+    leave bindings behind; ``undo`` to a mark removes them.
     """
 
     def __init__(self):
@@ -392,6 +346,17 @@ class Store:
             elif type(u) is Var and u == v:
                 return True
         return False
+
+
+def unify(t1: Term, t2: Term) -> Optional[Subst]:
+    """Most general unifier of ``t1`` and ``t2``, or None: each variable
+    that ``Store.unify`` binds, in binding order, mapped to its resolved
+    value.  The occurs check is always on: unify(X, f(X)) is None."""
+    store = Store()
+    if not store.unify(t1, t2):
+        return None
+    res = store.resolver()
+    return {v: res.resolve(v) for v in store.trail}
 
 
 class _Resolver:

@@ -7,7 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 # CI runs tests/test_robustness.py, tests/test_indexing.py, the
 # semi-naive property of tests/test_semantics.py, the head-match and
-# negation-freshness properties of tests/test_engine.py and the term
-# equality property of tests/test_terms.py once more under this profile
+# negation-freshness properties of tests/test_engine.py, the term equality
+# and reference-unifier properties of tests/test_terms.py and the retract
+# property of tests/test_database.py once more under this profile
 # (pytest --hypothesis-profile=robustness).
 settings.register_profile("robustness", max_examples=2000)

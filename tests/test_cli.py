@@ -610,6 +610,57 @@ def test_repl_retract_shows_the_bindings_of_its_pattern(tmp_path):
     assert batch.out == "Z = 1\n"
 
 
+def test_repl_retract_names_the_clause_variables_in_order(tmp_path):
+    # each variable of a clause tried gets the next _R<n>, head first: a
+    # rule, a fact with a repeated variable, a rule with body-only variables
+    f = tmp_path / "r.pl"
+    f.write_text("r(X, Y) :- q(X), s(Y).\nf(A, A, g(B)).\nt(X) :- u(X, Y, Z), v(Z).\n")
+    r = run_cli(
+        ["repl", str(f)],
+        stdin_text=(
+            "retract(r(A, B) :- q(C), s(D)).\n"
+            "retract(f(E, F, G)).\n"
+            "retract(t(H) :- u(I, J, K), v(L)).\n"
+            ":quit\n"
+        ),
+    )
+    assert r.out == (
+        "?- A = _R1\nB = _R2\nC = _R1\nD = _R2\n"
+        "?- E = _R3\nF = _R3\nG = g(_R4)\n"
+        "?- H = _R5\nI = _R5\nJ = _R6\nK = _R7\nL = _R7\n"
+        "?- "
+    )
+
+
+def test_repl_assert_or_retract_with_further_goals_is_a_query():
+    r = run_cli(
+        ["repl"],
+        stdin_text=(
+            "assert(p(a)), p(X).\n"
+            "\n"
+            "retract(p(a)), write(done).\n"
+            "\n"
+            "assert(q(X) :- p(X)).\n"
+            "assert(p(b)).\n"
+            "q(Y).\n"
+            "\n"
+            "retract(p(Z)).\n"
+            "listing.\n"
+            ":quit\n"
+        ),
+    )
+    assert r.out == (
+        "?- X = a\n"
+        "?- doneyes\n"
+        "?- yes\n"  # the rule is asserted, not run
+        "?- yes\n"
+        "?- Y = b\n"
+        "?- Z = b\n"  # no wait for ';' after a retract command
+        "?- q(X) :- p(X).\n"
+        "?- "
+    )
+
+
 def test_repl_parse_error_recovers():
     for bad in ("p(a.", "p(²)."):
         r = run_cli(["repl"], stdin_text=f"{bad}\nassert(q(x)).\nq(W).\n\n:quit\n")

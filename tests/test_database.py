@@ -10,10 +10,10 @@ from skolog.database import KIND_DYNAMIC, KIND_S_FACT, KIND_STATIC
 from skolog.negation import find_s_fact
 from skolog.oracle import ask, ask_value
 from skolog.parser import format_clause
-from skolog.terms import FreshVars, Int, apply, compose, rename_clause, unify
+from skolog.terms import FreshVars, Int, apply, compose, rename_clause, variables_in
 
 from strategies import terms, variables
-from util import variant_equal, variant_equal_seq
+from util import reference_unify, variant_equal, variant_equal_seq
 
 
 def p(c):
@@ -53,6 +53,22 @@ def test_retract_removes_first_unifying_and_binds():
     assert theta is not None
     assert theta[Var("Z")] == Atom("a")
     assert [sc.clause.head for sc in db.clauses(("q", 1))] == [Struct("q", (Atom("b"),))]
+
+
+def test_retract_returns_only_the_pattern_variables():
+    # the clause's X meets the pattern's a: no _R variable is bound for it
+    db = Database()
+    load_program(db, "p(X, f(X)).")
+    theta = db.retract(Clause(head=Struct("p", (Atom("a"), Var("Y")))))
+    assert theta == {Var("Y"): Struct("f", (Atom("a"),))}
+    # a clause variable met by a pattern variable is made, named _R<n>
+    load_program(db, "p(X, f(X)).")
+    theta = db.retract(Clause(head=Struct("p", (Var("Z"), Var("Y")))))
+    assert list(theta.items()) == [(Var("Z"), Var("_R2", 2)), (Var("Y"), Struct("f", (Var("_R2", 2),)))]
+    # W meets no clause variable of its own, so it stays unbound and out
+    load_program(db, "p(A, A).")
+    theta = db.retract(Clause(head=Struct("p", (Struct("f", (Var("W"),)), Var("Y")))))
+    assert theta == {Var("Y"): Struct("f", (Var("W"),))}
 
 
 def test_retract_no_match_returns_none():
@@ -288,19 +304,19 @@ def test_an_ask_sees_only_its_subject_s_known_facts():
 
 def test_a_holds_negated_probe_sees_one_s_fact_among_a_thousand():
     db = Database()
-    load_program(db, "".join(f"s(neg(likes), a{i}, b{i}).\n" for i in range(1000)), kind=KIND_S_FACT)
+    load_program(db, "".join(f"s(neg(likes), a{i}, b{i}).\n" for i in range(1000)))
     goal = Struct("likes", (Atom("a617"), Atom("b617")))
     sc, seen = _candidates(lambda: find_s_fact(db, goal))
     assert (format_clause(sc.clause), seen) == ("s(neg(likes),a617,b617).", [1])
     assert find_s_fact(db, Struct("likes", (Atom("a617"), Atom("b618")))) is None
 
 
-# --- retract against a reference built from the pure unifier ----------------
+# --- retract against a reference built from the dict-based unifier ----------
 
 def _reference_retract(clauses, pattern):
     """Index of the clause retract/1 removes, and its unifier: each
     candidate renamed apart, then its head and body pairs unified in turn
-    by ``terms.unify``, the unifiers composed."""
+    by ``reference_unify``, the unifiers composed."""
     fresh = FreshVars("_R")
     for i, c in enumerate(clauses):
         if len(c.body) != len(pattern.body):
@@ -308,7 +324,7 @@ def _reference_retract(clauses, pattern):
         candidate = rename_clause(c, fresh)
         theta = {}
         for a, b in zip((pattern.head, *pattern.body), (candidate.head, *candidate.body)):
-            step = unify(apply(theta, a), apply(theta, b))
+            step = reference_unify(apply(theta, a), apply(theta, b))
             if step is None:
                 break
             theta = compose(theta, step)
@@ -326,7 +342,8 @@ _clauses = st.builds(Clause, _heads, _bodies)
 
 
 @given(st.lists(_clauses, min_size=1, max_size=6), st.data())
-@settings(max_examples=300, deadline=None)
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_retract_agrees_with_reference(clauses, data):
     # half the patterns are a stored clause with some arguments made
     # variables, so that most of those match
@@ -345,6 +362,10 @@ def test_retract_agrees_with_reference(clauses, data):
     kept = clauses if want is None else clauses[:want] + clauses[want + 1:]
     assert [sc.clause for sc in db.clauses(("p", 2))] == kept
     if theta is not None:
+        # the pattern's own variables only, in first-occurrence order, and
+        # only those bound
+        assert list(theta) == [v for v in variables_in((pattern.head, *pattern.body)) if v in theta]
+        assert all(t != v for v, t in theta.items())
         assert variant_equal_seq(
             [apply(theta, t) for t in (pattern.head, *pattern.body)],
             [apply(ref_theta, t) for t in (pattern.head, *pattern.body)],

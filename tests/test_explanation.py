@@ -199,7 +199,7 @@ def test_why_during_engine_question():
 def test_proof_replay_soundness():
     # every clause-justified node's children match its clause body
     from skolog.database import StoredClause
-    from skolog.terms import unify
+    from util import reference_unify
 
     db = Database()
     load_program(db, APPEND)
@@ -209,7 +209,7 @@ def test_proof_replay_soundness():
         just = node.justification
         if isinstance(just, StoredClause):
             stored = just.clause
-            assert unify(node.goal, stored.head) is not None
+            assert reference_unify(node.goal, stored.head) is not None
             assert len(node.children) == len(stored.body)
         for child in node.children:
             check(child)

@@ -13,13 +13,12 @@ from skolog.terms import (
     compose,
     indicator_of,
     is_ground,
-    occurs,
     rename_clause,
     variables_of,
 )
 
 from strategies import VAR_NAMES, constants, ground_terms, terms, variables
-from util import variant_equal
+from util import occurs, reference_unify, variant_equal
 
 
 def test_struct_requires_args():
@@ -119,6 +118,20 @@ def test_unify_idempotent(a, b):
         for v, t in theta.items():
             assert apply(theta, t) == t, "binding values are fully substituted"
             assert not occurs(v, t)
+
+
+@given(terms(), terms())
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_unify_returns_the_reference_unifier(a, b):
+    # the same bindings in the same order, for b as it stands, sharing
+    # variables with a, and for b renamed apart as a clause head is
+    renamed = rename_clause(Clause(head=b), FreshVars("_G", 1000)).head
+    for other in (b, renamed):
+        theta, want = unify(a, other), reference_unify(a, other)
+        assert (theta is None) == (want is None)
+        if theta is not None:
+            assert list(theta.items()) == list(want.items())
 
 
 @given(terms())

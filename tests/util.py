@@ -1,4 +1,5 @@
-"""Shared test helpers: variant equality, a reference head match, CLI harness."""
+"""Shared test helpers: variant equality, the reference unifier and head
+match, CLI harness."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 from skolog import Atom, Clause, Int, Struct, Var
 from skolog.cli import main as cli_main
-from skolog.terms import rename_clause
+from skolog.terms import apply, rename_clause, subterms
 
 
 def canonical(term, mapping=None):
@@ -44,6 +45,52 @@ def variant_equal_seq(xs, ys) -> bool:
         return False
     ma, mb = {}, {}
     return all(canonical(x, ma) == canonical(y, mb) for x, y in zip(xs, ys))
+
+
+def occurs(v, t) -> bool:
+    return v in subterms(t)
+
+
+def reference_unify(t1, t2):
+    """Most general unifier of ``t1`` and ``t2`` as a dict, or None: the
+    reference that ``Store.unify`` is tested against.
+
+    Works through a stack of equations.  Each variable binding is pushed
+    eagerly into both the remaining equations and the accumulated
+    substitution, so the result is idempotent.  The occurs check is always
+    on: reference_unify(X, f(X)) is None.
+    """
+    theta = {}
+    stack = [(t1, t2)]
+
+    def bind(v, value):
+        one = {v: value}
+        for i, (a, b) in enumerate(stack):
+            stack[i] = (apply(one, a), apply(one, b))
+        for k in list(theta):
+            theta[k] = apply(one, theta[k])
+        theta[v] = value
+
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, (Var, Atom, Int)) and x == y:
+            continue
+        if isinstance(x, Var) and not occurs(x, y):
+            bind(x, y)
+            continue
+        if isinstance(y, Var) and not occurs(y, x):
+            bind(y, x)
+            continue
+        if (
+            isinstance(x, Struct)
+            and isinstance(y, Struct)
+            and x.name == y.name
+            and len(x.args) == len(y.args)
+        ):
+            stack.extend(zip(x.args, y.args))
+            continue
+        return None
+    return theta
 
 
 def rename_then_unify(store, goal, clause, order, fresh):
