@@ -264,12 +264,18 @@ def _dispatch(session: Session, line: str, stdin, stdout, stderr) -> bool:
 def _clause_command(line: str, verb: str) -> Optional[Clause]:
     """``C`` when the whole line is ``verb(C).`` for one clause ``C``,
     which may be a rule; None for any other line, such as a query that
-    calls ``verb`` and goes on with further goals."""
+    calls ``verb`` and goes on with further goals.  A line of that shape
+    that reads neither as one clause nor as a query gets the clause
+    parser's error, which can point into a rule."""
     if not (line.startswith(verb + "(") and line.endswith(").")):
         return None
     try:
         return parse_clause_text(line[len(verb) + 1 : -2] + ".")
-    except ParseError:
+    except ParseError as e:
+        try:
+            parse_query(line)
+        except ParseError:
+            raise e from None
         return None
 
 

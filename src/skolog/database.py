@@ -16,15 +16,13 @@ non-ground clause stays in every list, since trying it uses up fresh
 variable ids, and leaving it out would renumber the ``_G<n>`` and
 ``_R<n>`` names of everything after it.  So every list keeps stored order
 and holds every clause that can match, and whichever list a call gets,
-it tries the same matching clauses and uses up the same ids.  Each stored
-clause numbers its variables once, on its first try, for the head match
-that resolution and retract/1 make (``Store.unify_head``).
+it tries the same matching clauses and uses up the same ids.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .parser import parse_program
@@ -56,16 +54,6 @@ class StoredClause:
     id: int
     kind: str
     clause: Clause
-    _order: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-
-    def variable_order(self) -> dict:
-        """The clause's variables numbered in first-occurrence order, head
-        first; worked out on the first call, so loading a program pays
-        nothing for the clauses that are never tried."""
-        if self._order is None:
-            c = self.clause
-            object.__setattr__(self, "_order", {v: i for i, v in enumerate(variables_in((c.head, *c.body)))})
-        return self._order
 
 
 def _key(t: Optional[Term]) -> object:
@@ -151,7 +139,7 @@ class Database:
         for sc in self.clauses(ind, head.args if type(head) is Struct else ()):
             if len(sc.clause.body) != len(pattern.body):
                 continue
-            body = store.unify_head(head, sc.clause, sc.variable_order(), self._fresh)
+            body = store.unify_head(head, sc.clause, self._fresh)
             if body is not None and all(map(store.unify, pattern.body, body)):
                 for items in (self._preds[ind], *self._index_lists(ind, sc)):
                     _drop(items, sc)
@@ -213,24 +201,6 @@ class Database:
 
     def clause_count(self) -> int:
         return sum(len(b) for b in self._preds.values())
-
-    def copy(self) -> "Database":
-        out = Database()
-        out._preds = {ind: list(bucket) for ind, bucket in self._preds.items()}
-        out._next_id = self._next_id
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Database):
-            return NotImplemented
-        return self._content() == other._content()
-
-    def _content(self) -> dict:
-        return {
-            ind: [(sc.kind, sc.clause) for sc in bucket]
-            for ind, bucket in self._preds.items()
-            if bucket
-        }
 
     def __repr__(self) -> str:
         return f"<Database {self.clause_count()} clauses, {len(self.predicates())} predicates>"

@@ -40,6 +40,7 @@ as of the trail lengths in their records.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
@@ -76,6 +77,10 @@ from .terms import apply, compose, rename_clause, unify  # noqa: F401
 class SolveOptions:
     depth_limit: int = 10_000
     max_solutions: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_solutions is not None and self.max_solutions < 1:
+            raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
 
 
 @dataclass
@@ -141,12 +146,7 @@ class Solver:
 
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
-        solutions = []
-        limit = self.options.max_solutions
-        for sol in self.solutions(goals):
-            solutions.append(sol)
-            if limit is not None and len(solutions) >= limit:
-                break
+        solutions = list(itertools.islice(self.solutions(goals), self.options.max_solutions))
         if solutions:
             return Outcome("yes", solutions)
         return Outcome("depth_exceeded" if self.cutoffs else "no")
@@ -257,7 +257,7 @@ class Solver:
         while call.next < len(call.clauses):
             sc = call.clauses[call.next]
             call.next += 1
-            body = store.unify_head(call.goal, sc.clause, sc.variable_order(), fresh)
+            body = store.unify_head(call.goal, sc.clause, fresh)
             if body is None:
                 store.undo(call.mark)
                 continue

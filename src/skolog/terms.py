@@ -117,6 +117,7 @@ class Clause:
 
     head: Term
     body: tuple[Term, ...] = ()
+    _order = None  # not a field: the first ``Store.unify_head`` sets it on the instance
 
 
 def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
@@ -281,7 +282,7 @@ class Store:
             trail.append(v)
         return True
 
-    def unify_head(self, goal: Term, clause: Clause, order: dict, fresh: "FreshVars") -> Optional[tuple]:
+    def unify_head(self, goal: Term, clause: Clause, fresh: "FreshVars") -> Optional[tuple]:
         """Unify ``goal`` with the head of ``clause`` renamed apart, and
         return the body renamed the same way; None if the head does not match.
 
@@ -291,11 +292,16 @@ class Store:
         there.  A variable of ``fresh`` is made for it only where the call
         has an unbound variable, which is bound to it, or where a clause
         term is built for such a variable; a later occurrence unifies as
-        ``unify`` does.  ``order`` numbers the clause's variables in
-        first-occurrence order, head first, and ``fresh`` advances by their
-        count on every try, so each variable made gets the id that
-        ``rename_clause`` would have given it.
+        ``unify`` does.  The clause's variables are numbered in
+        first-occurrence order, head first, on its first match, and the
+        numbering is kept on the clause, so loading a program numbers
+        nothing.  ``fresh`` advances by their count on every try, so each
+        variable made gets the id that ``rename_clause`` would have given it.
         """
+        order = clause._order
+        if order is None:
+            order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
+            object.__setattr__(clause, "_order", order)
         base = fresh.next_id
         fresh.next_id += len(order)
         env = _Renaming()  # clause variable -> call subterm or made variable

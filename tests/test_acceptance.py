@@ -41,7 +41,7 @@ from skolog.corpus import corpus_path, corpus_text
 from skolog.errors import ParseError
 from skolog.terms import apply, variables_of
 
-from util import canonical, run_cli
+from util import canonical, run_cli, stored_clauses
 
 APPEND = str(corpus_path("append.pl"))
 TWINS = str(corpus_path("twins.pl"))
@@ -199,9 +199,10 @@ def test_criterion_05_skolem_freshness():
         sink = io.StringIO()
         rounds = 200
         for _ in range(rounds):
-            db = Database()
-            load_program(db, _random_fact_program(rng))
-            before_db = db.copy()
+            text = _random_fact_program(rng)
+            db, before_db = Database(), Database()
+            load_program(db, text)
+            load_program(before_db, text)
             before_constants = constants_of(db)
             count_before = db.clause_count()
 
@@ -411,7 +412,7 @@ def test_criterion_09_dynamic_db():
         for text in ["q(a).", "q(b).", "q(c)."]:
             d_assert.assert_(parse_clause_text(text))
             d_assertz.assertz(parse_clause_text(text))
-        assert d_assert == d_assertz, "assert is assertz"
+        assert stored_clauses(d_assert) == stored_clauses(d_assertz), "assert is assertz"
         ordered = solve(d_assert, parse_query("q(X)."), SolveOptions(max_solutions=None))
         assert [s.bindings[Var("X")] for s in ordered.solutions] == [
             Atom("a"),

@@ -661,6 +661,17 @@ def test_repl_assert_or_retract_with_further_goals_is_a_query():
     )
 
 
+def test_repl_a_malformed_assert_or_retract_gets_the_clause_parser_s_error():
+    # neither one clause nor a query: the error points into the clause
+    r = run_cli(["repl"], stdin_text="retract(q(Z) :- B).\nassert(p :- ).\nassert(p(a)), p(X).\n\n:quit\n")
+    assert r.out == (
+        "?- parse error: 1:9: variable is not a callable goal (expected goal)\n"
+        "?- parse error: 1:6: unexpected '.' (expected term)\n"
+        "?- X = a\n"
+        "?- "
+    )
+
+
 def test_repl_parse_error_recovers():
     for bad in ("p(a.", "p(²)."):
         r = run_cli(["repl"], stdin_text=f"{bad}\nassert(q(x)).\nq(W).\n\n:quit\n")

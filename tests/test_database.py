@@ -103,26 +103,6 @@ def test_clauses_returns_snapshot():
     assert len(db.clauses(("p", 1))) == 2
 
 
-def test_copy_is_independent():
-    db = Database()
-    load_program(db, "p(a).")
-    other = db.copy()
-    other.assertz(Clause(head=p("b")))
-    assert db.clause_count() == 1
-    assert other.clause_count() == 2
-    assert db == db.copy()
-    assert db != other
-
-
-def test_equality_ignores_ids():
-    d1 = Database()
-    d2 = Database()
-    load_program(d1, "p(a). q(b).")
-    load_program(d2, "q(b).")
-    load_program(d2, "p(a).")
-    assert d1 == d2  # same clauses per predicate, ids differ
-
-
 def test_constants_of_collects_argument_constants():
     db = Database()
     load_program(db, "p(a, 3) :- q(f(b)). s(neg(p), k).")
@@ -216,18 +196,6 @@ def test_clear_predicate_empties_an_index():
     assert db.clauses(("p", 1), (Atom("a"),)) == ()
     db.assertz(Clause(head=p("b")))
     assert db.clauses(("p", 1), (Atom("a"),)) == ()
-    assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(b)."]
-
-
-def test_copy_after_indexing_is_independent():
-    db = Database()
-    load_program(db, "p(a). p(b).")
-    assert len(db.clauses(("p", 1), (Atom("a"),))) == 1
-    other = db.copy()
-    other.assertz(Clause(head=p("a")))
-    assert other.retract(Clause(head=p("b"))) == {}
-    assert _listed(other, ("p", 1), (Atom("a"),)) == ["p(a).", "p(a)."]
-    assert _listed(db, ("p", 1), (Atom("a"),)) == ["p(a)."]
     assert _listed(db, ("p", 1), (Atom("b"),)) == ["p(b)."]
 
 

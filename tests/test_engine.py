@@ -29,7 +29,6 @@ from skolog import (
     solve,
 )
 from skolog.corpus import corpus_text
-from skolog.database import StoredClause
 from skolog.engine import Store
 from skolog.oracle import value_answer
 from skolog.parser import parse_clause_text
@@ -331,6 +330,24 @@ def test_max_solutions_limits_search():
     assert len(out.solutions) == 2
 
 
+def test_max_solutions_below_one_is_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"max_solutions must be at least 1, not {n}"):
+            SolveOptions(max_solutions=n)
+
+
+def test_the_last_solution_wanted_asks_for_no_more():
+    # with max_solutions=1 the search stops at the first answer, so the
+    # second clause, which would put a question, is never tried
+    db = fresh_db("p(a). p(X) :- ask_value(colour, sky, X).")
+    orc = QueuedOracle([value_answer(Atom("blue"))])
+    out = solve(db, parse_query("p(X)."), SolveOptions(max_solutions=1), oracle=orc)
+    assert [s.bindings for s in out.solutions] == [{Var("X"): Atom("a")}] and orc.asked == []
+    out = solve(db, parse_query("p(X)."), SolveOptions(max_solutions=2), oracle=orc)
+    assert [s.bindings for s in out.solutions] == [{Var("X"): Atom("a")}, {Var("X"): Atom("blue")}]
+    assert len(orc.asked) == 1
+
+
 def test_determinism_same_run_twice():
     db_text = "p(a). p(b). q(X) :- p(X), not(r(X)). r(b)."
     o1 = results(fresh_db(db_text), "q(X).")
@@ -467,7 +484,7 @@ def _head_match(match, goal, clause, before=()):
     store, fresh = Store(), FreshVars()
     for a, b in before:
         store.unify(a, b)
-    body = match(store, goal, clause, StoredClause(0, "clause", clause).variable_order(), fresh)
+    body = match(store, goal, clause, fresh)
     if body is None:
         return None, fresh.next_id
     res = store.resolver()
@@ -499,13 +516,12 @@ def test_head_match_agrees_with_renaming_then_unifying(pair, before):
 )
 def test_head_match_runs_the_occurs_check(goal, head, apart):
     clause = Clause(parse_term_text(head))
-    order = StoredClause(0, "clause", clause).variable_order()
     for match in (Store.unify_head, rename_then_unify):
         fresh = FreshVars()
-        assert match(Store(), parse_term_text(goal), clause, order, fresh) is None
+        assert match(Store(), parse_term_text(goal), clause, fresh) is None
         assert fresh.next_id == 2
     # with the call's two variables apart, the same head matches
-    assert Store().unify_head(parse_term_text(apart), clause, order, FreshVars()) is not None
+    assert Store().unify_head(parse_term_text(apart), clause, FreshVars()) is not None
 
 
 def test_head_match_walks_a_built_term_only_past_a_mapped_variable():
@@ -513,12 +529,11 @@ def test_head_match_walks_a_built_term_only_past_a_mapped_variable():
     # call's Z while no clause variable is mapped yet, so Z cannot occur in
     # it; X's [H|T] holds H, which stands for the call's a by then
     clause = parse_clause_text("app([H|T], L, [H|R]) :- app(T, L, R).")
-    order = StoredClause(0, "clause", clause).variable_order()
     real = Store._occurs
     with mock.patch.object(Store, "_occurs", autospec=True, side_effect=real) as walk:
-        assert Store().unify_head(parse_term_text("app([a], [b], Z)"), clause, order, FreshVars()) is not None
+        assert Store().unify_head(parse_term_text("app([a], [b], Z)"), clause, FreshVars()) is not None
         assert walk.call_count == 0
-        assert Store().unify_head(parse_term_text("app(X, Y, [a])"), clause, order, FreshVars()) is not None
+        assert Store().unify_head(parse_term_text("app(X, Y, [a])"), clause, FreshVars()) is not None
         assert walk.call_count == 1
 
 
@@ -537,6 +552,23 @@ def test_head_match_keeps_the_renamed_answer_name():
     assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause) == want
     out = results(fresh_db("p(B) :- q(B). q(C)."), "p(A).")
     assert [format_term(t) for t in bindings_list(out, "A")] == ["_G2"]
+
+
+def test_a_clause_numbers_its_variables_on_its_first_head_match_only():
+    db = fresh_db("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R). f(a). g(X) :- f(X).")
+    stored = db.all_stored()
+    assert [sc.clause._order for sc in stored] == [None] * 4  # loading numbers nothing
+    with mock.patch("skolog.terms.variables_in", wraps=variables_in) as numbering:
+        assert solve(db, parse_query("app([a,b,c], [d], X).")).status == "yes"
+        assert numbering.call_count == 2  # eight tries of the two app/3 clauses
+        first = [sc.clause._order for sc in stored[:2]]
+        assert first == [{Var("L"): 0}, {Var("H"): 0, Var("T"): 1, Var("L"): 2, Var("R"): 3}]
+        # later matches, and retract/1's, reuse the numbering
+        assert len(solve(db, parse_query("app(X, Y, [a])."), SolveOptions(max_solutions=None)).solutions) == 2
+        assert db.retract(parse_clause_text("app([], A, B).")) == {Var("A"): Var("_R1", 1), Var("B"): Var("_R1", 1)}
+        assert numbering.call_count == 2
+    assert all(sc.clause._order is order for sc, order in zip(stored, first))
+    assert [sc.clause._order for sc in stored[2:]] == [None, None]  # never tried
 
 
 def test_query_variables_from_an_earlier_answer_stay_apart():

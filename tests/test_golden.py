@@ -1,0 +1,86 @@
+"""The `skolog run` invocations that README and the twins case study show,
+and one REPL session, print exactly their recorded output.
+
+Each `run` invocation is recorded twice, with `--trace --explain` and with
+`--json`; the files in `data/golden/` hold stdout byte for byte.  After a
+deliberate change of output, `python tests/test_golden.py` rewrites them.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from skolog.corpus import corpus_path
+from util import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+CASE = "state(not_twin, marsha, marjorie)."
+
+# name -> (program, goal, oracle script or None, exit code)
+RUNS = {
+    "append": ("append.pl", "append([a,b],[c,d],Ls).", None, 0),
+    "twin": ("twins.pl", "twin(marsha, marjorie).", None, 0),
+    "not_twin": ("twins.pl", "not(twin(marsha, marjorie)).", None, 1),
+    "case_country": ("twins.pl", CASE, "answers_country.txt", 0),
+    "case_family": ("twins.pl", CASE, "answers_family.txt", 0),
+    "case_day": ("twins.pl", CASE, "answers_day.txt", 0),
+    "case_triplets": (
+        "twins.pl",
+        "assertz(person(mona, father1, mother1, month1, year1)), " + CASE,
+        "answers_triplets.txt",
+        0,
+    ),
+}
+MODES = {"trace.out": ["--trace", "--explain"], "json": ["--json"]}
+
+REPL_INPUT = (
+    ":trace on\n"
+    "append(X, Y, [a]).\n"
+    ";\n"
+    "how.\n"
+    "assert(last(E, L) :- append(_, [E], L)).\n"
+    "last(E, [a,b]).\n"
+    "how.\n"
+    "retract(append([H|T], L, [H|R]) :- append(T, L, R)).\n"
+    "retract(last(A, B) :- append(C, D, F)).\n"
+    "listing.\n"
+    ":trace off\n"
+    "append(X, Y, []).\n"
+    ":quit\n"
+)
+
+
+def _run(name: str, mode: str):
+    program, goal, script, _ = RUNS[name]
+    argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode]]
+    if script:
+        argv += ["--oracle", str(corpus_path(script))]
+    return run_cli(argv)
+
+
+def _repl():
+    return run_cli(["repl", str(corpus_path("append.pl"))], stdin_text=REPL_INPUT)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", RUNS)
+def test_run_output_matches_its_golden(name, mode):
+    r = _run(name, mode)
+    assert (r.code, r.err) == (RUNS[name][3], "")
+    assert r.out == (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
+
+
+def test_repl_session_matches_its_golden():
+    r = _repl()
+    assert (r.code, r.err) == (0, "")
+    assert r.out == (GOLDEN / "repl.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    outputs = {f"{n}.{m}": _run(n, m).out for n in RUNS for m in MODES}
+    outputs["repl.out"] = _repl().out
+    for file, text in outputs.items():
+        (GOLDEN / file).write_text(text, encoding="utf-8")

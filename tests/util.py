@@ -1,5 +1,5 @@
 """Shared test helpers: variant equality, the reference unifier and head
-match, CLI harness."""
+match, a database's contents, CLI harness."""
 
 from __future__ import annotations
 
@@ -93,12 +93,18 @@ def reference_unify(t1, t2):
     return theta
 
 
-def rename_then_unify(store, goal, clause, order, fresh):
+def rename_then_unify(store, goal, clause, fresh):
     """Reference for ``Store.unify_head``, with its signature: rename
     ``clause`` apart, unify ``goal`` with the renamed head in ``store``,
     and return the renamed body, or None if they do not unify."""
     renamed = rename_clause(clause, fresh)
     return renamed.body if store.unify(goal, renamed.head) else None
+
+
+def stored_clauses(db):
+    """What ``db`` holds, ids aside: each stored clause's kind and clause,
+    predicate by predicate, in stored order."""
+    return [(sc.kind, sc.clause) for sc in db.all_stored()]
 
 
 @dataclass
