@@ -123,9 +123,6 @@ class Database:
     def assertz(self, clause: Clause, kind: str = KIND_DYNAMIC) -> StoredClause:
         return self._add(clause, kind, front=False)
 
-    # assert/1 is assertz; "assert" itself is a Python keyword.
-    assert_ = assertz
-
     def retract(self, pattern: Clause) -> Optional[Subst]:
         """Remove the first clause whose head AND body unify with the
         pattern, and return the bindings of the pattern's own variables in

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .database import StoredClause, KIND_S_FACT
-from .oracle import UserSaidJust, answer_text, prompt_for
+from .oracle import UserSaidJust, prompt_for
 from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
 from .terms import Subst, Term, TRUE, indicator_of
 
@@ -94,7 +94,7 @@ def _node_line(node: ProofNode) -> str:
         rule = format_term(c.head) + " :- " + format_goals(c.body)
         return f"{g} BECAUSE {rule} WITH {{{format_bindings(node.bindings)}}}"
     if type(j) is UserSaidJust:
-        return f'user said {answer_text(j.answer)} to "{prompt_for(j.question)}"'
+        return f'user said {format_term(j.answer)} to "{prompt_for(j.question)}"'
     return f"{g} by builtin {j}"
 
 
@@ -124,7 +124,7 @@ def _justification_json(j: Justification) -> dict:
         return {
             "kind": "user_said",
             "prompt": prompt_for(j.question),
-            "answer": answer_text(j.answer),
+            "answer": format_term(j.answer),
         }
     return {"kind": "builtin", "name": j}
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional, TextIO
 
 from .database import Database, StoredClause, constants_of, KIND_S_FACT
 from .errors import InstantiationError, NotAFactError
-from .oracle import Oracle, Question, consult
+from .oracle import NO, Oracle, Question, consult
 from .parser import format_term
 from .terms import (
     Atom,
@@ -91,17 +91,15 @@ def _obtain_constant(
     if oracle is not None:
         question = Question("skolem", predicate, None)
         for _ in range(_MAX_PROPOSALS):
-            ans = consult(oracle, question, why_supplier)
-            if ans.kind == "no":
+            reply = consult(oracle, question, why_supplier)
+            if reply == NO:
                 break
-            if ans.kind == "value" and isinstance(ans.value, Atom):
-                if ans.value not in db_constants and ans.value not in ledger:
-                    ledger.add(ans.value)
-                    return ans.value
+            if isinstance(reply, Atom):
+                if reply not in db_constants and reply not in ledger:
+                    ledger.add(reply)
+                    return reply
                 if diag is not None:
-                    diag.write(
-                        f"constant_occurs_in_kb: {format_term(ans.value)} is not fresh\n"
-                    )
+                    diag.write(f"constant_occurs_in_kb: {format_term(reply)} is not fresh\n")
                 continue
             if diag is not None:
                 diag.write("skolem constant must be a new atom\n")

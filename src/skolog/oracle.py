@@ -1,9 +1,11 @@
 """Interactive fact acquisition: ask/3, ask_value/3, and the known/4 memo.
 
-Everything the user (or a script standing in for the user) says is
-memoised as a ``known(Answer, Attribute, Subject, Value)`` fact at the
-front of the ordinary database, so ``listing`` shows it and ``retract``
-can take it back.  A given question is put to the oracle at most once
+A reply is a term: ``yes``, ``no`` or a value.  Everything the user (or a
+script standing in for the user) says is memoised as a ground
+``known(Reply, Attribute, Subject, Value)`` fact at the front of the
+ordinary database, so ``listing`` shows it and ``retract`` can take it
+back.  A reply with a variable in it is an error, and a known/4 fact with
+one answers nothing.  A given question is put to the oracle at most once
 per session:
 
     ask(A, P, V):        known(yes, A, P, V)  -> succeed
@@ -13,8 +15,8 @@ per session:
                          known(no, A, P, no_value) -> fail
                          otherwise            -> consult for a value
 
-A refused ask_value stores the reserved atom ``no_value`` so the question
-is not put again.
+A refused ask_value (the reply ``no``) stores the reserved atom
+``no_value`` so the question is not put again.
 
 The oracle is the only party to a question: it puts it, shows WHY it is
 asked when told ``why`` (on the stream the question went to), and answers.
@@ -28,7 +30,7 @@ from typing import Callable, Optional, TextIO, Union
 from .database import Database, StoredClause
 from .errors import EngineError, OracleScriptError, ParseError, UnansweredQuestionError
 from .parser import format_clause, format_goal, format_goals, format_term, parse_term_text
-from .terms import Atom, Clause, Struct, Term
+from .terms import Atom, Clause, Struct, Term, is_ground
 
 KNOWN = ("known", 4)
 NO_VALUE = Atom("no_value")
@@ -41,24 +43,13 @@ class Question:
     value: Optional[Term] = None  # None means: a value is requested
 
 
-@dataclass(frozen=True)
-class Answer:
-    kind: str  # "yes" | "no" | "value"
-    value: Optional[Term] = None
+YES = Atom("yes")
+NO = Atom("no")
 
 
-YES = Answer("yes")
-NO = Answer("no")
-
-
-def value_answer(t: Term) -> Answer:
-    return Answer("value", t)
-
-
-def answer_text(a: Answer) -> str:
-    if a.kind == "value":
-        return format_term(a.value)
-    return a.kind
+def value_answer(t: Term) -> Term:
+    """The reply that gives the value ``t``: the term itself."""
+    return t
 
 
 def prompt_for(q: Question) -> str:
@@ -90,14 +81,15 @@ def why(ctx: WhyContext) -> str:
 class Oracle:
     """Answers questions."""
 
-    def answer(self, question: Question, why_supplier: Optional[Callable] = None) -> Answer:
-        """The answer to ``question``.  ``why_supplier``, if given, returns
-        the ``WhyContext`` behind it: an oracle that can be asked why shows
-        ``why`` of it on its own stream, then puts the question again."""
+    def answer(self, question: Question, why_supplier: Optional[Callable] = None) -> Term:
+        """The reply to ``question``, a term: ``YES``, ``NO`` or a value.
+        ``why_supplier``, if given, returns the ``WhyContext`` behind it: an
+        oracle that can be asked why shows ``why`` of it on its own stream,
+        then puts the question again."""
         raise NotImplementedError
 
 
-def consult(oracle: Optional[Oracle], question: Question, why_supplier=None) -> Answer:
+def consult(oracle: Optional[Oracle], question: Question, why_supplier=None) -> Term:
     """Put one question; with no oracle attached that is an error."""
     if oracle is None:
         raise EngineError(f"a question came up but no oracle is attached: {prompt_for(question)}")
@@ -112,7 +104,7 @@ class QueuedOracle(Oracle):
         self.queue = list(answers)
         self.asked: list[Question] = []
 
-    def answer(self, question: Question, why_supplier=None) -> Answer:
+    def answer(self, question: Question, why_supplier=None) -> Term:
         self.asked.append(question)
         if not self.queue:
             raise UnansweredQuestionError(f"no answer queued for: {prompt_for(question)}")
@@ -125,7 +117,7 @@ class ScriptedOracle(Oracle):
         ask <attribute> <subject> <value> -> yes|no
         askv <attribute> <subject> -> <value>|no
 
-    ``#`` starts a comment.  An entry is a ``Question`` and its ``Answer``;
+    ``#`` starts a comment.  An entry is a ``Question`` and its reply term;
     a question uses up the first entry that asks exactly it.  An unmatched
     question raises, naming the question.  Never asks why.
     """
@@ -133,7 +125,7 @@ class ScriptedOracle(Oracle):
     def __init__(self, text: str):
         self.entries = _parse_script(text)
 
-    def answer(self, question: Question, why_supplier=None) -> Answer:
+    def answer(self, question: Question, why_supplier=None) -> Term:
         for i, (q, reply) in enumerate(self.entries):
             if q == question:
                 del self.entries[i]
@@ -141,8 +133,8 @@ class ScriptedOracle(Oracle):
         raise UnansweredQuestionError(f"no script entry for: {prompt_for(question)}")
 
 
-def _parse_script(text: str) -> list[tuple[Question, Answer]]:
-    entries: list[tuple[Question, Answer]] = []
+def _parse_script(text: str) -> list[tuple[Question, Term]]:
+    entries: list[tuple[Question, Term]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,18 +150,13 @@ def _parse_script(text: str) -> list[tuple[Question, Answer]]:
             if len(fields) < 4:
                 raise OracleScriptError(f"script line {lineno}: ask needs attribute, subject, value")
             value = _script_value(" ".join(fields[3:]), lineno)
-            if rhs == "yes":
-                reply = YES
-            elif rhs == "no":
-                reply = NO
-            else:
+            if rhs not in ("yes", "no"):
                 raise OracleScriptError(f"script line {lineno}: ask reply must be yes or no")
-            entries.append((Question(fields[1], fields[2], value), reply))
+            entries.append((Question(fields[1], fields[2], value), Atom(rhs)))
         elif kind == "askv":
             if len(fields) != 3:
                 raise OracleScriptError(f"script line {lineno}: askv needs attribute, subject")
-            reply = NO if rhs == "no" else value_answer(_script_value(rhs, lineno))
-            entries.append((Question(fields[1], fields[2]), reply))
+            entries.append((Question(fields[1], fields[2]), _script_value(rhs, lineno)))
         else:
             raise OracleScriptError(f"script line {lineno}: unknown entry kind {kind!r}")
     return entries
@@ -185,16 +172,16 @@ def _script_value(text: str, lineno: int) -> Term:
 class InteractiveOracle(Oracle):
     """Puts questions to a person on a pair of text streams.
 
-    Accepted replies: ``yes.``, ``no.``, ``why.``, or a term (the trailing
-    period is optional).  ``why`` writes the WHY chain and puts the question
-    again; anything unreadable re-prompts.
+    Accepted replies: ``why.``, or a term such as ``yes.``, ``no.`` or a
+    value (the trailing period is optional).  ``why`` writes the WHY chain
+    and puts the question again; anything unreadable re-prompts.
     """
 
     def __init__(self, in_stream: TextIO, out_stream: TextIO):
         self.in_stream = in_stream
         self.out_stream = out_stream
 
-    def answer(self, question: Question, why_supplier=None) -> Answer:
+    def answer(self, question: Question, why_supplier=None) -> Term:
         while True:
             self.out_stream.write(prompt_for(question) + "\n")
             line = self.in_stream.readline()
@@ -207,16 +194,12 @@ class InteractiveOracle(Oracle):
                 line = line[:-1].strip()
             if not line:
                 continue
-            if line == "yes":
-                return YES
-            if line == "no":
-                return NO
             if line == "why":
                 if why_supplier is not None:
                     self.out_stream.write(why(why_supplier()) + "\n")
                 continue
             try:
-                return value_answer(parse_term_text(line))
+                return parse_term_text(line)
             except ParseError:
                 self.out_stream.write("please answer yes., no., why., or a term\n")
 
@@ -224,7 +207,7 @@ class InteractiveOracle(Oracle):
 @dataclass(frozen=True)
 class UserSaidJust:
     question: Question
-    answer: Answer
+    answer: Term  # the reply as given
 
 
 @dataclass
@@ -239,15 +222,26 @@ class AskResult:
 
 
 def _known_facts(db: Database, attribute: str, subject: str):
-    """The known/4 facts that can be about ``attribute`` of ``subject``."""
+    """The ground known/4 facts that can be about ``attribute`` of
+    ``subject``; a fact with a variable in it answers nothing."""
     for sc in db.clauses(KNOWN, (None, Atom(attribute), Atom(subject))):
-        if not sc.clause.body:
+        if not sc.clause.body and is_ground(sc.clause.head):
             yield sc
 
 
-def _record(db: Database, reply: Term, attribute: str, subject: str, value: Term) -> None:
-    head = Struct("known", (reply, Atom(attribute), Atom(subject), value))
-    db.asserta(Clause(head=head))
+def _record(db: Database, q: Question, reply: Term) -> None:
+    """Store ``reply`` to ``q`` as a known/4 fact: a yes/no reply as given,
+    a refused value as ``no_value``, and a value as a ``yes`` for it.  A
+    reply that is not ground is an error, and nothing is stored."""
+    if not is_ground(reply):
+        raise EngineError(f'reply {format_term(reply)} to "{prompt_for(q)}" is not ground')
+    if q.value is not None:
+        answer, value = reply, q.value
+    elif reply == NO:
+        answer, value = NO, NO_VALUE
+    else:
+        answer, value = YES, reply
+    db.asserta(Clause(head=Struct("known", (answer, Atom(q.attribute), Atom(q.subject), value))))
 
 
 def ask(
@@ -264,13 +258,12 @@ def ask(
     for sc in _known_facts(db, attribute, subject):
         args = sc.clause.head.args
         if args[1:] == target:
-            return AskResult(args[0] == Atom("yes"), "memo", sc)
-    ans = consult(oracle, q, why_supplier)
+            return AskResult(args[0] == YES, "memo", sc)
+    reply = consult(oracle, q, why_supplier)
     # A term offered where yes/no was wanted is recorded as given, and the
     # ask succeeds exactly when the memo hit on that record later would.
-    reply = ans.value if ans.kind == "value" else Atom(ans.kind)
-    _record(db, reply, attribute, subject, value)
-    return AskResult(reply == Atom("yes"), "fresh", UserSaidJust(q, ans))
+    _record(db, q, reply)
+    return AskResult(reply == YES, "fresh", UserSaidJust(q, reply))
 
 
 def ask_value(
@@ -287,19 +280,17 @@ def ask_value(
     # any yes entry answers the question, wherever a refusal marker sits
     for sc in matching:
         args = sc.clause.head.args
-        if args[0] == Atom("yes"):
+        if args[0] == YES:
             return AskResult(True, "memo", sc, args[3])
     for sc in matching:
         args = sc.clause.head.args
-        if args[0] == Atom("no") and args[3] == NO_VALUE:
+        if args[0] == NO and args[3] == NO_VALUE:
             return AskResult(False, "memo", sc)
-    ans = consult(oracle, q, why_supplier)
-    if ans.kind == "no":
-        _record(db, Atom("no"), attribute, subject, NO_VALUE)
-        return AskResult(False, "fresh", UserSaidJust(q, ans))
-    value = Atom("yes") if ans.kind == "yes" else ans.value
-    _record(db, Atom("yes"), attribute, subject, value)
-    return AskResult(True, "fresh", UserSaidJust(q, ans), value)
+    reply = consult(oracle, q, why_supplier)
+    _record(db, q, reply)
+    if reply == NO:
+        return AskResult(False, "fresh", UserSaidJust(q, reply))
+    return AskResult(True, "fresh", UserSaidJust(q, reply), reply)
 
 
 def reset_known(db: Database) -> int:

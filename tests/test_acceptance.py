@@ -409,9 +409,8 @@ def test_criterion_09_dynamic_db():
 
         d_assert = Database()
         d_assertz = Database()
-        for text in ["q(a).", "q(b).", "q(c)."]:
-            d_assert.assert_(parse_clause_text(text))
-            d_assertz.assertz(parse_clause_text(text))
+        solve(d_assert, parse_query("assert(q(a)), assert(q(b)), assert(q(c))."))
+        solve(d_assertz, parse_query("assertz(q(a)), assertz(q(b)), assertz(q(c))."))
         assert stored_clauses(d_assert) == stored_clauses(d_assertz), "assert is assertz"
         ordered = solve(d_assert, parse_query("q(X)."), SolveOptions(max_solutions=None))
         assert [s.bindings[Var("X")] for s in ordered.solutions] == [

@@ -255,6 +255,19 @@ def test_run_unanswered_scripted_question_exit_2(tmp_path):
     assert "country of person marsha is ?" in r.err
 
 
+@pytest.mark.parametrize("reply", ["X", "f(X)", "Y"])
+def test_run_a_reply_that_is_not_ground_is_an_error(tmp_path, reply):
+    # bound into the query, X and f(X) would make the query's X refer to
+    # itself, and Y would leak the reply's variable into the answer
+    f = tmp_path / "color.pl"
+    f.write_text("color(P, C) :- ask_value(color, P, C).\n")
+    script = tmp_path / "s.txt"
+    script.write_text(f"askv color bob -> {reply}\n")
+    r = run_cli(["run", str(f), "--goal", "color(bob, X).", "--oracle", str(script)])
+    assert (r.code, r.out) == (2, "")
+    assert r.err == f'error: reply {reply} to "color of person bob is ?" is not ground\n'
+
+
 def test_run_batch_determinism():
     argv = [
         "run",
@@ -711,6 +724,23 @@ def test_repl_a_quoted_yes_reply_answers_the_same_now_and_from_the_memo(tmp_path
     f.write_text("likes(P) :- ask(likes, P, icecream).\n")
     r = run_cli(["repl", str(f)], stdin_text="likes(peter).\n'yes'.\n\nlikes(peter).\n\n:quit\n")
     assert r.out == "?- likes of person peter is icecream ?\nyes\n?- yes\n?- "
+
+
+def test_repl_a_reply_that_is_not_ground_is_an_error_and_the_session_goes_on(tmp_path):
+    f = tmp_path / "color.pl"
+    f.write_text("color(P, C) :- ask_value(color, P, C).\n")
+    r = run_cli(["repl", str(f)], stdin_text="color(bob, X).\nf(Y).\ncolor(bob, X).\nred.\n\n:quit\n")
+    prompt = "color of person bob is ?\n"
+    error = 'error: reply f(Y) to "color of person bob is ?" is not ground\n'
+    assert r.out == "?- " + prompt + error + "?- " + prompt + "X = red\n?- "
+
+
+def test_repl_a_known_fact_with_a_variable_does_not_answer_a_question():
+    r = run_cli(
+        ["repl"],
+        stdin_text="assert(known(yes, color, bob, f(X))).\nask_value(color, bob, V), X = red.\nblue.\n\n:quit\n",
+    )
+    assert r.out == "?- yes\n?- color of person bob is ?\nV = blue\nX = red\n?- "
 
 
 def test_repl_reset_clears_known(tmp_path):

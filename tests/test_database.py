@@ -30,11 +30,12 @@ def test_assertz_appends_asserta_prepends():
 
 
 def test_assert_is_assertz():
+    # the assert/1 builtin appends, as assertz/1 does
     db = Database()
-    db.assert_(Clause(head=p("x")))
-    db.assert_(Clause(head=p("y")))
+    load_program(db, "p(m).")
+    solve(db, parse_query("assert(p(x)), assertz(p(y)), assert(p(z))."))
     heads = [sc.clause.head for sc in db.clauses(("p", 1))]
-    assert heads == [p("x"), p("y")]
+    assert heads == [p("m"), p("x"), p("y"), p("z")]
 
 
 def test_stored_ids_unique_and_kind_recorded():

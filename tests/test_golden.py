@@ -1,13 +1,15 @@
 """The `skolog run` invocations that README and the twins case study show,
-and one REPL session, print exactly their recorded output.
+and two REPL sessions, print exactly their recorded output.
 
 Each `run` invocation is recorded twice, with `--trace --explain` and with
-`--json`; the files in `data/golden/` hold stdout byte for byte.  After a
-deliberate change of output, `python tests/test_golden.py` rewrites them.
+`--json`; the files in `data/golden/` hold stdout byte for byte, and for
+the fact-acquisition session stderr as well.  After a deliberate change of
+output, `python tests/test_golden.py` rewrites them.
 """
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,27 @@ REPL_INPUT = (
 )
 
 
+# A value answered from the script and explained, one negation whose
+# witness is proposed a stored name, a compound, then a fresh atom, and one
+# whose witness is refused a name and so gets a generated sk_<k>.
+ACQUISITION_SCRIPT = (
+    "askv country marsha -> egypt\n"
+    "askv skolem twin -> marsha\n"
+    "askv skolem twin -> f(a)\n"
+    "askv skolem twin -> alice\n"
+    "askv skolem likes -> no\n"
+)
+ACQUISITION_INPUT = (
+    "country(X, marsha).\n"
+    "how.\n"
+    "negate twin(X, marjorie).\n"
+    "negate likes(Y, tea).\n"
+    "holds_negated(twin(alice, marjorie)).\n"
+    "holds_negated(likes(sk_1, tea)).\n"
+    ":quit\n"
+)
+
+
 def _run(name: str, mode: str):
     program, goal, script, _ = RUNS[name]
     argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode]]
@@ -62,6 +85,14 @@ def _run(name: str, mode: str):
 
 def _repl():
     return run_cli(["repl", str(corpus_path("append.pl"))], stdin_text=REPL_INPUT)
+
+
+def _acquisition():
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp) / "answers.txt"
+        script.write_text(ACQUISITION_SCRIPT, encoding="utf-8")
+        argv = ["repl", str(corpus_path("twins.pl")), "--oracle", str(script)]
+        return run_cli(argv, stdin_text=ACQUISITION_INPUT)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -78,9 +109,18 @@ def test_repl_session_matches_its_golden():
     assert r.out == (GOLDEN / "repl.out").read_text(encoding="utf-8")
 
 
+def test_acquisition_session_matches_its_golden():
+    r = _acquisition()
+    assert r.code == 0
+    assert r.out == (GOLDEN / "acquisition.out").read_text(encoding="utf-8")
+    assert r.err == (GOLDEN / "acquisition.err").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     outputs = {f"{n}.{m}": _run(n, m).out for n in RUNS for m in MODES}
     outputs["repl.out"] = _repl().out
+    acquisition = _acquisition()
+    outputs["acquisition.out"], outputs["acquisition.err"] = acquisition.out, acquisition.err
     for file, text in outputs.items():
         (GOLDEN / file).write_text(text, encoding="utf-8")

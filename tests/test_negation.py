@@ -12,6 +12,7 @@ from skolog import (
     FreshnessLedger,
     InstantiationError,
     Int,
+    InteractiveOracle,
     NotAFactError,
     QueuedOracle,
     SolveOptions,
@@ -119,6 +120,20 @@ def test_negate_non_atom_proposals_are_refused():
     nf = negate_fact(db, parse_clause_text("q(X)."), oracle=orc, diag=diag)
     assert diag.getvalue() == "skolem constant must be a new atom\n" * 2
     assert format_term(nf.stored) == "s(neg(q),w)"
+
+
+def test_a_proposed_yes_is_checked_for_freshness_like_any_atom():
+    # yes typed at the prompt is a proposed name like any other
+    db = Database()
+    load_program(db, "said(yes).")
+    diag = io.StringIO()
+    orc = InteractiveOracle(io.StringIO("yes.\nno.\n"), io.StringIO())
+    nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, diag=diag)
+    assert diag.getvalue() == "constant_occurs_in_kb: yes is not fresh\n"
+    assert nf.skolem_constants == (Atom("sk_1"),)
+    orc = InteractiveOracle(io.StringIO("yes.\n"), io.StringIO())
+    nf = negate_fact(Database(), parse_clause_text("likes(X, apple)."), oracle=orc)
+    assert nf.skolem_constants == (Atom("yes"),)
 
 
 def test_negate_exhausted_proposals_fall_back_to_gensym():

@@ -7,6 +7,7 @@ import pytest
 from skolog import (
     Atom,
     Database,
+    EngineError,
     InteractiveOracle,
     Question,
     QueuedOracle,
@@ -16,6 +17,7 @@ from skolog import (
     Struct,
     UnansweredQuestionError,
     Var,
+    format_term,
     load_program,
     parse_query,
     prompt_for,
@@ -23,7 +25,8 @@ from skolog import (
     solve,
 )
 from skolog.errors import OracleScriptError
-from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, answer_text, ask, ask_value, value_answer
+from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, ask, ask_value, value_answer
+from skolog.terms import is_ground
 
 from util import stored_clauses
 
@@ -152,6 +155,47 @@ def test_reset_known_on_clean_db_is_identity():
     before = stored_clauses(db)
     reset_known(db)
     assert stored_clauses(db) == before
+
+
+X = Var("X")
+
+
+@pytest.mark.parametrize("reply", [X, Struct("f", (X,))], ids=["var", "compound"])
+def test_a_reply_that_is_not_ground_is_refused_before_anything_is_stored(reply):
+    db = Database()
+    with pytest.raises(EngineError) as e:
+        ask_value(db, "color", "bob", QueuedOracle([value_answer(reply)]))
+    assert str(e.value) == f'reply {format_term(reply)} to "color of person bob is ?" is not ground'
+    with pytest.raises(EngineError) as e:
+        ask(db, "color", "bob", Atom("red"), QueuedOracle([value_answer(reply)]))
+    assert str(e.value) == f'reply {format_term(reply)} to "color of person bob is red ?" is not ground'
+    assert known_facts(db) == []
+
+
+@pytest.mark.parametrize("stored", ["X", "f(X)"])
+def test_a_known_fact_with_a_variable_is_not_a_memo_answer(stored):
+    db = Database()
+    load_program(db, f"known(yes, color, bob, {stored}). known(X, color, bob, red).")
+    orc = QueuedOracle([value_answer(Atom("blue")), YES])
+    res = ask_value(db, "color", "bob", orc)
+    assert res.source == "fresh" and res.value == Atom("blue") and is_ground(res.value)
+    res = ask(db, "color", "bob", Atom("red"), orc)
+    assert res.source == "fresh" and res.succeeded
+    assert len(orc.asked) == 2
+
+
+def test_a_known_fact_with_a_variable_leaks_nothing_into_an_answer():
+    db = Database()
+    load_program(db, "known(yes, color, bob, X).")
+    out = solve(db, parse_query("ask_value(color, bob, V), X = red."), oracle=QueuedOracle([value_answer(Atom("blue"))]))
+    assert out.solutions[0].bindings == {Var("V"): Atom("blue"), Var("X"): Atom("red")}
+
+
+def test_a_quoted_no_refuses_a_value():
+    db = Database()
+    res = ask_value(db, "country", "marsha", InteractiveOracle(io.StringIO("'no'.\n"), io.StringIO()))
+    assert not res.succeeded
+    assert known_facts(db) == [Struct("known", (NO, Atom("country"), Atom("marsha"), NO_VALUE))]
 
 
 # --- scripted oracle -------------------------------------------------------------
@@ -317,8 +361,6 @@ def test_why_text_goes_to_the_oracle_stream_beside_its_prompt():
 def test_engine_ask_without_oracle_is_error():
     db = Database()
     load_program(db, "nice(P) :- ask(likes, P, icecream).")
-    from skolog import EngineError
-
     with pytest.raises(EngineError):
         solve(db, parse_query("nice(peter)."), SolveOptions(), oracle=None)
 
@@ -337,6 +379,7 @@ def test_engine_memo_survives_backtracking():
 
 
 def test_answer_text_rendering():
-    assert answer_text(YES) == "yes"
-    assert answer_text(NO) == "no"
-    assert answer_text(value_answer(Atom("egypt"))) == "egypt"
+    # a reply is a term, and prints as one
+    assert format_term(YES) == "yes"
+    assert format_term(NO) == "no"
+    assert format_term(value_answer(Atom("egypt"))) == "egypt"

@@ -184,7 +184,7 @@ def script_lines(draw):
     attribute, subject = draw(st.sampled_from(ATTRIBUTES)), draw(st.sampled_from(SUBJECTS + ("p",)))
     return draw(_rarely(st.sampled_from((
         f"ask {attribute} {subject} {draw(terms)} -> {draw(st.sampled_from(('yes', 'no')))}",
-        f"askv {attribute} {subject} -> {draw(st.sampled_from(('no', 'egypt', 'f(x)')))}",
+        f"askv {attribute} {subject} -> {draw(st.sampled_from(('no', 'egypt', 'f(x)', 'X', 'f(X)')))}",
         f"askv skolem {subject} -> {draw(terms)}",
     )), text_noise))
 
