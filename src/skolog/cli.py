@@ -323,9 +323,8 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
             if more.strip():
                 session.unread = more
             return
-    # none at all, or none left after the user asked for more
-    cut_off = session.last_proof is None and solver.cutoffs
-    stdout.write(("depth_exceeded" if cut_off else "no") + "\n")
+    # none (left): ``no`` only if no path was cut off, answers shown or not
+    stdout.write(("depth_exceeded" if solver.cutoffs else "no") + "\n")
 
 
 if __name__ == "__main__":

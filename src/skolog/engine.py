@@ -10,11 +10,12 @@ choicepoint stack, which failure pops to resume the latest alternative.
 A call tries, in stored order, the clauses that the database keeps for
 its arguments: the shortest list that an index on a bound argument
 position gives (all of them when no argument is bound).  Each try
-unifies the goal with the clause's head as if the clause had been
+unifies the clause's head with the goal as if the clause had been
 renamed apart (occurs check on), without renaming it: ``Store.unify_head``
 walks the stored head against the goal, so a clause that cannot match
-fails at its first clashing comparison, having built nothing.  Every try
-uses up one fresh id per clause variable, so the ``_G<n>`` names are
+fails at its first clashing comparison, and a clause variable's first
+occurrence names the goal's term, binding no variable of the goal.  Every
+try uses up one fresh id per clause variable, so the ``_G<n>`` names are
 those of renaming each clause tried.  A reduction puts the clause body,
 built under the head's match, in front of the goals.
 

@@ -283,20 +283,21 @@ class Store:
         return True
 
     def unify_head(self, goal: Term, clause: Clause, fresh: "FreshVars") -> Optional[tuple]:
-        """Unify ``goal`` with the head of ``clause`` renamed apart, and
+        """Unify the head of ``clause`` renamed apart with ``goal``, and
         return the body renamed the same way; None if the head does not match.
 
         The clause is not renamed whole (the WAM's get/unify instructions:
         Warren 1983).  The walk takes ``unify``'s equations in its order.
         A clause variable's first occurrence stands for the call's subterm
-        there.  A variable of ``fresh`` is made for it only where the call
-        has an unbound variable, which is bound to it, or where a clause
-        term is built for such a variable; a later occurrence unifies as
-        ``unify`` does.  The clause's variables are numbered in
-        first-occurrence order, head first, on its first match, and the
-        numbering is kept on the clause, so loading a program numbers
-        nothing.  ``fresh`` advances by their count on every try, so each
-        variable made gets the id that ``rename_clause`` would have given it.
+        there, an unbound variable included (get_variable).  A variable of
+        ``fresh`` is made for it only where a clause term is built for an
+        unbound variable of the call; a later occurrence unifies as
+        ``unify`` does, the clause's side first.  The clause's variables
+        are numbered in first-occurrence order, head first, on its first
+        match, and the numbering is kept on the clause, so loading a
+        program numbers nothing.  ``fresh`` advances by their count on
+        every try, so each variable made gets the id that ``rename_clause``
+        would have given it.
         """
         order = clause._order
         if order is None:
@@ -316,14 +317,10 @@ class Store:
                 x = value
             if type(y) is Var:
                 t = env.get(y)
-                if t is not None:
-                    if not self.unify(x, t):
-                        return None
-                elif type(x) is Var:
-                    bindings[x] = build(y)
-                    trail.append(x)
-                else:
+                if t is None:
                     env[y] = x
+                elif not self.unify(t, x):
+                    return None
             elif type(x) is Var:
                 mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
                 t = _rebuild(y, build)

@@ -121,8 +121,8 @@ def test_run_builtin_misuse_is_an_error(goal, message):
 
 @pytest.mark.parametrize("goal, code, out, err", [
     # q(Y) and r(Y) hold for Y = b but not for Y = a: neither yes nor no is sound
-    ("q(Y).", 2, "", "error: not/1 needs a ground argument: not(p(_G1))\n"),
-    ("r(Y).", 2, "", "error: \\=/2 needs ground arguments: _G1 \\= a\n"),
+    ("q(Y).", 2, "", "error: not/1 needs a ground argument: not(p(Y))\n"),
+    ("r(Y).", 2, "", "error: \\=/2 needs ground arguments: Y \\= a\n"),
     ("q(b).", 0, "yes\n", ""),
     ("r(b).", 0, "yes\n", ""),
 ])
@@ -177,6 +177,14 @@ def test_numeric_flag_out_of_range_is_an_error(capsys, argv, flag):
 def test_depth_zero_is_allowed():
     r = run_cli(["run", APPEND, "--goal", "append(X, Y, [a]).", "--depth", "0"])
     assert (r.code, r.out) == (3, "depth_exceeded\n")
+
+
+def test_repl_reports_a_cutoff_after_the_answers_it_showed(tmp_path):
+    # p(b)'s search is cut off, so no is not proved after X = a either
+    f = tmp_path / "c.pl"
+    f.write_text("p(a). p(b) :- q. q :- q.\n")
+    r = run_cli(["repl", str(f), "--depth", "50"], stdin_text="p(X).\n;\np(b).\n:quit\n")
+    assert r.out == "?- X = a\ndepth_exceeded\n?- depth_exceeded\n?- "
 
 
 def test_run_multiple_solutions_blank_line_separated():
@@ -490,6 +498,18 @@ def test_holds_negated_cites_an_s_fact_from_program_text_like_any_fact(tmp_path)
     }
 
 
+def test_run_an_answer_that_binds_no_query_variable_says_yes(tmp_path):
+    # p(Y) stands for the query's X and binds it to nothing
+    f = tmp_path / "p.pl"
+    f.write_text("p(Y).\n")
+    r = run_cli(["run", str(f), "--goal", "p(X)."])
+    assert (r.code, r.out, r.err) == (0, "yes\n", "")
+    r = run_cli(["run", str(f), "--goal", "p(X).", "--json"])
+    payload = json.loads(r.out)
+    _validate(payload)
+    assert (r.code, payload["status"], [s["bindings"] for s in payload["solutions"]]) == (0, "yes", [[]])
+
+
 def test_json_depth_exceeded(tmp_path):
     f = tmp_path / "loop.pl"
     f.write_text("loop :- loop.\n")
@@ -625,9 +645,11 @@ def test_repl_retract_shows_the_bindings_of_its_pattern(tmp_path):
 
 def test_repl_retract_names_the_clause_variables_in_order(tmp_path):
     # each variable of a clause tried gets the next _R<n>, head first: a
-    # rule, a fact with a repeated variable, a rule with body-only variables
+    # rule, a fact with a repeated variable, a rule with body-only variables.
+    # Each head variable sits in a term built for a pattern variable, so
+    # each is made and shows.
     f = tmp_path / "r.pl"
-    f.write_text("r(X, Y) :- q(X), s(Y).\nf(A, A, g(B)).\nt(X) :- u(X, Y, Z), v(Z).\n")
+    f.write_text("r(h(X), h(Y)) :- q(X), s(Y).\nf(k(A), k(A), g(B)).\nt(h(X)) :- u(X, Y, Z), v(Z).\n")
     r = run_cli(
         ["repl", str(f)],
         stdin_text=(
@@ -638,9 +660,9 @@ def test_repl_retract_names_the_clause_variables_in_order(tmp_path):
         ),
     )
     assert r.out == (
-        "?- A = _R1\nB = _R2\nC = _R1\nD = _R2\n"
-        "?- E = _R3\nF = _R3\nG = g(_R4)\n"
-        "?- H = _R5\nI = _R5\nJ = _R6\nK = _R7\nL = _R7\n"
+        "?- A = h(_R1)\nB = h(_R2)\nC = _R1\nD = _R2\n"
+        "?- E = k(_R3)\nF = k(_R3)\nG = g(_R4)\n"
+        "?- H = h(_R5)\nI = _R5\nJ = _R6\nK = _R7\nL = _R7\n"
         "?- "
     )
 

@@ -62,10 +62,14 @@ def test_retract_returns_only_the_pattern_variables():
     load_program(db, "p(X, f(X)).")
     theta = db.retract(Clause(head=Struct("p", (Atom("a"), Var("Y")))))
     assert theta == {Var("Y"): Struct("f", (Atom("a"),))}
-    # a clause variable met by a pattern variable is made, named _R<n>
-    load_program(db, "p(X, f(X)).")
+    # a clause variable in a term built for a pattern variable is made,
+    # named _R<n>
+    load_program(db, "p(g(X), f(X)).")
     theta = db.retract(Clause(head=Struct("p", (Var("Z"), Var("Y")))))
-    assert list(theta.items()) == [(Var("Z"), Var("_R2", 2)), (Var("Y"), Struct("f", (Var("_R2", 2),)))]
+    assert list(theta.items()) == [
+        (Var("Z"), Struct("g", (Var("_R2", 2),))),
+        (Var("Y"), Struct("f", (Var("_R2", 2),))),
+    ]
     # W meets no clause variable of its own, so it stays unbound and out
     load_program(db, "p(A, A).")
     theta = db.retract(Clause(head=Struct("p", (Struct("f", (Var("W"),)), Var("Y")))))

@@ -537,21 +537,45 @@ def test_head_match_walks_a_built_term_only_past_a_mapped_variable():
         assert walk.call_count == 1
 
 
+def test_head_match_binds_only_the_call_variables_it_builds_for():
+    # H and R stand for the call's a and [b], L for the call's Y itself;
+    # only X gets a term, [a|_G2], and only X is trailed
+    store = Store()
+    goal = parse_term_text("app(X, Y, [a,b])")
+    clause = parse_clause_text("app([H|T], L, [H|R]) :- app(T, L, R).")
+    body = store.unify_head(goal, clause, FreshVars())
+    assert store.trail == [Var("X")]
+    assert store.bindings == {Var("X"): Struct(".", (Atom("a"), Var("_G2", 2)))}
+    assert body == (Struct("app", (Var("_G2", 2), Var("Y"), mklist([Atom("b")]))),)
+
+
+def test_every_split_binds_the_second_list_in_one_step():
+    # the call's Y travels down app/3's recursion unbound, so no chain of
+    # variables builds up: at each solution Y is bound to its suffix itself
+    db = fresh_db("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).")
+    items = [Atom(f"a{i}") for i in range(20)]
+    solver = Solver(db, SolveOptions(max_solutions=None), None)
+    query = [Struct("app", (Var("X"), Var("Y"), mklist(items)))]
+    suffixes = [solver._store.bindings[Var("Y")] for _ in solver.solutions(query)]
+    assert suffixes == [mklist(items[k:]) for k in range(21)]
+
+
 def test_head_match_takes_the_equations_in_unifys_order():
-    # the last argument first: Z stands for f(Y), so X is bound to Y
+    # the last argument first: Z stands for f(Y), so Y is bound to X
     goal, clause = parse_term_text("p(f(X), f(Y))"), Clause(parse_term_text("p(Z, Z)"))
-    want = ([(Var("X"), Var("Y")), (Var("Y"), Var("Y"))], []), 2
+    want = ([(Var("X"), Var("X")), (Var("Y"), Var("X"))], []), 2
     assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause) == want
 
 
 def test_head_match_keeps_the_renamed_answer_name():
-    # p(A) against p(B) :- q(B): A is bound to B's variable, _G1, as it is
-    # when the clause is renamed apart; the answer to p(A) names it
+    # p(A) against p(B) :- q(B): B stands for A, which stays unbound, and
+    # B's id is used up.  q(f(C)) then builds f(_G2) for A, as renaming
+    # q(f(C)) apart does; the answer to p(A) names it
     goal, clause = parse_term_text("p(A)"), parse_clause_text("p(B) :- q(B).")
-    want = ([(Var("A"), Var("_G1", 1))], [Struct("q", (Var("_G1", 1),))]), 2
+    want = ([(Var("A"), Var("A"))], [Struct("q", (Var("A"),))]), 2
     assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause) == want
-    out = results(fresh_db("p(B) :- q(B). q(C)."), "p(A).")
-    assert [format_term(t) for t in bindings_list(out, "A")] == ["_G2"]
+    out = results(fresh_db("p(B) :- q(B). q(f(C))."), "p(A).")
+    assert [format_term(t) for t in bindings_list(out, "A")] == ["f(_G2)"]
 
 
 def test_a_clause_numbers_its_variables_on_its_first_head_match_only():
@@ -565,7 +589,11 @@ def test_a_clause_numbers_its_variables_on_its_first_head_match_only():
         assert first == [{Var("L"): 0}, {Var("H"): 0, Var("T"): 1, Var("L"): 2, Var("R"): 3}]
         # later matches, and retract/1's, reuse the numbering
         assert len(solve(db, parse_query("app(X, Y, [a])."), SolveOptions(max_solutions=None)).solutions) == 2
-        assert db.retract(parse_clause_text("app([], A, B).")) == {Var("A"): Var("_R1", 1), Var("B"): Var("_R1", 1)}
+        # the rule's H and R are made for C, as _R1 and _R4; H meets a
+        assert db.retract(parse_clause_text("app([a|T], [], C) :- app(T, [], R).")) == {
+            Var("C"): Struct(".", (Atom("a"), Var("_R4", 4))),
+            Var("R"): Var("_R4", 4),
+        }
         assert numbering.call_count == 2
     assert all(sc.clause._order is order for sc, order in zip(stored, first))
     assert [sc.clause._order for sc in stored[2:]] == [None, None]  # never tried
@@ -573,14 +601,16 @@ def test_a_clause_numbers_its_variables_on_its_first_head_match_only():
 
 def test_query_variables_from_an_earlier_answer_stay_apart():
     # an answer's unbound _G<n> variable, passed back in a query, must not
-    # be taken for the variable the next run renames a clause variable to
-    db = fresh_db("p(f(X), X). t(X, X).")
-    (first,) = solve(db, parse_query("p(A, B)."), SolveOptions()).solutions
-    g1 = first.bindings[Var("B")]
-    assert g1 == Var("_G1", 1)
-    goal = Struct("t", (Struct("f", (g1,)), Var("W")))
+    # be taken for the variable the next run makes for a clause variable:
+    # t(X, g(X)) makes X for W's g(X), then unifies it with f(_G1)
+    db = fresh_db("p(f(X)). t(X, g(X)).")
+    (first,) = solve(db, parse_query("p(A)."), SolveOptions()).solutions
+    f_g1 = first.bindings[Var("A")]
+    g1 = Var("_G1", 1)
+    assert f_g1 == Struct("f", (g1,))
+    goal = Struct("t", (f_g1, Var("W")))
     (sol,) = solve(db, [goal], SolveOptions()).solutions
-    assert sol.bindings == {Var("W"): Struct("f", (g1,))}
+    assert sol.bindings == {Var("W"): Struct("g", (f_g1,))}
 
 
 # --- a clause whose head clashes with the call fails its first comparison ---
@@ -597,23 +627,24 @@ def _seen(out):
 
 
 def test_a_skipped_clause_uses_up_its_ids(tmp_path):
-    # p(b, X, Y) clashes on its first argument; it would have been renamed
-    # to _G1 and _G2, so the matching clause's variables are _G3 and _G4
+    # p(b, X, f(Y)) clashes on its first argument; it would have been
+    # renamed to _G1 and _G2, so the matching clause's variables are _G3
+    # and _G4, and the f(W) built for B holds _G4
     f = tmp_path / "p.pl"
-    f.write_text("p(b, X, Y).\np(a, Z, W).\n")
+    f.write_text("p(b, X, f(Y)).\np(a, Z, f(W)).\n")
     r = run_cli(["run", str(f), "--goal", "p(a, A, B)."])
-    assert (r.code, r.out, r.err) == (0, "A = _G3\nB = _G4\n", "")
+    assert (r.code, r.out, r.err) == (0, "B = f(_G4)\n", "")
 
 
 def test_a_clash_is_seen_through_a_binding_chain():
-    db = fresh_db("p(b, Z). p(a, W).")
+    db = fresh_db("p(b, f(Z)). p(a, f(W)).")
     out = results(db, "X = Y, Y = a, p(X, R).")
-    assert bindings_list(out, "R") == [Var("_G2", 2)]
+    assert bindings_list(out, "R") == [Struct("f", (Var("_G2", 2),))]
     assert _seen(out) == _seen(_with_reference_match(lambda: results(db, "X = Y, Y = a, p(X, R).")))
     # an argument that is still a variable skips nothing
     out = results(db, "p(X, R).")
     assert bindings_list(out, "X") == [Atom("b"), Atom("a")]
-    assert bindings_list(out, "R") == [Var("_G1", 1), Var("_G2", 2)]
+    assert bindings_list(out, "R") == [Struct("f", (Var("_G1", 1),)), Struct("f", (Var("_G2", 2),))]
     assert _seen(out) == _seen(_with_reference_match(lambda: results(db, "p(X, R).")))
 
 
@@ -623,13 +654,14 @@ def test_a_clash_is_seen_through_a_binding_chain():
 )
 def test_keys_that_only_look_alike_clash(arg, answer):
     # every clause holds a variable, so every one is tried, and only the
-    # one whose first argument has the call's key matches.  The reference
-    # run renames each clause apart before unifying.
-    text = "q(1, X). q('1', X). q(f(a), X). q(f(a, b), X). q([], X). q([H|T], X)."
+    # one whose first argument has the call's key matches; the g(X) it
+    # builds for R names its X.  The reference run renames each clause
+    # apart before unifying.
+    text = "q(1, g(X)). q('1', g(X)). q(f(a), g(X)). q(f(a, b), g(X)). q([], g(X)). q([H|T], g(X))."
     query = f"q({arg}, R)."
     want = _with_reference_match(lambda: results(fresh_db(text), query))
     out = results(fresh_db(text), query)
-    assert [format_term(t) for t in bindings_list(out, "R")] == [answer]
+    assert [format_term(t) for t in bindings_list(out, "R")] == [f"g({answer})"]
     assert _seen(out) == _seen(want)
 
 

@@ -104,8 +104,8 @@ def test_how_rule_because_with():
 
 
 def test_how_shows_bindings_of_entry_goal():
-    proof = first_proof("p(X) :- q(X). q(a).", "p(W).")
-    assert "WITH {W = " in how(proof).split("\n")[0]
+    proof = first_proof("p(f(X)) :- q(X). q(a).", "p(W).")
+    assert how(proof).split("\n")[0] == "p(f(a)) BECAUSE p(f(X)) :- q(X) WITH {W = f(_G1)}"
 
 
 def test_how_user_said_leaf():

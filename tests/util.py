@@ -95,10 +95,11 @@ def reference_unify(t1, t2):
 
 def rename_then_unify(store, goal, clause, fresh):
     """Reference for ``Store.unify_head``, with its signature: rename
-    ``clause`` apart, unify ``goal`` with the renamed head in ``store``,
-    and return the renamed body, or None if they do not unify."""
+    ``clause`` apart, unify the renamed head with ``goal`` in ``store``,
+    so the clause's side binds first, and return the renamed body, or None
+    if they do not unify."""
     renamed = rename_clause(clause, fresh)
-    return renamed.body if store.unify(goal, renamed.head) else None
+    return renamed.body if store.unify(renamed.head, goal) else None
 
 
 def stored_clauses(db):
