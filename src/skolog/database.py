@@ -11,12 +11,10 @@ position).  The first call that binds a position builds that position's
 index, and every later write keeps it up to date (demand-driven indexing:
 Santos Costa, Sagonas & Lopes, ICLP 2007).  A call that binds several
 positions gets the shortest of their lists, the leftmost on a tie.  A
-key's list leaves out only the ground clauses with another key: a
-non-ground clause stays in every list, since trying it uses up fresh
-variable ids, and leaving it out would renumber the ``_G<n>`` and
-``_R<n>`` names of everything after it.  So every list keeps stored order
-and holds every clause that can match, and whichever list a call gets,
-it tries the same matching clauses and uses up the same ids.
+clause is keyed by its own argument at the position: it goes on that
+key's list only, or on every list when its argument there is a variable.
+So every list keeps stored order and holds every clause that can match,
+and whichever list a call gets, it tries the same matching clauses.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .terms import (
     Term,
     goal_constants,
     indicator_of,
-    is_ground,
     variables_in,
 )
 
@@ -70,11 +67,11 @@ def _key(t: Optional[Term]) -> object:
 
 def _lists(index: tuple[dict, list], pos: int, c: Clause) -> tuple[list, ...]:
     """The lists of one argument position's index that hold ``c``, or are
-    to hold it: a new key of a ground clause gets its list here."""
+    to hold it: a new key gets its list here."""
     keyed, common = index
-    if not (type(c.head) is Struct and is_ground(c.head) and all(map(is_ground, c.body))):
-        return (common, *keyed.values())
     key = _key(c.head.args[pos])
+    if key is None:
+        return (common, *keyed.values())
     items = keyed.get(key)
     if items is None:
         items = keyed[key] = common.copy()
@@ -89,8 +86,8 @@ class Database:
     def __init__(self):
         self._preds: dict[PredIndicator, list[StoredClause]] = {}
         # argument indexes, built on demand: per predicate and argument
-        # position, the candidate list of each key a ground clause has
-        # there, and the list of the clauses that every key's list holds
+        # position, the candidate list of each key a clause has there, and
+        # the list of the clauses that every key's list holds
         self._index: defaultdict[PredIndicator, dict[int, tuple[dict, list]]] = defaultdict(dict)
         self._next_id = 1
         self._fresh = FreshVars(prefix="_R")
@@ -149,13 +146,11 @@ class Database:
         """Snapshot of a predicate's clauses in resolution order.  Given a
         call's dereferenced arguments ``args``, only those that the index
         of one bound position keeps for its key: every clause that can
-        match, and the non-ground ones that cannot, whose tries use up
-        fresh ids (see the module docstring).  Of the bound positions'
-        lists it takes the shortest, the leftmost on a tie.
+        match (see the module docstring).  Of the bound positions' lists
+        it takes the shortest, the leftmost on a tie.
 
         ``args`` is read lazily and only as far as needed: reading stops
-        at a list of at most one clause, or at one of only the clauses
-        that every list holds, since no position can give a shorter one.
+        at a list of at most one clause.
         """
         best = None
         for pos, arg in enumerate(args):
@@ -173,7 +168,7 @@ class Database:
             items = keyed.get(key, common)
             if best is None or len(items) < len(best):
                 best = items
-                if len(best) <= 1 or len(best) == len(common):
+                if len(best) <= 1:
                     break
         return tuple(self._preds.get(ind, ()) if best is None else best)
 

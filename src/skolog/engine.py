@@ -14,10 +14,10 @@ unifies the clause's head with the goal as if the clause had been
 renamed apart (occurs check on), without renaming it: ``Store.unify_head``
 walks the stored head against the goal, so a clause that cannot match
 fails at its first clashing comparison, and a clause variable's first
-occurrence names the goal's term, binding no variable of the goal.  Every
-try uses up one fresh id per clause variable, so the ``_G<n>`` names are
-those of renaming each clause tried.  A reduction puts the clause body,
-built under the head's match, in front of the goals.
+occurrence names the goal's term, binding no variable of the goal.  Only a
+match uses up fresh ids, one per clause variable, so the ``_G<n>`` names
+are those of renaming apart each clause that matches.  A reduction puts
+the clause body, built under the head's match, in front of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  Each
 path cut off that way adds one to ``cutoffs``, and a run without solutions

@@ -295,16 +295,15 @@ class Store:
         ``unify`` does, the clause's side first.  The clause's variables
         are numbered in first-occurrence order, head first, on its first
         match, and the numbering is kept on the clause, so loading a
-        program numbers nothing.  ``fresh`` advances by their count on
-        every try, so each variable made gets the id that ``rename_clause``
-        would have given it.
+        program numbers nothing.  ``fresh`` advances by their count only
+        on a match, so each variable made gets the id that ``rename_clause``
+        would have given it, and a head that fails uses up no id.
         """
         order = clause._order
         if order is None:
             order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
             object.__setattr__(clause, "_order", order)
         base = fresh.next_id
-        fresh.next_id += len(order)
         env = _Renaming()  # clause variable -> call subterm or made variable
         env.new = lambda v: fresh.var(base + order[v])
         build = env.__getitem__
@@ -334,6 +333,7 @@ class Store:
                 stack.extend(zip(x.args, y.args))
             elif x != y:
                 return None
+        fresh.next_id += len(order)
         return tuple([_rebuild(g, build) for g in clause.body]) if order else clause.body
 
     def _occurs(self, v: Var, t: Term) -> bool:
@@ -428,7 +428,7 @@ class FreshVars:
 
     The resolution loop creates one per top-level query, so the variables
     that clause matching makes print as _G1, _G2, ... restarting at each
-    query; a clause uses up one id per variable each time it is tried.
+    query; a clause uses up one id per variable each time its head matches.
     """
 
     def __init__(self, prefix: str = "_G", start: int = 1):

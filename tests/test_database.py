@@ -172,12 +172,14 @@ def test_variable_first_clauses_keep_their_place_through_writes():
     assert _listed(db, ("p", 1), (Atom("new"),)) == ["p(Y).", "p(X).", "p(Z)."]
 
 
-def test_non_ground_keyed_clause_is_in_every_list():
-    # renaming it apart uses up fresh variable ids, whether or not it matches
+def test_a_clause_is_listed_by_its_own_argument():
+    # a variable elsewhere in the clause does not put it on every list;
+    # only a variable in the indexed position does
     db = Database()
-    load_program(db, "p(f(X), X). p(a, b). p(g, c) :- q(Y).")
-    assert _listed(db, ("p", 2), (Atom("a"), Var("Y"))) == ["p(f(X),X).", "p(a,b).", "p(g,c) :- q(Y)."]
-    assert _listed(db, ("p", 2), (Atom("zz"), Var("Y"))) == ["p(f(X),X).", "p(g,c) :- q(Y)."]
+    load_program(db, "p(f(X), X). p(a, b). p(g, c) :- q(Y). p(Z, d).")
+    assert _listed(db, ("p", 2), (Atom("a"), Var("Y"))) == ["p(a,b).", "p(Z,d)."]
+    assert _listed(db, ("p", 2), (Atom("zz"), Var("Y"))) == ["p(Z,d)."]
+    assert _listed(db, ("p", 2), (Struct("f", (Var("V"),)), Var("Y"))) == ["p(f(X),X).", "p(Z,d)."]
 
 
 def test_retracting_a_variable_first_clause_leaves_every_list():

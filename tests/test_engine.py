@@ -519,7 +519,7 @@ def test_head_match_runs_the_occurs_check(goal, head, apart):
     for match in (Store.unify_head, rename_then_unify):
         fresh = FreshVars()
         assert match(Store(), parse_term_text(goal), clause, fresh) is None
-        assert fresh.next_id == 2
+        assert fresh.next_id == 1  # a failed match uses up no ids
     # with the call's two variables apart, the same head matches
     assert Store().unify_head(parse_term_text(apart), clause, FreshVars()) is not None
 
@@ -626,20 +626,20 @@ def _seen(out):
     return out.status, [(s.bindings, s.proof) for s in out.solutions]
 
 
-def test_a_skipped_clause_uses_up_its_ids(tmp_path):
-    # p(b, X, f(Y)) clashes on its first argument; it would have been
-    # renamed to _G1 and _G2, so the matching clause's variables are _G3
-    # and _G4, and the f(W) built for B holds _G4
+def test_a_clause_that_fails_to_match_uses_no_ids(tmp_path):
+    # p(b, X, f(Y)) clashes on its first argument and uses up no ids, so
+    # the matching clause's variables are _G1 and _G2, and the f(W) built
+    # for B holds _G2
     f = tmp_path / "p.pl"
     f.write_text("p(b, X, f(Y)).\np(a, Z, f(W)).\n")
     r = run_cli(["run", str(f), "--goal", "p(a, A, B)."])
-    assert (r.code, r.out, r.err) == (0, "B = f(_G4)\n", "")
+    assert (r.code, r.out, r.err) == (0, "B = f(_G2)\n", "")
 
 
 def test_a_clash_is_seen_through_a_binding_chain():
     db = fresh_db("p(b, f(Z)). p(a, f(W)).")
     out = results(db, "X = Y, Y = a, p(X, R).")
-    assert bindings_list(out, "R") == [Struct("f", (Var("_G2", 2),))]
+    assert bindings_list(out, "R") == [Struct("f", (Var("_G1", 1),))]
     assert _seen(out) == _seen(_with_reference_match(lambda: results(db, "X = Y, Y = a, p(X, R).")))
     # an argument that is still a variable skips nothing
     out = results(db, "p(X, R).")
@@ -650,17 +650,18 @@ def test_a_clash_is_seen_through_a_binding_chain():
 
 @pytest.mark.parametrize(
     "arg, answer",
-    [("1", "_G1"), ("'1'", "_G2"), ("f(a)", "_G3"), ("f(a, b)", "_G4"), ("[]", "_G5"), ("[a]", "_G8")],
+    [("1", "_G1"), ("'1'", "_G1"), ("f(a)", "_G1"), ("f(a, b)", "_G1"), ("[]", "_G1"), ("[a]", "_G3")],
 )
 def test_keys_that_only_look_alike_clash(arg, answer):
-    # every clause holds a variable, so every one is tried, and only the
-    # one whose first argument has the call's key matches; the g(X) it
-    # builds for R names its X.  The reference run renames each clause
-    # apart before unifying.
+    # each clause is keyed by its first argument, so each call gets the
+    # one clause with its key, and the g(X) that clause builds for R names
+    # its X.  The reference run renames each clause apart before unifying.
     text = "q(1, g(X)). q('1', g(X)). q(f(a), g(X)). q(f(a, b), g(X)). q([], g(X)). q([H|T], g(X))."
     query = f"q({arg}, R)."
     want = _with_reference_match(lambda: results(fresh_db(text), query))
-    out = results(fresh_db(text), query)
+    db = fresh_db(text)
+    assert len(db.clauses(("q", 2), (parse_term_text(arg), Var("R")))) == 1
+    out = results(db, query)
     assert [format_term(t) for t in bindings_list(out, "R")] == [f"g({answer})"]
     assert _seen(out) == _seen(want)
 
@@ -677,6 +678,19 @@ def test_twins_renames_only_the_person_rule_that_matches():
     out = run()
     assert bindings_list(out, "X") == [Atom("smith")]
     assert _seen(out) == _seen(_with_reference_match(run))
+    # every rule has a variable first: the sixth argument picks the rule
+    (goal,) = parse_query(query)
+    assert len(fresh_db(corpus_text("twins.pl")).clauses(("person", 6), goal.args)) == 1
+
+
+def test_app_tries_only_the_clause_its_first_argument_keys():
+    # app([], L, L) is not tried against [a], and on backtracking the rule
+    # is not tried against []: two head matches, one per call
+    db = fresh_db("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).")
+    with mock.patch.object(Store, "unify_head", autospec=True, side_effect=Store.unify_head) as match:
+        out = results(db, "app([a], [b], Z).")
+    assert [format_term(t) for t in bindings_list(out, "Z")] == ["[a,b]"]
+    assert match.call_count == 2
 
 
 # --- every negation issues constants that are fresh at that moment -----------

@@ -4,7 +4,8 @@ and two REPL sessions, print exactly their recorded output.
 Each `run` invocation is recorded twice, with `--trace --explain` and with
 `--json`; the files in `data/golden/` hold stdout byte for byte, and for
 the fact-acquisition session stderr as well.  After a deliberate change of
-output, `python tests/test_golden.py` rewrites them.
+output, `python tests/test_golden.py` rewrites them, and the demo scripts'
+transcripts in `data/` that `test_demos.py` checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from skolog.corpus import corpus_path
+from test_demos import DATA, DEMOS, run_demo
 from util import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -124,3 +126,7 @@ if __name__ == "__main__":
     outputs["acquisition.out"], outputs["acquisition.err"] = acquisition.out, acquisition.err
     for file, text in outputs.items():
         (GOLDEN / file).write_text(text, encoding="utf-8")
+    for script in DEMOS:
+        r = run_demo(script)
+        r.check_returncode()
+        (DATA / f"{script}.out").write_text(r.stdout, encoding="utf-8")

@@ -4,11 +4,12 @@ Random programs and write sequences run twice: once as they stand, and
 once with ``Database.clauses`` made to ignore the call's arguments and
 ``Store.unify_head`` replaced by the reference that renames each clause
 apart and unifies the call with the renamed head, so that every call and
-every retract/1 scans the whole predicate and renames every candidate.
-Both runs must give the same solutions in the same order, the same
-bindings (renamed ``_G<n>`` and ``_R<n>`` variables included), the same
-``trace_of`` text, live trace and warnings, and leave the same database
-behind.  A query is stopped after ``LINE_BUDGET`` lines of live trace.
+every retract/1 scans the whole predicate and renames every candidate,
+giving back the ids of a candidate that does not unify.  Both runs must
+give the same solutions in the same order, the same bindings (renamed
+``_G<n>`` and ``_R<n>`` variables included), the same ``trace_of`` text,
+live trace and warnings, and leave the same database behind.  A query is
+stopped after ``LINE_BUDGET`` lines of live trace.
 
 CI runs this once more under the ``robustness`` profile of ``conftest.py``.
 """

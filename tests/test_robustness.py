@@ -179,14 +179,55 @@ replies = _rarely(
 )
 
 
+QUESTION = re.compile(r"\bask(?:_value)?\(\s*([a-z]\w*)\s*,\s*([a-z]\w*)\s*,|\bnegate\s+([a-z]\w*)")
+
+
+def questions_in(text):
+    """(attribute, subject, value text or None) of each question that an
+    ask/ask_value goal or a REPL ``negate`` line in ``text`` can put: None
+    for a value question, which a goal puts when its value is a variable
+    and a negation puts for its witness, with the predicate as subject."""
+    found = []
+    for m in QUESTION.finditer(text):
+        if m[3]:
+            found.append(("skolem", m[3], None))
+            continue
+        end, depth = m.end(), 0
+        while end < len(text) and (depth or text[end] not in ")]"):
+            depth += (text[end] in "([") - (text[end] in ")]")
+            end += 1
+        value = text[m.end():end].strip()
+        if value and "\n" not in value:
+            found.append((m[1], m[2], None if re.fullmatch(r"[A-Z_]\w*", value) else value))
+    return found
+
+
+VALUE_REPLIES = ("no", "egypt", "f(x)", "X", "f(X)")
+
+
+def _answer(draw, question):
+    attribute, subject, value = question
+    if value is None:
+        return f"askv {attribute} {subject} -> {draw(st.sampled_from(VALUE_REPLIES))}"
+    return f"ask {attribute} {subject} {value} -> {draw(st.sampled_from(('yes', 'no')))}"
+
+
 @st.composite
 def script_lines(draw):
     attribute, subject = draw(st.sampled_from(ATTRIBUTES)), draw(st.sampled_from(SUBJECTS + ("p",)))
     return draw(_rarely(st.sampled_from((
-        f"ask {attribute} {subject} {draw(terms)} -> {draw(st.sampled_from(('yes', 'no')))}",
-        f"askv {attribute} {subject} -> {draw(st.sampled_from(('no', 'egypt', 'f(x)', 'X', 'f(X)')))}",
+        _answer(draw, (attribute, subject, draw(terms))),
+        _answer(draw, (attribute, subject, None)),
         f"askv skolem {subject} -> {draw(terms)}",
     )), text_noise))
+
+
+@st.composite
+def scripts(draw, questions):
+    """Oracle script text: an answer to each of ``questions`` (see
+    ``questions_in``) that a coin keeps, then up to six ``script_lines``."""
+    answers = [_answer(draw, q) for q in questions if draw(st.booleans())]
+    return "\n".join(answers + draw(st.lists(script_lines(), max_size=6)))
 
 
 repl_lines = st.one_of(
@@ -221,10 +262,11 @@ def invocations(draw):
         if draw(st.booleans()):
             argv.append(f"--max-solutions={draw(_rarely(st.integers(1, 5), st.integers(-1, 0)))}")
     argv.append(f"--depth={draw(_rarely(st.integers(0, 200), st.just(-1)))}")
-    if draw(st.booleans()):
-        files["answers.txt"] = draw(file_bytes(st.lists(script_lines(), max_size=6).map("\n".join)))
-        argv.append("--oracle=@DIR@/answers.txt")
     lines = draw(st.lists(repl_lines if command == "repl" else replies, max_size=8))
+    if draw(st.booleans()):
+        questions = questions_in("\n".join([files["prog.pl"].decode("utf-8", "replace"), *argv, *lines]))
+        files["answers.txt"] = draw(file_bytes(scripts(questions)))
+        argv.append("--oracle=@DIR@/answers.txt")
     return argv, "".join(line + "\n" for line in lines), files
 
 

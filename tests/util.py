@@ -97,9 +97,14 @@ def rename_then_unify(store, goal, clause, fresh):
     """Reference for ``Store.unify_head``, with its signature: rename
     ``clause`` apart, unify the renamed head with ``goal`` in ``store``,
     so the clause's side binds first, and return the renamed body, or None
-    if they do not unify."""
+    if they do not unify.  A head that does not unify gives its renaming's
+    ids back to ``fresh``."""
+    start = fresh.next_id
     renamed = rename_clause(clause, fresh)
-    return renamed.body if store.unify(renamed.head, goal) else None
+    if store.unify(renamed.head, goal):
+        return renamed.body
+    fresh.next_id = start
+    return None
 
 
 def stored_clauses(db):
