@@ -35,8 +35,10 @@ Each goal proved on the current path leaves a record in proof-tree
 preorder (a clause's children are the records of its body goals after it):
 the goal, the trail lengths before and after it, and its clause or builtin
 justification.  Terms are resolved when a solution is finalized: proof
-goals and answers under the final bindings, entry goals and their bindings
-as of the trail lengths in their records.
+goals and answers under the final bindings, at every solution; entry goals
+and their bindings as of the trail lengths in their records, once per
+record while it lives, for backtracking keeps a record only with the trail
+below it.
 """
 
 from __future__ import annotations
@@ -167,6 +169,7 @@ class Solver:
         self._warned: set[tuple[str, int]] = set()
         self._store = Store()
         self._records: list[tuple] = []  # (goal, trail length, length after, justification)
+        self._nodes: list[ProofNode] = []  # the latest solution's node of each record
         self._choices: list[_Choice] = []
         cont = None  # goal-list cells: (goal, cut barrier, next cell)
         for g in reversed(goals):
@@ -184,7 +187,7 @@ class Solver:
                     return
                 cp = choices.pop()
                 store.undo(cp.mark)
-                del records[cp.records:]
+                del records[cp.records:], self._nodes[cp.records:]
                 if cp.goal is not None:
                     cont = self._reduce(cp)
                     if cont is False:
@@ -283,20 +286,37 @@ class Solver:
         return False
 
     def _solution(self, qvars) -> Solution:
+        """The answer and its proof under the current bindings.
+
+        A record that the latest solution's nodes still cover takes its
+        entry goal and bindings from its node.  Both read only the trail
+        below the record's length after, which is unchanged: a record that
+        backtracking keeps was made before the resumed choicepoint, so its
+        length after is at most that choicepoint's mark, and undoing pops
+        the trail only down to the mark.
+        """
         res = self._store.resolver(history=True)
         bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
+        records, nodes = self._records, self._nodes
+        kept = len(nodes)
+        nodes += [None] * (len(records) - kept)
         built: list[ProofNode] = []  # finished nodes, a first child on top
-        for goal, stamp, after, just in reversed(self._records):
+        for i in range(len(records) - 1, -1, -1):
+            goal, stamp, after, just = records[i]
             final = res.resolve(goal)
-            entry = res.resolve(goal, stamp, later := {})
-            theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+            if i < kept:
+                entry, theta = nodes[i].entry_goal, nodes[i].bindings
+            else:
+                entry = res.resolve(goal, stamp, later := {})
+                theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
             children = ()
             if type(just) is StoredClause:
                 n = len(just.clause.body)
                 if n:
                     children = tuple(reversed(built[-n:]))
                     del built[-n:]
-            built.append(ProofNode(final, entry, just, theta, children))
+            nodes[i] = node = ProofNode(final, entry, just, theta, children)
+            built.append(node)
         built.reverse()
         if len(built) == 1:
             return Solution(bindings, built[0])

@@ -37,7 +37,9 @@ class ProofNode:
 
     ``goal`` is the goal as instantiated in the final answer; ``entry_goal``
     is the goal as it stood when selected; ``bindings`` is that reduction's
-    unifier restricted to the entry goal's variables.
+    unifier restricted to the entry goal's variables.  Successive answers
+    may share an unchanged reduction's ``entry_goal`` and ``bindings``
+    objects, so nothing mutates them (``trace_of`` copies the bindings).
     """
 
     goal: Term

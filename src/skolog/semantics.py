@@ -123,6 +123,13 @@ def ground_instances(clauses: list[Clause], terms: set[Term]):
     out: list[tuple[Term, tuple[Term, ...]]] = []
     for c in clauses:
         vs = variables_in((c.head,) + c.body)
+        # a head argument that matches no universe term leaves no instance
+        # in the base: skip the clause before building any
+        if vs and not all(
+            type(a) is Var or any(_match(a, t, {}) is not None for t in universe)
+            for a in getattr(c.head, "args", ())
+        ):
+            continue
         for values in itertools.product(universe, repeat=len(vs)):
             theta = dict(zip(vs, values))
             head = apply(theta, c.head)

@@ -1,5 +1,6 @@
 """The `skolog run` invocations that README and the twins case study show,
-and two REPL sessions, print exactly their recorded output.
+one that enumerates four answers, and two REPL sessions, print exactly
+their recorded output.
 
 Each `run` invocation is recorded twice, with `--trace --explain` and with
 `--json`; the files in `data/golden/` hold stdout byte for byte, and for
@@ -25,6 +26,7 @@ CASE = "state(not_twin, marsha, marjorie)."
 # name -> (program, goal, oracle script or None, exit code)
 RUNS = {
     "append": ("append.pl", "append([a,b],[c,d],Ls).", None, 0),
+    "append_splits": ("append.pl", "append(X, Y, [a,b,c]).", None, 0),
     "twin": ("twins.pl", "twin(marsha, marjorie).", None, 0),
     "not_twin": ("twins.pl", "not(twin(marsha, marjorie)).", None, 1),
     "case_country": ("twins.pl", CASE, "answers_country.txt", 0),
@@ -38,6 +40,9 @@ RUNS = {
     ),
 }
 MODES = {"trace.out": ["--trace", "--explain"], "json": ["--json"]}
+# name -> options of `skolog run` beyond the mode's; a second answer's
+# proof is pinned only where a run asks for more than one
+OPTIONS = {"append_splits": ["--max-solutions", "4"]}
 
 REPL_INPUT = (
     ":trace on\n"
@@ -79,7 +84,7 @@ ACQUISITION_INPUT = (
 
 def _run(name: str, mode: str):
     program, goal, script, _ = RUNS[name]
-    argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode]]
+    argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode], *OPTIONS.get(name, ())]
     if script:
         argv += ["--oracle", str(corpus_path(script))]
     return run_cli(argv)

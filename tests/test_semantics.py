@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, target
@@ -72,6 +73,20 @@ def test_ground_instances_of_rule():
     heads = [h for h, _ in gi]
     assert Struct("p", (Atom("a"),)) in heads
     assert Struct("p", (Atom("b"),)) in heads
+
+
+def test_a_clause_with_no_instance_in_the_base_is_skipped_at_once():
+    # t(f(f(...X...))) 10,000 deep matches no term of a depth-1 universe;
+    # building and rejecting one head per universe term took seconds
+    deep = Var("X")
+    for _ in range(10_000):
+        deep = Struct("f", (deep,))
+    clauses = prog(" ".join(f"c(k{i})." for i in range(84))) + [Clause(Struct("t", (deep,)))]
+    terms = herbrand_universe(clauses, UniverseBound(1))
+    assert len(terms) == 168
+    start = time.perf_counter()
+    assert ground_instances(clauses[-1:], terms) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_tp_single_step():

@@ -1,5 +1,5 @@
 """Shared test helpers: variant equality, the reference unifier and head
-match, a database's contents, CLI harness."""
+match, the reference proof finalizer, a database's contents, CLI harness."""
 
 from __future__ import annotations
 
@@ -8,6 +8,9 @@ from dataclasses import dataclass
 
 from skolog import Atom, Clause, Int, Struct, Var
 from skolog.cli import main as cli_main
+from skolog.database import StoredClause
+from skolog.engine import Solution
+from skolog.explain import QUERY_ROOT, ProofNode
 from skolog.terms import apply, rename_clause, subterms
 
 
@@ -105,6 +108,32 @@ def rename_then_unify(store, goal, clause, fresh):
         return renamed.body
     fresh.next_id = start
     return None
+
+
+def finalize_from_scratch(solver, qvars):
+    """Reference for ``Solver._solution``: the answer over ``qvars`` and its
+    proof, built from the solver's records and store as they stand, with
+    every record's entry goal and bindings resolved as of its stamps
+    rather than taken from an earlier answer's node."""
+    res = solver._store.resolver(history=True)
+    bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
+    built = []  # finished nodes, a first child on top
+    for goal, stamp, after, just in reversed(solver._records):
+        final = res.resolve(goal)
+        entry = res.resolve(goal, stamp, later := {})
+        theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+        children = ()
+        if type(just) is StoredClause:
+            n = len(just.clause.body)
+            if n:
+                children = tuple(reversed(built[-n:]))
+                del built[-n:]
+        built.append(ProofNode(final, entry, just, theta, children))
+    built.reverse()
+    if len(built) == 1:
+        return Solution(bindings, built[0])
+    goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
+    return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
 
 
 def stored_clauses(db):
