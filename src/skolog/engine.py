@@ -3,10 +3,10 @@ alternatives on backtracking.
 
 The solver follows the WAM's control model without its compiler (Warren
 1983; Ait-Kaci 1991).  A ``terms.Store`` holds the variable bindings, read
-through ``deref``, and a trail of the variables bound, so backtracking
-undoes bindings by popping the trail back to a mark.  The goals still to
-prove form a linked list of cells; a user call with clauses left sits on a
-choicepoint stack, which failure pops to resume the latest alternative.
+through ``deref``, in one dict in binding order (the WAM's trail), which
+backtracking pops back to a mark.  The goals still to prove form a linked
+list of cells; a user call with clauses left sits on a choicepoint stack,
+which failure pops to resume the latest alternative.
 A call tries, in stored order, the clauses that the database keeps for
 its arguments: the shortest list that an index on a bound argument
 position gives (all of them when no argument is bound).  Each try
@@ -33,12 +33,12 @@ answer would hold for some of its values only.
 
 Each goal proved on the current path leaves a record in proof-tree
 preorder (a clause's children are the records of its body goals after it):
-the goal, the trail lengths before and after it, and its clause or builtin
-justification.  Terms are resolved when a solution is finalized: proof
-goals and answers under the final bindings, at every solution; entry goals
-and their bindings as of the trail lengths in their records, once per
-record while it lives, for backtracking keeps a record only with the trail
-below it.
+the goal, the binding counts before and after it, and its clause or
+builtin justification.  Terms are resolved when a solution is finalized:
+proof goals and answers under the final bindings, at every solution;
+entry goals and their bindings as of the binding counts in their records,
+once per record while it lives, for backtracking keeps a record only with
+the bindings made before it.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class _Choice:
     raw: Term  # the goal as its cell holds it
     rest: object  # the goal-list cells after it
     depth: int
-    mark: int  # trail length at the call
+    mark: int  # binding count at the call
     records: int  # record count at the call
     height: int  # choicepoint stack height at the call: what cut keeps
     goal: Optional[Term] = None  # dereferenced; None for a not/1 fence
@@ -159,7 +159,7 @@ class Solver:
         goals = tuple(goals)
         for g in goals:
             if not isinstance(g, (Atom, Struct)):
-                raise EngineError(f"query goal is not callable: {g!r}")
+                raise EngineError(f"query goal is not callable: {format_goal(g)}")
         qvars = variables_in(goals)
         # renamed variables are _G<n>, numbered from 1 unless a query
         # variable (passed in as a term, not read as text) holds such an id
@@ -168,7 +168,7 @@ class Solver:
         self._root = goals
         self._warned: set[tuple[str, int]] = set()
         self._store = Store()
-        self._records: list[tuple] = []  # (goal, trail length, length after, justification)
+        self._records: list[tuple] = []  # (goal, binding count, count after, justification)
         self._nodes: list[ProofNode] = []  # the latest solution's node of each record
         self._choices: list[_Choice] = []
         cont = None  # goal-list cells: (goal, cut barrier, next cell)
@@ -178,7 +178,7 @@ class Solver:
 
     def _search(self, cont, qvars) -> Iterator[Solution]:
         store, records, choices = self._store, self._records, self._choices
-        bindings, trail = store.bindings, store.trail
+        bindings = store.bindings
         depth = 0
         resume = False  # resume the latest choicepoint: on failure, or a new call
         while True:
@@ -228,29 +228,29 @@ class Solver:
                         self.diag.write(f"warning: unknown predicate {ind[0]}/{ind[1]}\n")
                 else:
                     choices.append(
-                        _Choice(raw, rest, depth, len(trail), len(records), len(choices), goal, clauses)
+                        _Choice(raw, rest, depth, len(bindings), len(records), len(choices), goal, clauses)
                     )
                 resume = True
             elif handler is _CUT:
-                records.append((raw, len(trail), len(trail), "!"))
+                records.append((raw, len(bindings), len(bindings), "!"))
                 del choices[barrier:]
                 cont = rest
             elif handler is _NOT:
                 arg = store.resolver().resolve(goal.args[0])
                 if type(arg) is Struct and not is_ground(arg):
                     raise InstantiationError(f"not/1 needs a ground argument: {self._shown(goal)}")
-                fence = _Choice(raw, rest, depth, len(trail), len(records), len(choices),
+                fence = _Choice(raw, rest, depth, len(bindings), len(records), len(choices),
                                 cutoffs=self.cutoffs)
                 choices.append(fence)
                 depth += 1
                 cont = (goal.args[0], len(choices), (CUT, fence.height, (FAIL, 0, None)))
             else:
-                mark = len(trail)
+                mark = len(bindings)
                 just = handler(self, goal)
                 if just is None:
                     resume = True
                 else:
-                    records.append((raw, mark, len(trail), just))
+                    records.append((raw, mark, len(bindings), just))
                     cont = rest
 
     def _reduce(self, call: _Choice):
@@ -271,7 +271,7 @@ class Solver:
                 break
             if call.next < len(call.clauses) or tracing:
                 self._choices.append(call)
-            self._records.append((call.raw, call.mark, len(store.trail), sc))
+            self._records.append((call.raw, call.mark, len(store.bindings), sc))
             rest = call.rest
             if tracing:
                 res = store.resolver()
@@ -289,11 +289,11 @@ class Solver:
         """The answer and its proof under the current bindings.
 
         A record that the latest solution's nodes still cover takes its
-        entry goal and bindings from its node.  Both read only the trail
-        below the record's length after, which is unchanged: a record that
+        entry goal and bindings from its node.  Both read only the bindings
+        below the record's count after, which are unchanged: a record that
         backtracking keeps was made before the resumed choicepoint, so its
-        length after is at most that choicepoint's mark, and undoing pops
-        the trail only down to the mark.
+        count after is at most that choicepoint's mark, and undoing pops
+        bindings only down to the mark.
         """
         res = self._store.resolver(history=True)
         bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
@@ -396,7 +396,7 @@ class Solver:
         elif type(v) is Var:
             res = oracle_mod.ask_value(self.db, a.name, p.name, self.oracle, self._why_supplier)
             if res.succeeded:
-                self._store.bind(v, res.value)
+                self._store.bindings[v] = res.value
         else:
             raise InstantiationError(f"ask value must be ground or a variable: {self._shown(g)}")
         return res.just if res.succeeded else None
@@ -419,8 +419,8 @@ class Solver:
         theta = self.db.retract(self._clause_arg(g, "retract"))
         if theta is None:
             return None
-        for v, t in theta.items():
-            self._store.bind(v, t)
+        # theta binds variables of the resolved pattern: none is bound here
+        self._store.bindings.update(theta)
         return "retract"
 
     def _bi_holds_negated(self, g):

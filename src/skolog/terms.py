@@ -5,13 +5,13 @@ integers, and compound terms.  A substitution is a plain dict from ``Var``
 to ``Term``, kept idempotent by construction: no key variable ever occurs
 in a value term, so applying a substitution twice equals applying it once.
 
-There is one unifier, ``Store.unify``, over one dict of bindings with a
-trail that backtracking pops; ``unify`` reads a ``Store``'s bindings back
-as a substitution.  There is one head match, ``Store.unify_head``, by
-which resolution and retract/1 match a stored clause without renaming it
-whole.  Both are tested against a dict-based reference unifier kept with
-the tests.  ``rename_clause`` and ``compose`` serve those tests and the
-benchmark's tracer, which wraps them by name.
+There is one unifier, ``Store.unify``, over one dict of bindings in
+binding order, which backtracking pops; ``unify`` reads a ``Store``'s
+bindings back as a substitution.  There is one head match,
+``Store.unify_head``, by which resolution and retract/1 match a stored
+clause without renaming it whole.  Both are tested against a dict-based
+reference unifier kept with the tests.  ``rename_clause`` and ``compose``
+serve those tests and the benchmark's tracer, which wraps them by name.
 
 Terms are values, equal and hashing equal when their shapes are equal.
 ``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
@@ -215,7 +215,11 @@ def compose(s1: Subst, s2: Subst) -> Subst:
 
 
 class Store:
-    """Variable bindings with a trail, and the one unifier.
+    """Variable bindings in binding order, and the one unifier.
+
+    A key is added only for a variable that ``deref`` found unbound, and
+    only ``undo`` removes keys, newest first.  So the dict's order is the
+    binding order, and a binding count marks a point in it: its trail.
 
     ``Store.unify`` takes its equations from a stack and binds a variable
     of ``a``'s side to ``b``'s side.  It is tested to bind what a dict-based
@@ -225,7 +229,6 @@ class Store:
 
     def __init__(self):
         self.bindings: dict[Var, Term] = {}
-        self.trail: list[Var] = []
 
     def deref(self, t: Term) -> Term:
         get = self.bindings.get
@@ -233,24 +236,20 @@ class Store:
             t = value
         return t
 
-    def bind(self, v: Var, t: Term) -> None:
-        self.bindings[v] = t
-        self.trail.append(v)
-
     def undo(self, mark: int) -> None:
-        trail, bindings = self.trail, self.bindings
-        while len(trail) > mark:
-            del bindings[trail.pop()]
+        bindings = self.bindings
+        while len(bindings) > mark:
+            bindings.popitem()
 
     def resolver(self, history: bool = False) -> "_Resolver":
         """Reads terms under the current bindings; with ``history``, also
-        as of an earlier trail length."""
-        pos = {v: i for i, v in enumerate(self.trail)} if history else None
+        as of an earlier binding count."""
+        pos = {v: i for i, v in enumerate(self.bindings)} if history else None
         return _Resolver(self.bindings, pos)
 
     def unify(self, a: Term, b: Term) -> bool:
         """Unify ``a`` with ``b``, the occurs check always on."""
-        bindings, trail = self.bindings, self.trail
+        bindings = self.bindings
         get = bindings.get
         stack = [(a, b)]
         while stack:
@@ -279,7 +278,6 @@ class Store:
             if type(t) is Struct and self._occurs(v, t):
                 return False
             bindings[v] = t
-            trail.append(v)
         return True
 
     def unify_head(self, goal: Term, clause: Clause, fresh: "FreshVars") -> Optional[tuple]:
@@ -307,7 +305,7 @@ class Store:
         env = _Renaming()  # clause variable -> call subterm or made variable
         env.new = lambda v: fresh.var(base + order[v])
         build = env.__getitem__
-        bindings, trail = self.bindings, self.trail
+        bindings = self.bindings
         get = bindings.get
         stack = [(goal, clause.head)]
         while stack:
@@ -326,7 +324,6 @@ class Store:
                 if mapped and type(t) is Struct and self._occurs(x, t):
                     return None
                 bindings[x] = t
-                trail.append(x)
             elif type(y) is Struct:
                 if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
                     return None
@@ -359,17 +356,18 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
     if not store.unify(t1, t2):
         return None
     res = store.resolver()
-    return {v: res.resolve(v) for v in store.trail}
+    return {v: res.resolve(v) for v in store.bindings}
 
 
 class _Resolver:
     """Terms under a fixed set of bindings.
 
     Resolving a term with every binding applied memoizes each compound by
-    ``id``, with the latest trail position among the bindings it used.
-    Given ``pos`` (variable -> trail position), a term can be resolved as
-    of an earlier trail length too: a memoized compound whose latest
-    position lies below that length is reused whole.  The bindings must
+    ``id``, with the latest position among the bindings it used, a
+    binding's position being its place in the store's binding order.
+    Given ``pos`` (variable -> position), a term can be resolved as of an
+    earlier binding count too: a memoized compound whose latest
+    position lies below that count is reused whole.  The bindings must
     not change meanwhile, and the terms resolved must stay alive.
     """
 
@@ -378,7 +376,7 @@ class _Resolver:
         self.memo: dict[int, tuple[Term, int]] = {}
 
     def resolve(self, t: Term, stamp: Optional[int] = None, later: Optional[dict] = None) -> Term:
-        """``t`` under the bindings made before trail length ``stamp``, or
+        """``t`` under the bindings made before binding count ``stamp``, or
         under all when it is None.  ``later``, when given, receives the
         variables of the result that were bound later, in first-occurrence
         order, as keys."""

@@ -159,6 +159,17 @@ def test_an_integer_body_goal_is_an_engine_error():
         Solver(db).run([Atom("p")])
 
 
+@pytest.mark.parametrize(
+    "goals, shown",
+    [([Int(1)], "1"), ([Var("X")], "X"), ([Atom("fail"), Int(1)], "1")],
+)
+def test_a_non_callable_query_goal_is_named_as_a_term(goals, shown):
+    # checked before the search: a goal that fails first does not hide it
+    with pytest.raises(EngineError) as err:
+        solve(Database(), goals)
+    assert str(err.value) == f"query goal is not callable: {shown}"
+
+
 def test_double_negation():
     db = fresh_db("p(a).")
     assert results(db, "not(not(p(a))).").status == "yes"
@@ -298,6 +309,12 @@ def test_retract_builtin_instantiates_pattern():
     db = fresh_db("q(a). q(b).")
     out = results(db, "retract(q(Z)).")
     assert bindings_list(out, "Z") == [Atom("a")]
+    # X, bound before the call, matches as its value; only N is bound by
+    # the retract, so no binding is overwritten
+    db = fresh_db("q(a, 1). q(b, 2). q(b, 3).")
+    (sol,) = results(db, "X = b, retract(q(X, N)).").solutions
+    assert sol.bindings == {Var("X"): Atom("b"), Var("N"): Int(2)}
+    assert [format_term(sc.clause.head) for sc in db.all_stored()] == ["q(a,1)", "q(b,3)"]
 
 
 def test_retract_builtin_fails_when_no_match():
@@ -456,10 +473,21 @@ def test_builtins_take_long_lists_at_the_default_recursion_limit():
     assert format_term(sol.bindings[Var("L")]) == format_term(long)
 
 
-# --- the trailed store against the reference unifier ---------------------------
+# --- the binding store against the reference unifier ---------------------------
+
+def _appended_then_undone(store, old):
+    """The store's bindings begin with ``old``, the items it held before a
+    unification, in the same order and with the same values (the dict's
+    order is the binding order only if a unification appends), and
+    ``undo`` to their count gives back exactly ``old``."""
+    assert list(store.bindings.items())[:len(old)] == old
+    store.undo(len(old))
+    assert list(store.bindings.items()) == old
+
 
 @given(terms(), terms())
-@settings(max_examples=300, deadline=None)
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_store_unify_agrees_with_reference_unify(a, b):
     # b as it stands, sharing variables with a, and b renamed apart as a
     # clause head is
@@ -472,6 +500,10 @@ def test_store_unify_agrees_with_reference_unify(a, b):
             res = store.resolver()
             for v in variables_in((a, other)):
                 assert res.resolve(v) == apply(theta, v), f"{v} in {a} = {other}"
+        # on top of what that left, failed or not, the other pairing
+        old = list(store.bindings.items())
+        store.unify(other, renamed if other is b else b)
+        _appended_then_undone(store, old)
 
 
 # --- the head match against renaming the clause apart, then unifying ---------
@@ -480,16 +512,20 @@ def _head_match(match, goal, clause, before=()):
     """What ``match`` (``Store.unify_head`` or the reference) leaves: whether
     it matched, each call variable and body goal resolved, and the next
     fresh id.  ``before`` is unified first, so that the call holds bound
-    variables."""
+    variables.  The match must only append bindings, and undoing it must
+    give back the store as it was."""
     store, fresh = Store(), FreshVars()
     for a, b in before:
         store.unify(a, b)
+    old = list(store.bindings.items())
     body = match(store, goal, clause, fresh)
-    if body is None:
-        return None, fresh.next_id
-    res = store.resolver()
-    calls = [(v, res.resolve(v)) for v in variables_in((goal, *(t for pair in before for t in pair)))]
-    return (calls, [res.resolve(g) for g in body]), fresh.next_id
+    left = None
+    if body is not None:
+        res = store.resolver()
+        calls = [(v, res.resolve(v)) for v in variables_in((goal, *(t for pair in before for t in pair)))]
+        left = (calls, [res.resolve(g) for g in body])
+    _appended_then_undone(store, old)
+    return left, fresh.next_id
 
 
 @given(head_matches(), st.lists(st.tuples(few_terms, few_terms), max_size=2))
@@ -539,12 +575,12 @@ def test_head_match_walks_a_built_term_only_past_a_mapped_variable():
 
 def test_head_match_binds_only_the_call_variables_it_builds_for():
     # H and R stand for the call's a and [b], L for the call's Y itself;
-    # only X gets a term, [a|_G2], and only X is trailed
+    # only X gets a term, [a|_G2], and only X is bound
     store = Store()
     goal = parse_term_text("app(X, Y, [a,b])")
     clause = parse_clause_text("app([H|T], L, [H|R]) :- app(T, L, R).")
     body = store.unify_head(goal, clause, FreshVars())
-    assert store.trail == [Var("X")]
+    assert list(store.bindings) == [Var("X")]
     assert store.bindings == {Var("X"): Struct(".", (Atom("a"), Var("_G2", 2)))}
     assert body == (Struct("app", (Var("_G2", 2), Var("Y"), mklist([Atom("b")]))),)
 
