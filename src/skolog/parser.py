@@ -19,17 +19,23 @@ with an optional leading minus.  ``%`` starts a comment.  A name that
 starts otherwise, and any other character, is a ParseError at its
 line:col.  Lists are sugar for '.'/2 chains ending in ``[]``.
 
+The first lexical error in the text wins: each distinct token is
+checked once, before parsing.  A token's line:col is worked out, by
+scanning the text again, only for an error.
+
 ``format_term`` writes the canonical form read back by the parser:
 no spaces inside terms, lists re-sugared, atoms quoted only when needed.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ParseError
 from .terms import (
+    CUT,
     NIL,
     Atom,
     Clause,
@@ -46,227 +52,216 @@ _PLAIN_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
 _ESCAPE = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\\\", "'": "\\'", "\n": "\\n", "\t": "\\t"}
-# One alternative per token kind, tried in order; "illegal" takes any
-# character the others reject.  \s, \d and \w match what str.isspace,
-# int() and str.isalnum (plus "_") accept.  A quoted atom that matches
-# without "close" stopped at a bad escape or at the end of the text.
-_TOKEN = re.compile(
-    r"""(?P<skip>(?:\s+|%[^\n]*)+)
-      | (?P<int>-?\d+)
-      | (?P<name>\w+)
-      | (?P<quoted>'(?:[^'\\]|\\[\\'nt])*(?P<close>')?)
-      | (?P<punct>:-|\?-|\\=|[()\[\]|,.!=])
-      | (?P<illegal>.)""",
+_PUNCT = frozenset((":-", "?-", "\\=", "(", ")", "[", "]", "|", ",", ".", "!", "="))
+# Whitespace and comments, then one token: punctuation, an integer, a
+# name, a quoted atom, any other character (illegal), or "" at the end of
+# the text.  \s, \d and \w match what str.isspace, int() and str.isalnum
+# (plus "_") accept.  Some alternative of the token matches wherever the
+# prefix stops, so the prefix never backtracks.  A quoted atom that
+# _QUOTED does not match stopped at a bad escape or at the end.
+_SCAN = re.compile(
+    r"""(?:\s+|%[^\n]*)*
+      ( [()\[\]|,.!=] | :- | \?- | \\= | -?\d+ | \w+ | '(?:[^'\\]|\\[\\'nt])*'? | . | \Z )""",
     re.VERBOSE | re.DOTALL,
 )
+_QUOTED = re.compile(r"'(?:[^'\\]|\\[\\'nt])*'")
 
 
-class Token(NamedTuple):
-    kind: str  # "atom" | "var" | "int" | "punct" | "eof"
-    value: object
-    line: int
-    col: int
+def _lexeme(tok: str) -> Optional[Term]:
+    """The term that a name, quoted atom or integer token reads as; None
+    for punctuation, ``_`` and the end.  ValueError(message, expected)
+    for a lexical error."""
+    c = tok[:1]
+    if tok in _PUNCT or tok == "_" or not c:
+        return None
+    if c == "'":
+        if _QUOTED.fullmatch(tok):
+            return Atom(_ESCAPE.sub(lambda e: _ESCAPES[e[1]], tok[1:-1]))
+        raise ValueError("quoted atom", None)
+    if c.isdecimal() or c == "-" and len(tok) > 1:
+        try:
+            return Int(int(tok))
+        except ValueError:  # more digits than int() will convert
+            raise ValueError("integer too long", None) from None
+    if c.isalnum() and c.islower():
+        return Atom(tok)
+    if c.isalnum() and c.isupper() or c == "_":
+        return Var(tok)
+    raise ValueError(f"illegal character {c!r}", "token")
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0  # line_start: the offset where the current line begins
-    for m in _TOKEN.finditer(text):
-        kind, tok = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "name":
-            c = tok[0]
-            kind = "atom" if c.islower() else "var" if c.isupper() or c == "_" else "illegal"
-        if kind == "atom" or kind == "var" or kind == "punct":
-            toks.append(Token(kind, tok, line, col))
-        elif kind == "int":
-            try:
-                toks.append(Token("int", int(tok), line, col))
-            except ValueError:  # more digits than int() will convert
-                raise ParseError("integer too long", line, col) from None
-        elif kind == "illegal":
-            raise ParseError(f"illegal character {tok[0]!r}", line, col, expected="token")
-        else:  # skip or quoted, the only tokens that may span lines
-            start_line = line
-            newlines = tok.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + tok.rindex("\n") + 1
-            if kind == "quoted":
-                if m["close"] is None:
-                    end = m.end()
-                    message = "bad escape in" if end < len(text) else "unterminated"
-                    raise ParseError(f"{message} quoted atom", line, end - line_start + 1)
-                name = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], tok[1:-1])
-                toks.append(Token("atom", name, start_line, col))
-    toks.append(Token("eof", None, line, len(text) - line_start + 1))
-    return toks
+def _position(text: str, i: int, end: bool = False) -> tuple[int, int]:
+    """Line and column where token ``i`` of ``text`` starts, or ends."""
+    m = next(itertools.islice(_SCAN.finditer(text), i, None))
+    offset = m.end() if end else m.start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+def tokenize(text: str) -> tuple[list[str], dict[str, Optional[Term]]]:
+    """The token strings of ``text``, ending in "" for the end, and what
+    each distinct one reads as (see _lexeme).  The first lexical error in
+    the text is a ParseError, whatever follows."""
+    toks = _SCAN.findall(text)
+    terms: dict[str, Optional[Term]] = {}
+    errors = {}
+    for tok in set(toks):
+        try:
+            terms[tok] = _lexeme(tok)
+        except ValueError as e:
+            errors[tok] = e.args
+    if errors:
+        i = next(i for i, tok in enumerate(toks) if tok in errors)
+        message, expected = errors[toks[i]]
+        if message != "quoted atom":
+            raise ParseError(message, *_position(text, i), expected=expected)
+        # an unclosed quoted atom stops at the end or before a backslash
+        message = ("bad escape in " if toks[i + 1] else "unterminated ") + message
+        raise ParseError(message, *_position(text, i, end=True))
+    return toks, terms
+
+
+class _Reader:
+    """Reads terms from the token strings of one text.  A token's position
+    is worked out from the text only for an error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.terms = tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def fail(self, message: str, expected: Optional[str] = None, at: Optional[int] = None):
+        raise ParseError(message, *_position(self.text, self.i if at is None else at), expected=expected)
 
-    def advance(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def unexpected(self, expected: str):
+        tok = self.toks[self.i]
+        term = self.terms.get(tok)
+        if term is None:
+            what = "end of input" if not tok else "var '_'" if tok == "_" else f"'{tok}'"
+        else:
+            what = f"{type(term).__name__.lower()} '{term.value if type(term) is Int else term.name}'"
+        self.fail(f"unexpected {what}", expected)
 
-    def at_punct(self, *symbols: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.value in symbols
-
-    def expect_punct(self, symbol: str) -> Token:
-        t = self.peek()
-        if t.kind != "punct" or t.value != symbol:
-            self.fail(f"unexpected {describe(t)}", expected=repr(symbol))
-        return self.advance()
-
-    def fail(self, message: str, expected: Optional[str] = None) -> None:
-        t = self.peek()
-        raise ParseError(message, t.line, t.col, expected=expected)
+    def expect(self, symbol: str, expected: Optional[str] = None) -> None:
+        if self.toks[self.i] != symbol:
+            self.unexpected(expected or repr(symbol))
+        self.i += 1
 
     def parse_term(self) -> Term:
         # A stack of open compounds and lists instead of recursion, so that
         # terms may nest as deep as the input goes.  A frame is [kind,
         # functor, parts]: kind "(" reads arguments, "[" list items, "|"
         # a list tail, which is then the last of its parts.
-        toks = self.toks
+        toks, terms = self.toks, self.terms
         frames: list[list] = []
         while True:
             t = toks[self.i]
-            if t.kind == "atom":
+            term = terms.get(t)
+            if term is not None:
                 self.i += 1
-                if toks[self.i][:2] == ("punct", "("):
+                if toks[self.i] == "(" and type(term) is Atom:
                     self.i += 1
-                    frames.append(["(", t.value, []])
+                    frames.append(["(", term.name, []])
                     continue
-                term = Atom(t.value)
-            elif t.kind == "var":
+            elif t == "_":
                 self.i += 1
-                term = anonymous_var() if t.value == "_" else Var(t.value)
-            elif t.kind == "int":
+                term = anonymous_var()
+            elif t == "[":
                 self.i += 1
-                term = Int(t.value)
-            elif t[:2] == ("punct", "["):
-                self.i += 1
-                if toks[self.i][:2] != ("punct", "]"):
+                if toks[self.i] != "]":
                     frames.append(["[", None, []])
                     continue
                 self.i += 1
                 term = NIL
-            elif t[:2] == ("punct", "!"):
+            elif t == "!":
                 self.i += 1
-                term = Atom("!")
+                term = CUT
             else:
-                self.fail(f"unexpected {describe(t)}", expected="term")
+                self.unexpected("term")
             while frames:  # close what the term completes
                 kind, name, parts = frames[-1]
                 parts.append(term)
                 t = toks[self.i]
-                if t.kind == "punct" and kind != "|":
-                    if t.value == ",":
+                if kind != "|":
+                    if t == ",":
                         self.i += 1
                         break
-                    if t.value == "|" and kind == "[":
+                    if t == "|" and kind == "[":
                         self.i += 1
                         frames[-1][0] = "|"
                         break
                 frames.pop()
                 if kind == "(":
-                    self.expect_punct(")")
+                    self.expect(")")
                     term = Struct(name, tuple(parts))
                 else:
-                    self.expect_punct("]")
+                    self.expect("]")
                     term = mklist(parts) if kind == "[" else mklist(parts[:-1], parts[-1])
             else:
                 return term
 
     def parse_goal(self) -> Term:
-        t = self.peek()
+        start = self.i
         lhs = self.parse_term()
-        if self.at_punct("=", "\\="):
-            op = self.advance()
-            rhs = self.parse_term()
-            return Struct(str(op.value), (lhs, rhs))
-        if isinstance(lhs, Var):
-            raise ParseError("variable is not a callable goal", t.line, t.col, expected="goal")
-        if isinstance(lhs, Int):
-            raise ParseError("integer is not a callable goal", t.line, t.col, expected="goal")
+        op = self.toks[self.i]
+        if op == "=" or op == "\\=":
+            self.i += 1
+            return Struct(op, (lhs, self.parse_term()))
+        if type(lhs) is Var:
+            self.fail("variable is not a callable goal", "goal", start)
+        if type(lhs) is Int:
+            self.fail("integer is not a callable goal", "goal", start)
         return lhs
 
     def parse_goals(self) -> list[Term]:
         goals = [self.parse_goal()]
-        while self.at_punct(","):
-            self.advance()
+        while self.toks[self.i] == ",":
+            self.i += 1
             goals.append(self.parse_goal())
         return goals
 
     def parse_clause(self) -> Clause:
-        start = self.peek()
+        start = self.i
         head = self.parse_term()
-        if isinstance(head, (Var, Int)):
-            raise ParseError(
-                "clause head must be an atom or compound term",
-                start.line,
-                start.col,
-                expected="clause head",
-            )
+        if type(head) is Var or type(head) is Int:
+            self.fail("clause head must be an atom or compound term", "clause head", start)
         body: tuple[Term, ...] = ()
-        if self.at_punct(":-"):
-            self.advance()
+        if self.toks[self.i] == ":-":
+            self.i += 1
             body = tuple(self.parse_goals())
-        self.expect_punct(".")
+        self.expect(".")
         return Clause(head=head, body=body)
-
-    def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {describe(self.peek())}", expected="end of input")
-
-
-def describe(t: Token) -> str:
-    if t.kind == "eof":
-        return "end of input"
-    if t.kind == "punct":
-        return f"'{t.value}'"
-    return f"{t.kind} '{t.value}'"
 
 
 def parse_program(text: str) -> list[Clause]:
-    p = _Parser(tokenize(text))
+    p = _Reader(text)
     clauses: list[Clause] = []
-    while p.peek().kind != "eof":
+    while p.toks[p.i]:
         clauses.append(p.parse_clause())
     return clauses
 
 
 def parse_query(text: str) -> list[Term]:
     """Goals of one query: ``?- g1, g2.`` (the ``?-`` is optional)."""
-    p = _Parser(tokenize(text))
-    if p.at_punct("?-"):
-        p.advance()
+    p = _Reader(text)
+    if p.toks[0] == "?-":
+        p.i = 1
     goals = p.parse_goals()
-    p.expect_punct(".")
-    p.expect_eof()
+    p.expect(".")
+    p.expect("", "end of input")
     return goals
 
 
 def parse_clause_text(text: str) -> Clause:
-    p = _Parser(tokenize(text))
+    p = _Reader(text)
     c = p.parse_clause()
-    p.expect_eof()
+    p.expect("", "end of input")
     return c
 
 
 def parse_term_text(text: str) -> Term:
-    p = _Parser(tokenize(text))
+    p = _Reader(text)
     t = p.parse_term()
-    p.expect_eof()
+    p.expect("", "end of input")
     return t
 
 

@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # random-program property of tests/test_finalization.py, the
 # semi-naive property of tests/test_semantics.py, the head-match and
 # negation-freshness properties of tests/test_engine.py, the term equality
-# and reference-unifier properties of tests/test_terms.py and the retract
-# property of tests/test_database.py once more under this profile
+# and reference-unifier properties of tests/test_terms.py, the retract
+# property of tests/test_database.py and the reference-reader property of
+# tests/test_parser.py once more under this profile
 # (pytest --hypothesis-profile=robustness).
 settings.register_profile("robustness", max_examples=2000)

@@ -58,7 +58,15 @@ body_goals = st.one_of(
     writes.map(lambda w: f"{w[0]}({w[1]})"),
     ground_calls.map(lambda g: f"assertz({g})"),
 )
-clauses = st.tuples(calls(), st.lists(body_goals, max_size=2)).map(
+# Now and then a body whose write's pattern holds Y, which the call before
+# it binds: a retract/1 pattern with a variable bound before the call.
+shared_bodies = st.builds(
+    lambda a, w: [f"q({a}, Y)", f"{w}(p(Y))"],
+    st.sampled_from(ARGS),
+    st.sampled_from(("retract", "retract", "assertz")),
+)
+bodies = st.lists(body_goals, max_size=2)
+clauses = st.tuples(calls(), st.one_of(bodies, bodies, bodies, shared_bodies)).map(
     lambda hb: f"{hb[0]} :- {', '.join(hb[1])}." if hb[1] else f"{hb[0]}."
 )
 programs = st.lists(st.one_of(clauses, ground_calls.map(lambda g: g + ".")), min_size=1, max_size=10).map("\n".join)

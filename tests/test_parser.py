@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolog import (
     Atom,
@@ -19,15 +20,31 @@ from skolog import (
     parse_query,
     parse_term_text,
 )
-from skolog.parser import tokenize
+from skolog.parser import format_goals, tokenize
 
 from strategies import terms
-from util import variant_equal
+from test_robustness import ALPHABET, FRAGMENTS, RARE
+from util import (
+    reference_parse_clause_text,
+    reference_parse_program,
+    reference_parse_query,
+    reference_parse_term_text,
+    variant_equal,
+    variant_equal_seq,
+)
 
 
 def kinds(text):
-    # drop the trailing eof sentinel
-    return [(t.kind, t.value) for t in tokenize(text)][:-1]
+    # each token's kind and value, up to the "" that ends the tokens
+    toks, read = tokenize(text)
+    out = []
+    for tok in toks[:toks.index("")]:
+        term = read.get(tok)
+        if term is None:
+            out.append(("var", "_") if tok == "_" else ("punct", tok))
+        else:
+            out.append((type(term).__name__.lower(), term.value if type(term) is Int else term.name))
+    return out
 
 
 def test_tokenize_fact_with_spaces():
@@ -55,10 +72,12 @@ def test_tokenize_illegal_char_position():
         ("-²", 1, 1),
         ("1²", 1, 2),
         ("p.\nq(" + "9" * 5000 + ").", 2, 3),  # more digits than int() converts
+        ("p(. @", 1, 5),  # the first lexical error wins over an earlier syntax error
     ]:
-        with pytest.raises(ParseError) as e:
-            tokenize(text)
-        assert (e.value.line, e.value.col) == (line, col), text[:8]
+        for read in (tokenize, parse_program):
+            with pytest.raises(ParseError) as e:
+                read(text)
+            assert (e.value.line, e.value.col) == (line, col), text[:8]
 
 
 def test_tokenize_quoted_atom():
@@ -127,7 +146,9 @@ def test_parse_rejects_variable_goal():
     (parse_query, "p. q.", "1:4: unexpected atom 'q' (expected end of input)"),
     (parse_clause_text, "p. q.", "1:4: unexpected atom 'q' (expected end of input)"),
     (parse_term_text, "a b", "1:3: unexpected atom 'b' (expected end of input)"),
-], ids=["query", "clause", "term"])
+    (parse_term_text, "p(-007) -007", "1:9: unexpected int '-7' (expected end of input)"),
+    (parse_clause_text, "p(a)\n% c", "2:4: unexpected end of input (expected '.')"),
+], ids=["query", "clause", "term", "int", "comment"])
 def test_trailing_input_is_an_error(parse, text, message):
     with pytest.raises(ParseError) as e:
         parse(text)
@@ -211,3 +232,65 @@ def test_errors_have_in_bounds_positions(bad):
     lines = bad.split("\n")
     assert 1 <= err.line <= len(lines)
     assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+
+
+# The reader against the reference reader kept with the tests: the same
+# terms up to variable renaming, or the same error at the same place.
+READERS = [
+    (parse_program, reference_parse_program),
+    (parse_query, reference_parse_query),
+    (parse_clause_text, reference_parse_clause_text),
+    (parse_term_text, reference_parse_term_text),
+]
+# tokens that the robustness fragments seldom or never make: lexical
+# errors, and integers that read otherwise than they are written
+ODD_TOKENS = ("'a\\q'", "'\\", "'x\\", "9" * 4301, "-", ":", "-007", "007")
+clause_texts = st.builds(
+    lambda head, body: format_clause(Clause(head, tuple(body))),
+    terms(max_depth=3),
+    st.lists(terms(max_depth=2), max_size=2),
+)
+pieces = st.sampled_from(FRAGMENTS) | st.sampled_from(ODD_TOKENS) | st.sampled_from(RARE) | clause_texts
+reader_texts = st.one_of(
+    st.lists(clause_texts, max_size=4).map("\n".join),
+    terms().map(format_term),
+    st.lists(terms(max_depth=2), min_size=1, max_size=3).map(lambda gs: f"?- {format_goals(gs)}."),
+    st.lists(pieces, max_size=10).map("".join),
+    st.lists(st.sampled_from(ALPHABET) | pieces, max_size=30).map("".join),
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col, e.expected)
+
+
+@given(reader_texts)
+# at least 500 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None)
+def test_reader_agrees_with_the_reference_reader(text):
+    for read, reference in READERS:
+        got, want = _outcome(read, text), _outcome(reference, text)
+        if type(got) is tuple or type(want) is tuple:
+            assert got == want, read.__name__
+        elif type(want) is list:
+            assert variant_equal_seq(got, want), read.__name__
+        else:
+            assert variant_equal(got, want), read.__name__
+
+
+_LINES = (" " * 60 + "% a comment line\n") * 13_000  # about 1 MB
+
+
+@pytest.mark.parametrize("text", [
+    _LINES + "@",
+    _LINES + "'unterminated",
+    "p([" + ", ".join(f"a{i}" for i in range(100_000)) + "]).",
+    " ".join(chr(c) for c in range(0x10000, 0x60000) if not chr(c).isalnum()),
+], ids=["illegal", "unterminated", "list", "distinct"])
+def test_a_megabyte_of_input_reads_as_the_reference_reads_it(text):
+    # the scanner's whitespace and comment prefix must not backtrack, and
+    # some 240,000 distinct illegal tokens must not cost a search each
+    assert _outcome(parse_program, text) == _outcome(reference_parse_program, text)

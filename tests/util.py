@@ -1,17 +1,21 @@
 """Shared test helpers: variant equality, the reference unifier and head
-match, the reference proof finalizer, a database's contents, CLI harness."""
+match, the reference proof finalizer, the reference reader, a database's
+contents, CLI harness."""
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from skolog import Atom, Clause, Int, Struct, Var
+from skolog import Atom, Clause, Int, ParseError, Struct, Var
 from skolog.cli import main as cli_main
 from skolog.database import StoredClause
 from skolog.engine import Solution
 from skolog.explain import QUERY_ROOT, ProofNode
-from skolog.terms import apply, rename_clause, subterms
+from skolog.parser import _ESCAPE, _ESCAPES
+from skolog.terms import NIL, Term, anonymous_var, apply, mklist, rename_clause, subterms
 
 
 def canonical(term, mapping=None):
@@ -134,6 +138,234 @@ def finalize_from_scratch(solver, qvars):
         return Solution(bindings, built[0])
     goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
     return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
+
+
+# ----------------------------------------------------------------------
+# The reference reader: a Token with its line and column for every token,
+# read through peek and advance.  The parse_* functions of skolog.parser
+# are tested against these reference_parse_* functions.
+
+# One alternative per token kind, tried in order; "illegal" takes any
+# character the others reject.  \s, \d and \w match what str.isspace,
+# int() and str.isalnum (plus "_") accept.  A quoted atom that matches
+# without "close" stopped at a bad escape or at the end of the text.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:\s+|%[^\n]*)+)
+      | (?P<int>-?\d+)
+      | (?P<name>\w+)
+      | (?P<quoted>'(?:[^'\\]|\\[\\'nt])*(?P<close>')?)
+      | (?P<punct>:-|\?-|\\=|[()\[\]|,.!=])
+      | (?P<illegal>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token(NamedTuple):
+    kind: str  # "atom" | "var" | "int" | "punct" | "eof"
+    value: object
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
+    line, line_start = 1, 0  # line_start: the offset where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "name":
+            c = tok[0]
+            kind = "atom" if c.islower() else "var" if c.isupper() or c == "_" else "illegal"
+        if kind == "atom" or kind == "var" or kind == "punct":
+            toks.append(Token(kind, tok, line, col))
+        elif kind == "int":
+            try:
+                toks.append(Token("int", int(tok), line, col))
+            except ValueError:  # more digits than int() will convert
+                raise ParseError("integer too long", line, col) from None
+        elif kind == "illegal":
+            raise ParseError(f"illegal character {tok[0]!r}", line, col, expected="token")
+        else:  # skip or quoted, the only tokens that may span lines
+            start_line = line
+            newlines = tok.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + tok.rindex("\n") + 1
+            if kind == "quoted":
+                if m["close"] is None:
+                    end = m.end()
+                    message = "bad escape in" if end < len(text) else "unterminated"
+                    raise ParseError(f"{message} quoted atom", line, end - line_start + 1)
+                name = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], tok[1:-1])
+                toks.append(Token("atom", name, start_line, col))
+    toks.append(Token("eof", None, line, len(text) - line_start + 1))
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.toks[self.i]
+
+    def advance(self) -> Token:
+        t = self.toks[self.i]
+        if t.kind != "eof":
+            self.i += 1
+        return t
+
+    def at_punct(self, *symbols: str) -> bool:
+        t = self.peek()
+        return t.kind == "punct" and t.value in symbols
+
+    def expect_punct(self, symbol: str) -> Token:
+        t = self.peek()
+        if t.kind != "punct" or t.value != symbol:
+            self.fail(f"unexpected {describe(t)}", expected=repr(symbol))
+        return self.advance()
+
+    def fail(self, message: str, expected: Optional[str] = None) -> None:
+        t = self.peek()
+        raise ParseError(message, t.line, t.col, expected=expected)
+
+    def parse_term(self) -> Term:
+        # A stack of open compounds and lists instead of recursion, so that
+        # terms may nest as deep as the input goes.  A frame is [kind,
+        # functor, parts]: kind "(" reads arguments, "[" list items, "|"
+        # a list tail, which is then the last of its parts.
+        toks = self.toks
+        frames: list[list] = []
+        while True:
+            t = toks[self.i]
+            if t.kind == "atom":
+                self.i += 1
+                if toks[self.i][:2] == ("punct", "("):
+                    self.i += 1
+                    frames.append(["(", t.value, []])
+                    continue
+                term = Atom(t.value)
+            elif t.kind == "var":
+                self.i += 1
+                term = anonymous_var() if t.value == "_" else Var(t.value)
+            elif t.kind == "int":
+                self.i += 1
+                term = Int(t.value)
+            elif t[:2] == ("punct", "["):
+                self.i += 1
+                if toks[self.i][:2] != ("punct", "]"):
+                    frames.append(["[", None, []])
+                    continue
+                self.i += 1
+                term = NIL
+            elif t[:2] == ("punct", "!"):
+                self.i += 1
+                term = Atom("!")
+            else:
+                self.fail(f"unexpected {describe(t)}", expected="term")
+            while frames:  # close what the term completes
+                kind, name, parts = frames[-1]
+                parts.append(term)
+                t = toks[self.i]
+                if t.kind == "punct" and kind != "|":
+                    if t.value == ",":
+                        self.i += 1
+                        break
+                    if t.value == "|" and kind == "[":
+                        self.i += 1
+                        frames[-1][0] = "|"
+                        break
+                frames.pop()
+                if kind == "(":
+                    self.expect_punct(")")
+                    term = Struct(name, tuple(parts))
+                else:
+                    self.expect_punct("]")
+                    term = mklist(parts) if kind == "[" else mklist(parts[:-1], parts[-1])
+            else:
+                return term
+
+    def parse_goal(self) -> Term:
+        t = self.peek()
+        lhs = self.parse_term()
+        if self.at_punct("=", "\\="):
+            op = self.advance()
+            rhs = self.parse_term()
+            return Struct(str(op.value), (lhs, rhs))
+        if isinstance(lhs, Var):
+            raise ParseError("variable is not a callable goal", t.line, t.col, expected="goal")
+        if isinstance(lhs, Int):
+            raise ParseError("integer is not a callable goal", t.line, t.col, expected="goal")
+        return lhs
+
+    def parse_goals(self) -> list[Term]:
+        goals = [self.parse_goal()]
+        while self.at_punct(","):
+            self.advance()
+            goals.append(self.parse_goal())
+        return goals
+
+    def parse_clause(self) -> Clause:
+        start = self.peek()
+        head = self.parse_term()
+        if isinstance(head, (Var, Int)):
+            raise ParseError(
+                "clause head must be an atom or compound term",
+                start.line,
+                start.col,
+                expected="clause head",
+            )
+        body: tuple[Term, ...] = ()
+        if self.at_punct(":-"):
+            self.advance()
+            body = tuple(self.parse_goals())
+        self.expect_punct(".")
+        return Clause(head=head, body=body)
+
+    def expect_eof(self) -> None:
+        if self.peek().kind != "eof":
+            self.fail(f"unexpected {describe(self.peek())}", expected="end of input")
+
+
+def describe(t: Token) -> str:
+    if t.kind == "eof":
+        return "end of input"
+    if t.kind == "punct":
+        return f"'{t.value}'"
+    return f"{t.kind} '{t.value}'"
+
+
+def reference_parse_program(text: str) -> list[Clause]:
+    p = _Parser(tokenize(text))
+    clauses: list[Clause] = []
+    while p.peek().kind != "eof":
+        clauses.append(p.parse_clause())
+    return clauses
+
+
+def reference_parse_query(text: str) -> list[Term]:
+    p = _Parser(tokenize(text))
+    if p.at_punct("?-"):
+        p.advance()
+    goals = p.parse_goals()
+    p.expect_punct(".")
+    p.expect_eof()
+    return goals
+
+
+def reference_parse_clause_text(text: str) -> Clause:
+    p = _Parser(tokenize(text))
+    c = p.parse_clause()
+    p.expect_eof()
+    return c
+
+
+def reference_parse_term_text(text: str) -> Term:
+    p = _Parser(tokenize(text))
+    t = p.parse_term()
+    p.expect_eof()
+    return t
 
 
 def stored_clauses(db):
