@@ -14,7 +14,9 @@ must be fresh: a constant already in the database (or already issued this
 session) would smuggle in knowledge about a known individual.  The oracle
 may propose a name; proposals that fail the freshness check are refused
 with a ``constant_occurs_in_kb`` note and re-asked up to three times, then
-a generated ``sk_<k>`` is used instead.
+a generated ``sk_<k>`` is used instead.  Only ``negate_fact`` picks a
+witness: the package exports no freshness test of its own, and tests
+queue an oracle's proposals with the queued oracle of ``tests/util.py``.
 
 Queries reach the stored negatives only through the ``holds_negated/1``
 builtin, which ``find_s_fact`` implements; there is no automatic bridge
@@ -61,26 +63,7 @@ class NegatedFact:
     stored_clause: StoredClause
 
 
-def fresh_constant(db: Database, candidate: Optional[Atom], ledger: FreshnessLedger) -> Atom:
-    """The candidate if it is fresh, else the next free generated sk_<k>.
-
-    Fresh means: not a constant of the database and not issued before.
-    The returned atom is recorded in the ledger.
-    """
-    return _fresh_constant(constants_of(db), candidate, ledger)
-
-
-def _fresh_constant(db_constants: set, candidate: Optional[Atom], ledger: FreshnessLedger) -> Atom:
-    c = candidate
-    if not isinstance(c, Atom) or c in db_constants or c in ledger:
-        k = 1
-        while (c := Atom(f"sk_{k}")) in db_constants or c in ledger:
-            k += 1
-    ledger.add(c)
-    return c
-
-
-def _obtain_constant(
+def _witness(
     db_constants: set,
     predicate: str,
     oracle: Optional[Oracle],
@@ -88,22 +71,33 @@ def _obtain_constant(
     diag: Optional[TextIO],
     why_supplier: Optional[Callable],
 ) -> Atom:
-    if oracle is not None:
-        question = Question("skolem", predicate, None)
-        for _ in range(_MAX_PROPOSALS):
-            reply = consult(oracle, question, why_supplier)
-            if reply == NO:
-                break
-            if isinstance(reply, Atom):
-                if reply not in db_constants and reply not in ledger:
-                    ledger.add(reply)
-                    return reply
-                if diag is not None:
-                    diag.write(f"constant_occurs_in_kb: {format_term(reply)} is not fresh\n")
+    """A fresh constant for one variable of a negated ``predicate`` fact,
+    recorded in the ledger.  Fresh means: not a constant of the database
+    and not issued before.  The oracle, if any, proposes up to
+    _MAX_PROPOSALS names (``no`` stops it); then the smallest free sk_<k>
+    is taken."""
+    question = Question("skolem", predicate, None)
+    proposals = _MAX_PROPOSALS if oracle is not None else 0
+    k = 0
+    while True:
+        if proposals:
+            proposals -= 1
+            c = consult(oracle, question, why_supplier)
+            if c == NO:
+                proposals = 0
                 continue
-            if diag is not None:
-                diag.write("skolem constant must be a new atom\n")
-    return _fresh_constant(db_constants, None, ledger)
+            if not isinstance(c, Atom):
+                if diag is not None:
+                    diag.write("skolem constant must be a new atom\n")
+                continue
+        else:
+            k += 1
+            c = Atom(f"sk_{k}")
+        if c not in db_constants and c not in ledger:
+            ledger.add(c)
+            return c
+        if not k and diag is not None:  # a proposal, refused
+            diag.write(f"constant_occurs_in_kb: {format_term(c)} is not fresh\n")
 
 
 def negate_fact(
@@ -123,35 +117,28 @@ def negate_fact(
         raise NotAFactError(f"cannot negate a rule: {format_term(fact.head)} has a body")
     head = fact.head
     name, _ = indicator_of(head)
-    args = head.args if hasattr(head, "args") else ()
     if ledger is None:
         ledger = FreshnessLedger()
 
     # nothing is stored until the s-fact is, so the database's constants
     # stay as read here for the whole call
     db_constants = constants_of(db)
-    mapping: Subst = {}
-    constants: list[Atom] = []
-    for v in variables_of(head):
-        c = _obtain_constant(db_constants, name, oracle, ledger, diag, why_supplier)
-        mapping[v] = c
-        constants.append(c)
-
-    skolemized = tuple(apply(mapping, a) for a in args)
-    stored = s_term(name, skolemized)
+    mapping: Subst = {
+        v: _witness(db_constants, name, oracle, ledger, diag, why_supplier) for v in variables_of(head)
+    }
+    stored = s_term(apply(mapping, head))
     sc = db.assertz(Clause(head=stored), kind=KIND_S_FACT)
-    retained = tuple(a for a in args if is_ground(a))
     return NegatedFact(
-        skolem_constants=tuple(constants),
-        retained_terms=retained,
+        skolem_constants=tuple(mapping.values()),
+        retained_terms=tuple(a for a in getattr(head, "args", ()) if is_ground(a)),
         stored=stored,
         stored_clause=sc,
     )
 
 
-def s_term(predicate: str, args: tuple[Term, ...]) -> Term:
-    """The stored form s(neg(p), args...) for predicate name p."""
-    return Struct("s", (Struct("neg", (Atom(predicate),)),) + args)
+def s_term(goal: Term) -> Struct:
+    """The stored form s(neg(p), a1..ak) of the callable p(a1..ak)."""
+    return Struct("s", (Struct("neg", (Atom(goal.name),)),) + getattr(goal, "args", ()))
 
 
 def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
@@ -165,10 +152,8 @@ def find_s_fact(db: Database, goal: Term) -> Optional[StoredClause]:
         raise InstantiationError(f"holds_negated/1 needs a callable argument: holds_negated({format_term(goal)})")
     if not is_ground(goal):
         raise InstantiationError(f"holds_negated/1 needs a ground argument: holds_negated({format_term(goal)})")
-    name, arity = indicator_of(goal)
-    args = goal.args if hasattr(goal, "args") else ()
-    probe = s_term(name, tuple(args))
-    for sc in db.clauses(("s", arity + 1), probe.args):
+    probe = s_term(goal)
+    for sc in db.clauses(("s", len(probe.args)), probe.args):
         if sc.clause.body:
             continue
         if Store().unify(probe, sc.clause.head):

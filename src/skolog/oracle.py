@@ -96,21 +96,6 @@ def consult(oracle: Optional[Oracle], question: Question, why_supplier=None) -> 
     return oracle.answer(question, why_supplier)
 
 
-class QueuedOracle(Oracle):
-    """Answers from an in-memory queue, ignoring question content.
-    Meant for tests; records every question it was asked."""
-
-    def __init__(self, answers):
-        self.queue = list(answers)
-        self.asked: list[Question] = []
-
-    def answer(self, question: Question, why_supplier=None) -> Term:
-        self.asked.append(question)
-        if not self.queue:
-            raise UnansweredQuestionError(f"no answer queued for: {prompt_for(question)}")
-        return self.queue.pop(0)
-
-
 class ScriptedOracle(Oracle):
     """Answers from a script, one entry per line:
 

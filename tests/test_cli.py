@@ -41,6 +41,19 @@ def test_readme_quick_start_transcript(monkeypatch):
     assert r.out == "".join(line + "\n" for line in lines[start + 1:end])
 
 
+def test_readme_python_api_prints_what_its_comments_say(capsys):
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("```python", lines.index("## Python API")) + 1
+    block = lines[start:lines.index("```", start)]
+    exec(compile("\n".join(block), "README.md", "exec"), {})
+    # one comment per print: its whole output, or the output's end after "... "
+    said = [line.split("#", 1)[1].strip() for line in block if line.startswith("print(")]
+    assert said == ["yes", '... user said yes to "likes of person peter is icecream ?"']
+    status, explanation = capsys.readouterr().out.split("\n", 1)
+    assert status == said[0]
+    assert explanation.endswith(said[1].removeprefix("... ") + "\n")
+
+
 def test_run_no_solution_exit_1():
     r = run_cli(["run", TWINS, "--goal", "not(twin(marsha,marjorie))."])
     assert r.code == 1

@@ -3,6 +3,7 @@
 import io
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skolog import Atom, Clause, Database, Struct, Var, constants_of, load_program, parse_query, solve
@@ -275,6 +276,17 @@ def test_an_ask_sees_only_its_subject_s_known_facts():
     assert (res.succeeded, res.source, seen) == (True, "memo", [3])
     res, seen = _candidates(lambda: ask_value(db, "hair", "s250", None))
     assert (res.value, res.source, seen) == (Atom("v250"), "memo", [3])
+
+
+@pytest.mark.parametrize("n", [100, 5000])
+def test_a_call_on_the_last_of_n_facts_gets_one_candidate(n):
+    # clause selection does not grow with the predicate when the first
+    # argument is bound
+    db = Database()
+    load_program(db, "".join(f"f(k{i}, {i}).\n" for i in range(n)))
+    out, seen = _candidates(lambda: solve(db, parse_query(f"f(k{n - 1}, V).")))
+    assert [s.bindings for s in out.solutions] == [{Var("V"): Int(n - 1)}]
+    assert seen == [1]
 
 
 def test_a_holds_negated_probe_sees_one_s_fact_among_a_thousand():

@@ -15,7 +15,6 @@ from skolog import (
     EngineError,
     InstantiationError,
     Int,
-    QueuedOracle,
     SolveOptions,
     Solver,
     Struct,
@@ -35,7 +34,7 @@ from skolog.parser import parse_clause_text
 from skolog.terms import CUT, FreshVars, apply, goal_constants, rename_clause, variables_in
 
 from strategies import few_terms, head_matches, terms
-from util import reference_unify, rename_then_unify, run_cli, variant_equal
+from util import QueuedOracle, reference_unify, rename_then_unify, run_cli, variant_equal
 
 
 def results(db, text, **kw):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package exports exactly the names its `__init__` imports."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,14 @@ def test_every_imported_name_is_used():
         unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         unused -= WRAPPED_BY_NAME.get(path.name, set())
         assert not unused, f"{path.relative_to(SRC)} imports {sorted(unused)} without using them"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(skolog.__all__) == sorted(imported)

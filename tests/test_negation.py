@@ -14,13 +14,11 @@ from skolog import (
     Int,
     InteractiveOracle,
     NotAFactError,
-    QueuedOracle,
     SolveOptions,
     Struct,
     Var,
     constants_of,
     format_term,
-    fresh_constant,
     load_program,
     negate_fact,
     parse_clause_text,
@@ -32,40 +30,51 @@ from skolog.database import KIND_S_FACT
 from skolog.negation import find_s_fact
 from skolog.oracle import NO, value_answer
 
+from util import QueuedOracle
 
-def test_fresh_constant_accepts_fresh_candidate():
+
+def test_a_fresh_proposal_is_taken_and_lands_in_the_ledger():
     db = Database()
     load_program(db, "likes(X, apple).")
     ledger = FreshnessLedger()
-    c = fresh_constant(db, Atom("stranger"), ledger)
-    assert c == Atom("stranger")
-    assert Atom("stranger") in ledger
+    orc = QueuedOracle([value_answer(Atom("stranger"))])
+    nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, ledger=ledger)
+    assert nf.skolem_constants == (Atom("stranger"),)
+    assert ledger == {Atom("stranger")}
 
 
-def test_fresh_constant_rejects_db_constant():
+def test_a_database_constant_proposed_four_times_falls_back_to_sk_1():
     db = Database()
     load_program(db, "person(marsha, father1, mother1, month1, year1).")
-    assert fresh_constant(db, Atom("marsha"), FreshnessLedger()) == Atom("sk_1")
+    diag = io.StringIO()
+    orc = QueuedOracle([value_answer(Atom("marsha"))] * 4)
+    nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, diag=diag)
+    assert nf.skolem_constants == (Atom("sk_1"),)
+    assert diag.getvalue() == "constant_occurs_in_kb: marsha is not fresh\n" * 4
+    assert orc.queue == []
 
 
-def test_fresh_constant_none_candidate_gensyms():
-    assert fresh_constant(Database(), None, FreshnessLedger()) == Atom("sk_1")
+def test_without_an_oracle_the_witness_is_sk_1():
+    nf = negate_fact(Database(), parse_clause_text("likes(X, apple)."))
+    assert nf.skolem_constants == (Atom("sk_1"),)
 
 
-def test_fresh_constant_smallest_free_index():
+def test_the_witnesses_are_the_smallest_free_sk_indexes():
     db = Database()
     load_program(db, "p(sk_1). p(sk_3).")
-    ledger = FreshnessLedger()
-    assert fresh_constant(db, None, ledger) == Atom("sk_2")
-    assert fresh_constant(db, None, ledger) == Atom("sk_4")
+    nf = negate_fact(db, parse_clause_text("q(X, Y)."))
+    assert nf.skolem_constants == (Atom("sk_2"), Atom("sk_4"))
 
 
-def test_fresh_constant_never_repeats_within_session():
+def test_negations_that_share_a_ledger_never_repeat_a_constant():
+    # the first s-fact is retracted, so only the ledger still holds sk_1
     db = Database()
     ledger = FreshnessLedger()
-    a = fresh_constant(db, None, ledger)
-    b = fresh_constant(db, None, ledger)
-    assert a != b
+    nf1 = negate_fact(db, parse_clause_text("p(X)."), ledger=ledger)
+    assert db.retract(Clause(head=nf1.stored)) == {}
+    nf2 = negate_fact(db, parse_clause_text("q(X, Y)."), ledger=ledger)
+    assert nf1.skolem_constants == (Atom("sk_1"),)
+    assert nf2.skolem_constants == (Atom("sk_2"), Atom("sk_3"))
 
 
 def test_negate_ground_fact_keeps_terms():

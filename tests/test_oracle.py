@@ -10,7 +10,6 @@ from skolog import (
     EngineError,
     InteractiveOracle,
     Question,
-    QueuedOracle,
     ScriptedOracle,
     SolveOptions,
     Solver,
@@ -28,7 +27,7 @@ from skolog.errors import OracleScriptError
 from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, ask, ask_value, value_answer
 from skolog.terms import is_ground
 
-from util import stored_clauses
+from util import QueuedOracle, stored_clauses
 
 
 def known_facts(db):

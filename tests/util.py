@@ -1,6 +1,6 @@
 """Shared test helpers: variant equality, the reference unifier and head
 match, the reference proof finalizer, the reference reader, a database's
-contents, CLI harness."""
+contents, a queued oracle, CLI harness."""
 
 from __future__ import annotations
 
@@ -9,34 +9,47 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from skolog import Atom, Clause, Int, ParseError, Struct, Var
+from skolog import Atom, Clause, Int, ParseError, Struct, UnansweredQuestionError, Var
 from skolog.cli import main as cli_main
 from skolog.database import StoredClause
 from skolog.engine import Solution
 from skolog.explain import QUERY_ROOT, ProofNode
+from skolog.oracle import Oracle, Question, prompt_for
 from skolog.parser import _ESCAPE, _ESCAPES
 from skolog.terms import NIL, Term, anonymous_var, apply, mklist, rename_clause, subterms
 
 
 def canonical(term, mapping=None):
     """Rename variables to V0, V1, ... in first-occurrence order, so two
-    variants of the same term become equal."""
+    variants of the same term become equal.  Walks with a stack of its
+    own, so a term may nest as deep as memory allows."""
     if mapping is None:
         mapping = {}
-    if isinstance(term, Var):
-        if term not in mapping:
-            mapping[term] = Var("V", len(mapping))
-        return mapping[term]
-    if isinstance(term, (Atom, Int)):
-        return term
-    if isinstance(term, Struct):
-        return Struct(term.name, tuple(canonical(a, mapping) for a in term.args))
     if isinstance(term, Clause):
         return Clause(
             head=canonical(term.head, mapping),
             body=tuple(canonical(g, mapping) for g in term.body),
         )
-    raise TypeError(f"not a term: {term!r}")
+    stack = []  # open compounds: (compound, its renamed arguments so far)
+    while True:
+        if isinstance(term, Struct) and term.args:
+            stack.append((term, []))
+            term = term.args[0]
+            continue
+        if isinstance(term, Var):
+            term = mapping.setdefault(term, Var("V", len(mapping)))
+        elif not isinstance(term, (Atom, Int, Struct)):
+            raise TypeError(f"not a term: {term!r}")
+        while stack:
+            compound, done = stack[-1]
+            done.append(term)
+            if len(done) < len(compound.args):
+                term = compound.args[len(done)]
+                break
+            stack.pop()
+            term = Struct(compound.name, tuple(done))
+        else:
+            return term
 
 
 def variant_equal(a, b) -> bool:
@@ -372,6 +385,21 @@ def stored_clauses(db):
     """What ``db`` holds, ids aside: each stored clause's kind and clause,
     predicate by predicate, in stored order."""
     return [(sc.kind, sc.clause) for sc in db.all_stored()]
+
+
+class QueuedOracle(Oracle):
+    """Answers from an in-memory queue, ignoring question content.
+    Meant for tests; records every question it was asked."""
+
+    def __init__(self, answers):
+        self.queue = list(answers)
+        self.asked: list[Question] = []
+
+    def answer(self, question: Question, why_supplier=None) -> Term:
+        self.asked.append(question)
+        if not self.queue:
+            raise UnansweredQuestionError(f"no answer queued for: {prompt_for(question)}")
+        return self.queue.pop(0)
 
 
 @dataclass
