@@ -1,23 +1,25 @@
 """Goal resolution: leftmost goal first, clauses in stored order,
 alternatives on backtracking.
 
-The solver follows the WAM's control model without its compiler (Warren
-1983; Ait-Kaci 1991).  A ``terms.Store`` holds the variable bindings, read
-through ``deref``, in one dict in binding order (the WAM's trail), which
-backtracking pops back to a mark.  The goals still to prove form a linked
-list of cells; a user call with clauses left sits on a choicepoint stack,
-which failure pops to resume the latest alternative.
+The solver follows the WAM's control model (Warren 1983; Ait-Kaci 1991);
+of its compiler, only the head match is kept.  A ``terms.Store`` holds
+the variable bindings, read through ``deref``, in one dict in binding
+order (the WAM's trail), which backtracking pops back to a mark.  The
+goals still to prove form a linked list of cells; a user call with
+clauses left sits on a choicepoint stack, which failure pops to resume
+the latest alternative.
 A call tries, in stored order, the clauses that the database keeps for
 its arguments: the shortest list that an index on a bound argument
 position gives (all of them when no argument is bound).  Each try
 unifies the clause's head with the goal as if the clause had been
 renamed apart (occurs check on), without renaming it: ``Store.unify_head``
-walks the stored head against the goal, so a clause that cannot match
-fails at its first clashing comparison, and a clause variable's first
-occurrence names the goal's term, binding no variable of the goal.  Only a
-match uses up fresh ids, one per clause variable, so the ``_G<n>`` names
-are those of renaming apart each clause that matches.  A reduction puts
-the clause body, built under the head's match, in front of the goals.
+runs code generated for the clause's shape against the goal, so a clause
+that cannot match fails at its first clashing comparison, and a clause
+variable's first occurrence names the goal's term, binding no variable of
+the goal.  Only a match uses up fresh ids, one per clause variable, so
+the ``_G<n>`` names are those of renaming apart each clause that matches.
+A reduction puts the clause body, built under the head's match, in front
+of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  Each
 path cut off that way adds one to ``cutoffs``, and a run without solutions

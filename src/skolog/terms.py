@@ -9,9 +9,14 @@ There is one unifier, ``Store.unify``, over one dict of bindings in
 binding order, which backtracking pops; ``unify`` reads a ``Store``'s
 bindings back as a substitution.  There is one head match,
 ``Store.unify_head``, by which resolution and retract/1 match a stored
-clause without renaming it whole.  Both are tested against a dict-based
-reference unifier kept with the tests.  ``rename_clause`` and ``compose``
-serve those tests and the benchmark's tracer, which wraps them by name.
+clause without renaming it whole.  On a clause's first try it gets a
+Python function generated for the clause's shape (the WAM's get
+instructions: Warren 1983), shared by every clause of that shape in the
+process, and the clause's own constants; a clause too big to compile
+keeps the generic walk, which the tests hold the generated code to.  The
+unifier and the head match are tested against a dict-based reference
+unifier kept with the tests.  ``rename_clause`` and ``compose`` serve
+those tests and the benchmark's tracer, which wraps them by name.
 
 Terms are values, equal and hashing equal when their shapes are equal.
 ``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import is_, itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class Var(tuple):
@@ -117,7 +122,7 @@ class Clause:
 
     head: Term
     body: tuple[Term, ...] = ()
-    _order = None  # not a field: the first ``Store.unify_head`` sets it on the instance
+    _match = None  # not a field: the first ``Store.unify_head`` sets it on the instance
 
 
 def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
@@ -285,53 +290,27 @@ class Store:
         return the body renamed the same way; None if the head does not match.
 
         The clause is not renamed whole (the WAM's get/unify instructions:
-        Warren 1983).  The walk takes ``unify``'s equations in its order.
-        A clause variable's first occurrence stands for the call's subterm
-        there, an unbound variable included (get_variable).  A variable of
-        ``fresh`` is made for it only where a clause term is built for an
-        unbound variable of the call; a later occurrence unifies as
+        Warren 1983).  The match takes ``unify``'s equations in its order,
+        the last argument first.  A clause variable's first occurrence
+        stands for the call's subterm there, an unbound variable included
+        (get_variable).  A variable of ``fresh`` is made for it only where
+        a clause term is built for an unbound variable of the call, and the
+        built term is searched for that variable only when it holds a
+        clause variable mapped earlier; a later occurrence unifies as
         ``unify`` does, the clause's side first.  The clause's variables
-        are numbered in first-occurrence order, head first, on its first
-        match, and the numbering is kept on the clause, so loading a
-        program numbers nothing.  ``fresh`` advances by their count only
-        on a match, so each variable made gets the id that ``rename_clause``
-        would have given it, and a head that fails uses up no id.
+        are numbered in first-occurrence order, head first, and ``fresh``
+        advances by their count only on a match, so each variable made
+        gets the id that ``rename_clause`` would have given it, and a head
+        that fails uses up no id.
+
+        On its first try a clause gets the match function of its shape
+        (see ``_prepare``) and keeps it, so loading a program prepares
+        nothing.
         """
-        order = clause._order
-        if order is None:
-            order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
-            object.__setattr__(clause, "_order", order)
-        base = fresh.next_id
-        env = _Renaming()  # clause variable -> call subterm or made variable
-        env.new = lambda v: fresh.var(base + order[v])
-        build = env.__getitem__
-        bindings = self.bindings
-        get = bindings.get
-        stack = [(goal, clause.head)]
-        while stack:
-            x, y = stack.pop()
-            while type(x) is Var and (value := get(x)) is not None:
-                x = value
-            if type(y) is Var:
-                t = env.get(y)
-                if t is None:
-                    env[y] = x
-                elif not self.unify(t, x):
-                    return None
-            elif type(x) is Var:
-                mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
-                t = _rebuild(y, build)
-                if mapped and type(t) is Struct and self._occurs(x, t):
-                    return None
-                bindings[x] = t
-            elif type(y) is Struct:
-                if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
-                    return None
-                stack.extend(zip(x.args, y.args))
-            elif x != y:
-                return None
-        fresh.next_id += len(order)
-        return tuple([_rebuild(g, build) for g in clause.body]) if order else clause.body
+        match = clause._match
+        if match is None:
+            match = _prepare(clause)
+        return match[0](self, goal, fresh, match[1])
 
     def _occurs(self, v: Var, t: Term) -> bool:
         """Does ``v`` occur in ``t``, read through the bindings?"""
@@ -475,6 +454,238 @@ def rename_clause(c: Clause, fresh: FreshVars) -> Clause:
     if not renaming:
         return c
     return Clause(head=head, body=body)
+
+
+# --- the head match, compiled once per clause shape --------------------------
+#
+# A clause's shape is the clause with each maximal ground subterm replaced
+# by a constant slot and each variable by its first-occurrence number; the
+# head itself is never a slot.  Its key is a flat tuple, in preorder, head
+# first: a variable's number, a slot's kind, or a non-ground compound's
+# name followed by minus its arity (``hash`` of a nested tuple recurses).
+# The constants fill the slots in the same order.  Every clause of a shape,
+# in any database, shares one generated function.
+
+_ATOM, _INT, _GROUND = object(), object(), object()  # the kinds of slot
+_ATOMIC = {Atom: _ATOM, Int: _INT}
+# A clause that nests a variable deeper than this, or whose key is longer,
+# takes the generic walk: the code generated for a shape grows with its
+# size times its depth, and Python cannot compile code nested 100 deep.
+_MAX_NESTING, _MAX_KEY = 32, 512
+# Shape key -> match function, for the whole process: a table per database
+# would compile again for every program loaded.  A function depends on its
+# key alone, so sharing it changes no answer; nothing is ever removed.
+_SHAPES: dict[tuple, Callable] = {}
+
+
+def _prepare(clause: Clause) -> tuple:
+    """The match function of ``clause``'s shape and its constants, kept on
+    the clause; the generic walk and the clause for a clause too big to
+    compile."""
+    shape = _shape(clause)
+    if shape is None:
+        order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
+        match = (_walk, (clause.head, clause.body, order))
+    else:
+        key, constants = shape
+        code = _SHAPES.get(key)
+        if code is None:
+            code = _SHAPES[key] = _compile(key)
+        match = (code, constants)
+    object.__setattr__(clause, "_match", match)
+    return match
+
+
+def _shape(clause: Clause) -> Optional[tuple[tuple, tuple]]:
+    """``clause``'s shape key and constants in one linear pass, or None for
+    a clause too big to compile (see ``_MAX_KEY``).  A fact whose arguments
+    are all atomic takes its key and constants from its head."""
+    head = clause.head
+    if not clause.body and type(head) is Struct and len(head.args) < _MAX_KEY - 1:
+        kinds = [_ATOMIC.get(type(a)) for a in head.args]
+        if None not in kinds:
+            return (head.name, -len(kinds), *kinds), head.args
+    key: list = []
+    constants: list = []
+    numbers: dict[Var, int] = {}
+    for t in (head, *clause.body):
+        frames: list[list] = []  # [compound, next argument, key and constants lengths, holds a variable]
+        while True:
+            if type(t) is Struct:
+                frames.append([t, 0, len(key), len(constants), t is head and not frames])
+                key += (t.name, -len(t.args))
+            elif type(t) is Var:
+                if len(frames) > _MAX_NESTING:
+                    return None
+                key.append(numbers.setdefault(t, len(numbers)))
+                if frames:
+                    frames[-1][4] = True
+            else:
+                key.append(_ATOMIC[type(t)])
+                constants.append(t)
+            while frames:  # the next argument, closing the compounds it leaves
+                frame = frames[-1]
+                if frame[1] < len(frame[0].args):
+                    t = frame[0].args[frame[1]]
+                    frame[1] += 1
+                    break
+                frames.pop()
+                if frame[4]:
+                    if frames:
+                        frames[-1][4] = True
+                else:  # ground: one slot
+                    del key[frame[2]:], constants[frame[3]:]
+                    key.append(_GROUND)
+                    constants.append(frame[0])
+            else:
+                break
+    return (tuple(key), tuple(constants)) if len(key) <= _MAX_KEY else None
+
+
+def _compile(key: tuple) -> Callable:
+    """The match function of a shape: ``Store.unify_head`` for every clause
+    of the shape, called with the clause's constants as ``k``.
+
+    Each argument of a compound in the head is matched in the order the
+    generic walk takes it: a variable's first occurrence names the call's
+    term, a later one unifies; a slot binds the call's variable or compares;
+    a compound reads the call's compound or builds itself for the call's
+    variable.  Functor names are arguments of the generated code, never
+    text in it; its locals are numbered (``v<n>`` for variable n).
+    """
+    pos, slots = 0, itertools.count()
+
+    def term():  # ("v", n) | ("k", kind, slot) | ("f", name, args), from key[pos]
+        nonlocal pos
+        token = key[pos]
+        pos += 1
+        if type(token) is str:
+            pos += 1
+            return ("f", token, [term() for _ in range(-key[pos - 1])])
+        return ("v", token) if type(token) is int else ("k", token, next(slots))
+
+    terms = []
+    while pos < len(key):
+        terms.append(term())
+    names: dict[str, int] = {}
+    temps = itertools.count()
+    mapped: set[int] = set()  # the variables that have a local
+    lines = []
+
+    def variables(t) -> set[int]:
+        if t[0] == "f":
+            return set().union(*map(variables, t[2]))
+        return {t[1]} if t[0] == "v" else set()
+
+    def build(t) -> str:
+        if t[0] != "f":
+            return f"v{t[1]}" if t[0] == "v" else f"k{t[2]}"
+        n = names.setdefault(t[1], len(names))
+        return f"Struct(n{n}, ({''.join(build(a) + ', ' for a in t[2])}))"
+
+    def match(t, src: str, at: str) -> None:
+        if t[0] == "v":
+            v = f"v{t[1]}"
+            if t[1] in mapped:
+                lines.append(f"{at}if not store.unify({v}, {src}): return None")
+                return
+            mapped.add(t[1])
+            if src != v:
+                lines.append(f"{at}{v} = {src}")
+            lines.append(f"{at}while type({v}) is Var and (t := get({v})) is not None: {v} = t")
+            return
+        lines.append(f"{at}x = {src}")
+        lines.append(f"{at}while type(x) is Var and (t := get(x)) is not None: x = t")
+        if t[0] == "k":
+            k = f"k{t[2]}"
+            lines.append(f"{at}if type(x) is Var: bindings[x] = {k}")
+            lines.append(f"{at}elif " + {
+                _ATOM: f"type(x) is not Atom or x.name != {k}.name",
+                _INT: f"type(x) is not Int or x.value != {k}.value",
+                _GROUND: f"not store.unify(x, {k})",
+            }[t[1]] + ": return None")
+            return
+        inner = variables(t)
+        lines.append(f"{at}if type(x) is Var:")
+        lines.extend(f"{at} v{n} = fresh.var(base + {n})" for n in sorted(inner - mapped))
+        if inner & mapped:  # the call's variable can be in the term only through these
+            lines.append(f"{at} t = {build(t)}")
+            lines.append(f"{at} if store._occurs(x, t): return None")
+            lines.append(f"{at} bindings[x] = t")
+        else:
+            lines.append(f"{at} bindings[x] = {build(t)}")
+        args = t[2]
+        n = names.setdefault(t[1], len(names))
+        lines.append(f"{at}elif type(x) is Struct and x.name == n{n} and len(x.args) == {len(args)}:")
+        seen, targets = set(mapped), [""] * len(args)
+        for i in reversed(range(len(args))):  # a first occurrence is read straight into its local
+            a = args[i]
+            targets[i] = f"v{a[1]}" if a[0] == "v" and a[1] not in seen else f"a{next(temps)}"
+            seen |= variables(a)
+        lines.append(f"{at} {''.join(x + ', ' for x in targets)}= x.args")
+        for i in reversed(range(len(args))):
+            match(args[i], targets[i], at + " ")
+        lines.append(f"{at}else: return None")
+
+    head, *body = terms
+    count = len(set().union(*map(variables, terms)))
+    match(head, "goal", "  ")
+    if count:
+        lines.append(f"  fresh.next_id = base + {count}")
+    lines.extend(f"  v{n} = fresh.var(base + {n})" for n in range(count) if n not in mapped)
+    lines.append(f"  return ({''.join(build(g) + ', ' for g in body)})")
+    prologue = ["  bindings = store.bindings", "  get = bindings.get"]
+    if count:
+        prologue.append("  base = fresh.next_id")
+    if next(slots):
+        prologue.append(f"  {''.join(f'k{i}, ' for i in range(next(slots) - 1))}= k")
+    source = "\n".join([
+        f"def make(Var, Struct, Atom, Int, {''.join(f'n{i}, ' for i in range(len(names)))}):",
+        " def match(store, goal, fresh, k):",
+        *prologue,
+        *lines,
+        " return match",
+    ])
+    scope: dict = {}
+    exec(compile(source, "<head match>", "exec"), scope)
+    return scope["make"](Var, Struct, Atom, Int, *names)
+
+
+def _walk(store: Store, goal: Term, fresh: FreshVars, clause: tuple) -> Optional[tuple]:
+    """``Store.unify_head`` for one clause, ``(head, body, numbering)``,
+    walking its head against the goal with a stack of equations."""
+    head, body, order = clause
+    base = fresh.next_id
+    env = _Renaming()  # clause variable -> call subterm or made variable
+    env.new = lambda v: fresh.var(base + order[v])
+    build = env.__getitem__
+    bindings = store.bindings
+    get = bindings.get
+    stack = [(goal, head)]
+    while stack:
+        x, y = stack.pop()
+        while type(x) is Var and (value := get(x)) is not None:
+            x = value
+        if type(y) is Var:
+            t = env.get(y)
+            if t is None:
+                env[y] = x
+            elif not store.unify(t, x):
+                return None
+        elif type(x) is Var:
+            mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
+            t = _rebuild(y, build)
+            if mapped and type(t) is Struct and store._occurs(x, t):
+                return None
+            bindings[x] = t
+        elif type(y) is Struct:
+            if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
+                return None
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
+            return None
+    fresh.next_id += len(order)
+    return tuple([_rebuild(g, build) for g in body]) if order else body
 
 
 # Predicates the engine implements itself.  A definite program uses none of

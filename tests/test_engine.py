@@ -27,14 +27,16 @@ from skolog import (
     parse_term_text,
     solve,
 )
+import skolog.terms as skolog_terms
 from skolog.corpus import corpus_text
+from skolog.database import load_clauses
 from skolog.engine import Store
 from skolog.oracle import value_answer
 from skolog.parser import parse_clause_text
 from skolog.terms import CUT, FreshVars, apply, goal_constants, rename_clause, variables_in
 
 from strategies import few_terms, head_matches, terms
-from util import QueuedOracle, reference_unify, rename_then_unify, run_cli, variant_equal
+from util import QueuedOracle, generic_head_match, reference_unify, rename_then_unify, run_cli, variant_equal
 
 
 def results(db, text, **kw):
@@ -616,22 +618,156 @@ def test_head_match_keeps_the_renamed_answer_name():
 def test_a_clause_numbers_its_variables_on_its_first_head_match_only():
     db = fresh_db("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R). f(a). g(X) :- f(X).")
     stored = db.all_stored()
-    assert [sc.clause._order for sc in stored] == [None] * 4  # loading numbers nothing
-    with mock.patch("skolog.terms.variables_in", wraps=variables_in) as numbering:
+    assert [sc.clause._match for sc in stored] == [None] * 4  # loading prepares nothing
+    with mock.patch.object(skolog_terms, "_prepare", wraps=skolog_terms._prepare) as prepare:
         assert solve(db, parse_query("app([a,b,c], [d], X).")).status == "yes"
-        assert numbering.call_count == 2  # eight tries of the two app/3 clauses
-        first = [sc.clause._order for sc in stored[:2]]
-        assert first == [{Var("L"): 0}, {Var("H"): 0, Var("T"): 1, Var("L"): 2, Var("R"): 3}]
-        # later matches, and retract/1's, reuse the numbering
+        assert prepare.call_count == 2  # four tries of the two app/3 clauses
+        first = [sc.clause._match for sc in stored[:2]]
+        # each clause gets its shape's function, which numbers its
+        # variables, and its own constants
+        assert [m[0] for m in first] == [skolog_terms._SHAPES[skolog_terms._shape(sc.clause)[0]] for sc in stored[:2]]
+        assert [m[1] for m in first] == [(Atom("[]"),), ()]
+        # later matches, and retract/1's, reuse the preparation
         assert len(solve(db, parse_query("app(X, Y, [a])."), SolveOptions(max_solutions=None)).solutions) == 2
         # the rule's H and R are made for C, as _R1 and _R4; H meets a
         assert db.retract(parse_clause_text("app([a|T], [], C) :- app(T, [], R).")) == {
             Var("C"): Struct(".", (Atom("a"), Var("_R4", 4))),
             Var("R"): Var("_R4", 4),
         }
-        assert numbering.call_count == 2
-    assert all(sc.clause._order is order for sc, order in zip(stored, first))
-    assert [sc.clause._order for sc in stored[2:]] == [None, None]  # never tried
+        assert prepare.call_count == 2
+    assert all(sc.clause._match is match for sc, match in zip(stored, first))
+    assert [sc.clause._match for sc in stored[2:]] == [None, None]  # never tried
+
+
+def _raw_match(match, goal, clause, before=()):
+    """What ``match`` adds to a store, unresolved: the body it returns,
+    the bindings it makes in binding order, and the next fresh id."""
+    store, fresh = Store(), FreshVars()
+    for a, b in before:
+        store.unify(a, b)
+    mark = len(store.bindings)
+    body = match(store, goal, clause, fresh)
+    return body, list(store.bindings.items())[mark:], fresh.next_id
+
+
+@given(head_matches(), st.lists(st.tuples(few_terms, few_terms), max_size=2))
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_compiled_head_match_agrees_with_the_generic_walk(pair, before):
+    # the same bindings in the same order, the same terms built, the same
+    # ids used, whether the head matches or not
+    goal, clause = pair
+    assert _raw_match(Store.unify_head, goal, clause, before) == _raw_match(generic_head_match, goal, clause, before)
+    assert clause._match[0] is not skolog_terms._walk
+
+
+def _nested(depth, leaf, name="f"):
+    t = leaf
+    for _ in range(depth):
+        t = Struct(name, (t,))
+    return t
+
+
+def test_a_head_nested_10000_deep_matches_as_the_references_do():
+    # the robustness generator's t(f(f(...X...))) and t(s(s(...z...)))
+    a, z, Y = Atom("a"), Atom("z"), Var("Y")
+    cases = {
+        Clause(Struct("t", (_nested(10_000, Var("X")),))): [
+            Y, _nested(1, a), _nested(2, Y), _nested(10_000, a), _nested(10_000, Y), _nested(9_999, a),
+            _nested(10_001, a),
+        ],
+        Clause(Struct("t", (_nested(10_000, z, "s"),))): [
+            Y, _nested(1, Y, "s"), _nested(10_000, z, "s"), _nested(10_000, a, "s"), _nested(5_000, Y, "s"),
+            _nested(10_000, Y),
+        ],
+    }
+    for clause, args in cases.items():
+        for arg in args:
+            goal = Struct("t", (arg,))
+            want = _head_match(rename_then_unify, goal, clause)
+            assert _head_match(Store.unify_head, goal, clause) == want
+            assert _raw_match(Store.unify_head, goal, clause) == _raw_match(generic_head_match, goal, clause)
+    deep, ground = cases
+    assert deep._match[0] is skolog_terms._walk  # too deep to compile
+    assert ground._match[1] == ground.head.args  # one slot for the ground argument
+
+
+@pytest.mark.parametrize("depth, compiled", [(31, True), (32, False)])
+def test_a_variable_nested_past_the_limit_takes_the_generic_walk(depth, compiled):
+    # t/1 and 31 f/1 hold X at the limit; one more f and the clause's
+    # code would nest past it
+    a, Y = Atom("a"), Var("Y")
+    clause = Clause(Struct("t", (_nested(depth, Var("X")),)), (Struct("t", (Var("X"),)),))
+    for arg in (Y, _nested(depth, a), _nested(depth, Y), _nested(depth - 1, a), _nested(3, Y)):
+        goal = Struct("t", (arg,))
+        assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause)
+        assert _raw_match(Store.unify_head, goal, clause) == _raw_match(generic_head_match, goal, clause)
+    assert (clause._match[0] is not skolog_terms._walk) == compiled
+
+
+def test_an_atomic_slot_and_a_compound_slot_do_not_share_code():
+    text = "p(a). q(a, f(a)). q(b, c)."
+    db = fresh_db(text)
+    for query in ("q(a, f(X)).", "q(b, X).", "q(X, Y).", "q(a, c).", "q(b, f(X)).", "q(X, f(a))."):
+        want = _with_reference_match(lambda: results(fresh_db(text), query))
+        assert _seen(results(db, query)) == _seen(want)
+    assert bindings_list(results(db, "q(a, f(X))."), "X") == [Atom("a")]
+    q1, q2 = (sc.clause._match for sc in db.all_stored()[1:])
+    assert q1[0] is not q2[0]
+
+
+def test_constant_slots_are_numbered_by_position():
+    # one atom object twice, as an interned atom would be
+    e1 = Atom("e1")
+    facts = (Clause(Struct("emp", (e1, e1, Int(3)))), Clause(Struct("emp", (Atom("e2"), Atom("e3"), Int(4)))))
+
+    def run(query):
+        db = Database()
+        load_clauses(db, facts)
+        return db, results(db, query)
+
+    for query in ("emp(X, Y, Z).", "emp(X, X, Z).", "emp(e2, Y, Z).", "emp(X, e3, 4).", "emp(e1, e1, Z)."):
+        db, out = run(query)
+        assert _seen(out) == _seen(_with_reference_match(lambda: run(query)[1]))
+    db, out = run("emp(X, Y, Z).")
+    assert [[format_term(t) for t in s.bindings.values()] for s in out.solutions] == [
+        ["e1", "e1", "3"], ["e2", "e3", "4"]
+    ]
+    first, second = (sc.clause._match for sc in db.all_stored())
+    assert first[0] is second[0]
+    assert first[1] == (e1, e1, Int(3)) and second[1] == facts[1].head.args
+
+
+def test_two_databases_of_2500_facts_compile_one_function():
+    text = "".join(f"emp(e{i}, d{i % 7}, {1000 + i}).\n" for i in range(2500))
+    with mock.patch.dict(skolog_terms._SHAPES, clear=True), \
+            mock.patch.object(skolog_terms, "_compile", wraps=skolog_terms._compile) as compile_shape:
+        for _ in range(2):
+            db = fresh_db(text)
+            assert len(results(db, "emp(E, D, S).").solutions) == 2500
+            assert all(sc.clause._match is not None for sc in db.all_stored())
+    assert compile_shape.call_count == 1
+
+
+@pytest.mark.parametrize("name", ["a\nimport os", '"""', "__import__", "k[0]", "x) or (1"])
+def test_program_text_never_becomes_source_text(name):
+    # the name is the functor of the head, of a compound in it and of the
+    # body goal, and an atom in it; calls that match and calls that do not
+    atom, other, X, T = Atom(name), Atom(name + "_"), Var("X"), Var("T")
+    clause = Clause(Struct(name, (atom, Struct(name, (X,)), mklist([atom], T))), (Struct(name, (X, T)),))
+    goals = [
+        Struct(name, (atom, Struct(name, (Atom("b"),)), mklist([atom, atom]))),
+        Struct(name, (Var("A"), Var("B"), Var("C"))),
+        Struct(name, (other, Var("B"), Var("C"))),
+        Struct(name, (atom, Struct(name + "_", (Atom("b"),)), Var("C"))),
+        Struct(name, (atom, Var("B"), mklist([other]))),
+    ]
+    with mock.patch.dict(skolog_terms._SHAPES, clear=True), \
+            mock.patch.object(skolog_terms, "compile", create=True, wraps=compile) as compile_source:
+        for goal in goals:
+            assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause)
+    (source, *_), _ = compile_source.call_args
+    assert compile_source.call_count == 1 and name not in source
 
 
 def test_query_variables_from_an_earlier_answer_stay_apart():

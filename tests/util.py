@@ -1,6 +1,6 @@
-"""Shared test helpers: variant equality, the reference unifier and head
-match, the reference proof finalizer, the reference reader, a database's
-contents, a queued oracle, CLI harness."""
+"""Shared test helpers: variant equality, the reference unifier and the
+two reference head matches, the reference proof finalizer, the reference
+reader, a database's contents, a queued oracle, CLI harness."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from skolog.engine import Solution
 from skolog.explain import QUERY_ROOT, ProofNode
 from skolog.oracle import Oracle, Question, prompt_for
 from skolog.parser import _ESCAPE, _ESCAPES
-from skolog.terms import NIL, Term, anonymous_var, apply, mklist, rename_clause, subterms
+from skolog.terms import NIL, Term, _walk, anonymous_var, apply, mklist, rename_clause, subterms, variables_in
 
 
 def canonical(term, mapping=None):
@@ -125,6 +125,15 @@ def rename_then_unify(store, goal, clause, fresh):
         return renamed.body
     fresh.next_id = start
     return None
+
+
+def generic_head_match(store, goal, clause, fresh):
+    """Second reference for ``Store.unify_head``, with its signature: the
+    generic walk that the compiled match of each clause shape must equal,
+    binding order and built terms included.  ``Store.unify_head`` itself
+    takes it for a clause too big to compile."""
+    order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
+    return _walk(store, goal, fresh, (clause.head, clause.body, order))
 
 
 def finalize_from_scratch(solver, qvars):
