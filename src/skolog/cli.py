@@ -323,8 +323,8 @@ def _run_query(session: Session, line: str, stdin, stdout, stderr) -> None:
             if more.strip():
                 session.unread = more
             return
-    # none (left): ``no`` only if no path was cut off, answers shown or not
-    stdout.write(("depth_exceeded" if solver.cutoffs else "no") + "\n")
+    # none (left), answers shown or not
+    stdout.write(solver.exhausted_status() + "\n")
 
 
 if __name__ == "__main__":

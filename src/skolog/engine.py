@@ -35,12 +35,12 @@ answer would hold for some of its values only.
 
 Each goal proved on the current path leaves a record in proof-tree
 preorder (a clause's children are the records of its body goals after it):
-the goal, the binding counts before and after it, and its clause or
-builtin justification.  Terms are resolved when a solution is finalized:
-proof goals and answers under the final bindings, at every solution;
-entry goals and their bindings as of the binding counts in their records,
-once per record while it lives, for backtracking keeps a record only with
-the bindings made before it.
+the goal, the binding counts before and after it, its clause or builtin
+justification, and, once read, its entry goal and bindings.  One preorder
+walk over the records builds the proof at a solution and the open clauses
+behind a question (WHY).  Proof goals and answers are resolved under the
+final bindings at every solution; a record's entry goal and bindings as of
+its counts, once, by their first reader (the live trace, if attached).
 """
 
 from __future__ import annotations
@@ -152,9 +152,12 @@ class Solver:
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
         solutions = list(itertools.islice(self.solutions(goals), self.options.max_solutions))
-        if solutions:
-            return Outcome("yes", solutions)
-        return Outcome("depth_exceeded" if self.cutoffs else "no")
+        return Outcome("yes", solutions) if solutions else Outcome(self.exhausted_status())
+
+    def exhausted_status(self) -> str:
+        """The status of a search with no solutions left: ``no`` only if
+        no path of it was cut off."""
+        return "depth_exceeded" if self.cutoffs else "no"
 
     def solutions(self, goals) -> Iterator[Solution]:
         """Lazy stream of solutions in derivation order."""
@@ -170,8 +173,8 @@ class Solver:
         self._root = goals
         self._warned: set[tuple[str, int]] = set()
         self._store = Store()
-        self._records: list[tuple] = []  # (goal, binding count, count after, justification)
-        self._nodes: list[ProofNode] = []  # the latest solution's node of each record
+        # [goal, binding count, count after, justification, (entry goal, bindings) or None]
+        self._records: list[list] = []
         self._choices: list[_Choice] = []
         cont = None  # goal-list cells: (goal, cut barrier, next cell)
         for g in reversed(goals):
@@ -189,7 +192,7 @@ class Solver:
                     return
                 cp = choices.pop()
                 store.undo(cp.mark)
-                del records[cp.records:], self._nodes[cp.records:]
+                del records[cp.records:]
                 if cp.goal is not None:
                     cont = self._reduce(cp)
                     if cont is False:
@@ -197,7 +200,7 @@ class Solver:
                 else:  # the not/1 sub-run failed; if it was cut off, so is not/1
                     if self.cutoffs > cp.cutoffs:
                         continue
-                    records.append((cp.raw, cp.mark, cp.mark, "not"))
+                    records.append([cp.raw, cp.mark, cp.mark, "not", None])
                     cont = cp.rest
                 depth = cp.depth + 1
                 resume = False
@@ -234,7 +237,7 @@ class Solver:
                     )
                 resume = True
             elif handler is _CUT:
-                records.append((raw, len(bindings), len(bindings), "!"))
+                records.append([raw, len(bindings), len(bindings), "!", None])
                 del choices[barrier:]
                 cont = rest
             elif handler is _NOT:
@@ -252,7 +255,7 @@ class Solver:
                 if just is None:
                     resume = True
                 else:
-                    records.append((raw, mark, len(bindings), just))
+                    records.append([raw, mark, len(bindings), just, None])
                     cont = rest
 
     def _reduce(self, call: _Choice):
@@ -273,13 +276,14 @@ class Solver:
                 break
             if call.next < len(call.clauses) or tracing:
                 self._choices.append(call)
-            self._records.append((call.raw, call.mark, len(store.bindings), sc))
+            entry = None
             rest = call.rest
             if tracing:
                 res = store.resolver()
-                bound = {v: res.resolve(v) for v in variables_of(shown) if v in store.bindings}
-                self.trace_out.write(format_trace_entry(TraceEntry(shown, bound)) + "\n")
+                entry = shown, {v: res.resolve(v) for v in variables_of(shown) if v in store.bindings}
+                self.trace_out.write(format_trace_entry(TraceEntry(*entry)) + "\n")
                 rest = (_EXIT, call, rest)
+            self._records.append([call.raw, call.mark, len(store.bindings), sc, entry])
             for g in reversed(body):
                 rest = (g, call.height, rest)
             return rest
@@ -288,60 +292,50 @@ class Solver:
         return False
 
     def _solution(self, qvars) -> Solution:
-        """The answer and its proof under the current bindings.
-
-        A record that the latest solution's nodes still cover takes its
-        entry goal and bindings from its node.  Both read only the bindings
-        below the record's count after, which are unchanged: a record that
-        backtracking keeps was made before the resumed choicepoint, so its
-        count after is at most that choicepoint's mark, and undoing pops
-        bindings only down to the mark.
-        """
+        """The answer and its proof under the current bindings."""
         res = self._store.resolver(history=True)
         bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
-        records, nodes = self._records, self._nodes
-        kept = len(nodes)
-        nodes += [None] * (len(records) - kept)
-        built: list[ProofNode] = []  # finished nodes, a first child on top
-        for i in range(len(records) - 1, -1, -1):
-            goal, stamp, after, just = records[i]
-            final = res.resolve(goal)
-            if i < kept:
-                entry, theta = nodes[i].entry_goal, nodes[i].bindings
-            else:
-                entry = res.resolve(goal, stamp, later := {})
-                theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
-            children = ()
-            if type(just) is StoredClause:
-                n = len(just.clause.body)
-                if n:
-                    children = tuple(reversed(built[-n:]))
-                    del built[-n:]
-            nodes[i] = node = ProofNode(final, entry, just, theta, children)
-            built.append(node)
-        built.reverse()
+        built = self._tree(res)[0][2]
         if len(built) == 1:
             return Solution(bindings, built[0])
         goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
         return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
 
     def _why_supplier(self):
-        # The open ancestors of the pending goal: walk the records in
-        # preorder with a stack of [record, body goals not yet started],
-        # dropping each finished subproof before the next one starts.
-        stack: list[list] = []
-        for record in self._records:
-            while stack and stack[-1][1] == 0:
+        # the open clauses behind the pending goal, outermost first
+        open_frames = self._tree(self._store.resolver(history=True))[1:]
+        return oracle_mod.WhyContext(tuple((r[4][0], r[3]) for r, *_ in open_frames), self._root)
+
+    def _tree(self, res) -> list[list]:
+        """Walk the records in preorder and return the frames still open,
+        the query's first: [record, body goals left, finished child nodes,
+        goal under the final bindings].  A record whose body is proved, or a
+        leaf, becomes a node of the frame below it.  A record's entry goal
+        and bindings, resolved as of its counts by their first reader, stay
+        in it: they read only bindings below its count after, and a record
+        that backtracking keeps was made before the resumed choicepoint, so
+        that count is at most the choicepoint's mark, below which undo pops
+        nothing."""
+        stack = [[None, -1, [], None]]  # the query's frame: its count never reaches 0
+        top = stack[0]
+        for rec in self._records:
+            top[1] -= 1
+            goal, stamp, after, just, pair = rec
+            final = res.resolve(goal)  # first, so that the entry's ground parts are memoized
+            if pair is None:
+                entry = res.resolve(goal, stamp, later := {})
+                rec[4] = pair = entry, {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+            if type(just) is StoredClause and just.clause.body:
+                top = [rec, len(just.clause.body), [], final]
+                stack.append(top)
+                continue
+            top[2].append(ProofNode(final, pair[0], just, pair[1], ()))
+            while top[1] == 0:  # the node just added was its last body goal's
                 stack.pop()
-            if stack:
-                stack[-1][1] -= 1
-            just = record[3]
-            stack.append([record, len(just.clause.body) if type(just) is StoredClause else 0])
-        while stack and stack[-1][1] == 0:
-            stack.pop()
-        res = self._store.resolver(history=True)
-        frames = tuple((res.resolve(goal, stamp), just) for (goal, stamp, _, just), _ in stack)
-        return oracle_mod.WhyContext(frames, self._root)
+                (_, _, _, just, (entry, theta)), _, nodes, final = top
+                top = stack[-1]
+                top[2].append(ProofNode(final, entry, just, theta, tuple(nodes)))
+        return stack
 
     # ------------------------------------------------------------------
     # builtins: each takes the selected goal and returns its justification,

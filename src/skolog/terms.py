@@ -132,11 +132,11 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-# ``subterms`` is the one read-only walk but for ``is_ground``, which
-# building an argument index asks of every clause; the walkers that rebuild
-# terms (``_rebuild``, ``_Resolver``) and the store's occurs check, which
-# reads through bindings, keep stacks of their own.  None recurses: a list
-# of n elements nests n deep.
+# ``subterms`` is the one read-only walk but for ``is_ground``, which the
+# fixpoint checker's ``_Facts.matches`` asks of every goal; the walkers
+# that rebuild terms (``_rebuild``, ``_Resolver``) and the store's occurs
+# check, which reads through bindings, keep stacks of their own.  None
+# recurses: a list of n elements nests n deep.
 
 def subterms(t: Term) -> Iterator[Term]:
     """``t`` and every term inside it, in left-to-right preorder."""

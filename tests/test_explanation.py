@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from skolog import (
     Atom,
     Database,
@@ -29,7 +31,8 @@ from skolog.negation import negate_fact
 from skolog.oracle import WhyContext
 from skolog.parser import parse_clause_text
 
-from util import variant_equal, variant_equal_seq
+from test_golden import RUNS
+from util import variant_equal, variant_equal_seq, why_from_scratch
 
 
 def first_proof(db_text, query, oracle=None, **opt):
@@ -171,6 +174,25 @@ def test_why_idempotent():
     assert why(ctx) == why(ctx)
 
 
+class Peeking(ScriptedOracle):
+    """A scripted oracle that keeps the WHY context of every question it is
+    put, each checked frame by frame against the one walked from scratch."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.contexts = []
+
+    def answer(self, question, why_supplier):
+        ctx = why_supplier()
+        reference = why_from_scratch(why_supplier.__self__)
+        assert ctx.root == reference.root
+        assert len(ctx.frames) == len(reference.frames)
+        for frame, expected in zip(ctx.frames, reference.frames):
+            assert frame == expected
+        self.contexts.append(ctx)
+        return super().answer(question, why_supplier)
+
+
 def test_why_during_engine_question():
     db = Database()
     load_program(
@@ -178,18 +200,10 @@ def test_why_during_engine_question():
         "state(not_twin, A) :- country(X, A)."
         " country(X, P) :- ask_value(country, P, X).",
     )
-    contexts = []
-
-    class Peeking(ScriptedOracle):
-        def answer(self, question, why_supplier):
-            if why_supplier is not None:
-                contexts.append(why_supplier())
-            return super().answer(question, why_supplier)
-
     orc = Peeking("askv country marsha -> egypt\n")
     out = solve(db, parse_query("state(not_twin, marsha)."), SolveOptions(), oracle=orc)
     assert out.status == "yes"
-    (ctx,) = contexts
+    (ctx,) = orc.contexts
     text = why(ctx)
     assert "trying to prove country(" in text
     assert "trying to prove state(not_twin,marsha)" in text
@@ -240,15 +254,9 @@ def _why_lines_at_question(program, goal, script):
     """The lines of the WHY text at each question the engine puts."""
     db = Database()
     load_program(db, program)
-    contexts = []
-
-    class Peeking(ScriptedOracle):
-        def answer(self, question, why_supplier):
-            contexts.append(why_supplier())
-            return super().answer(question, why_supplier)
-
-    solve(db, parse_query(goal), SolveOptions(max_solutions=1), oracle=Peeking(script))
-    return [why(ctx).split("\n") for ctx in contexts]
+    orc = Peeking(script)
+    solve(db, parse_query(goal), SolveOptions(max_solutions=1), oracle=orc)
+    return [why(ctx).split("\n") for ctx in orc.contexts]
 
 
 def test_why_lists_only_open_ancestors():
@@ -277,6 +285,19 @@ def test_why_after_a_finished_sibling_lists_the_open_clauses():
     ]
 
 
+def test_why_shows_each_open_goal_as_it_was_called():
+    # p's head binds the call's variable; WHY shows the goal before that
+    (lines,) = _why_lines_at_question(
+        "top :- p(X), q(X). p(f(Y)) :- ask(likes, peter, icecream). q(_).", "top.",
+        "ask likes peter icecream -> yes\n",
+    )
+    assert lines == [
+        "trying to prove p(_G1) using p(f(Y)) :- ask(likes,peter,icecream).",
+        "trying to prove top using top :- p(X), q(X).",
+        "to answer your query top",
+    ]
+
+
 def test_why_in_the_twins_case_skips_finished_subproofs():
     from skolog.corpus import corpus_text
 
@@ -292,3 +313,20 @@ def test_why_in_the_twins_case_skips_finished_subproofs():
     )
     assert lines[2].startswith("trying to prove state(not_twin,marsha,marjorie) using state(")
     assert lines[3] == "to answer your query state(not_twin,marsha,marjorie)"
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+@pytest.mark.parametrize("name", [name for name, run in RUNS.items() if run[2]])
+def test_why_in_the_twins_case_studies_agrees_with_the_reference(name, tracing):
+    # the scripted case studies of the goldens; traced, each reduction's
+    # entry goal is first read by the live trace
+    from skolog.corpus import corpus_text
+
+    program, goal, script, _ = RUNS[name]
+    db = Database()
+    load_program(db, corpus_text(program))
+    orc = Peeking(corpus_text(script))
+    solver = Solver(db, SolveOptions(max_solutions=1), orc, out=io.StringIO(),
+                    trace_out=io.StringIO() if tracing else None)
+    assert solver.run(parse_query(goal)).status == "yes"
+    assert orc.contexts and not orc.entries  # every scripted question was put

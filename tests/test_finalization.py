@@ -1,11 +1,12 @@
 """Every answer's proof equals the one finalized from scratch.
 
-``Solver._solution`` keeps the latest answer's proof node of each record,
-and a record that backtracking kept takes its entry goal and bindings from
-that node instead of resolving them again.  These tests drive
-``Solver.solutions()`` as a generator and, at each answer, compare the
-``Solution`` it yields, proof nodes included, with ``finalize_from_scratch``
-in ``util``, which resolves every record as of its stamps.
+A proof record keeps its entry goal and bindings once its first reader
+(an earlier answer, a WHY, or the live trace) has resolved them, and
+``Solver._solution`` takes them from there instead of resolving them
+again.  These tests drive ``Solver.solutions()`` as a generator and, at
+each answer, compare the ``Solution`` it yields, proof nodes included,
+with ``finalize_from_scratch`` in ``util``, which resolves every record as
+of its stamps.
 
 CI runs the random-program property once more under the ``robustness``
 profile of ``conftest.py``.
@@ -140,3 +141,14 @@ def test_all_splits_of_ten_resolve_each_record_as_of_its_stamps_once():
         out = list(Solver(_db(corpus_text("append.pl"))).solutions(goals))
     assert len(out) == 11
     assert sum(len(c.args) > 3 for c in resolve.call_args_list) == 21
+
+
+def test_all_splits_of_ten_traced_resolve_no_record_as_of_its_stamps():
+    # the same run with a trace attached: each reduction's record keeps the
+    # entry goal and bindings that its trace line shows
+    goals = parse_query("append(X, Y, [a,b,c,d,e,f,g,h,i,j]).")
+    solver = Solver(_db(corpus_text("append.pl")), trace_out=io.StringIO())
+    with mock.patch.object(_Resolver, "resolve", autospec=True, side_effect=_Resolver.resolve) as resolve:
+        out = list(solver.solutions(goals))
+    assert len(out) == 11
+    assert sum(len(c.args) > 3 for c in resolve.call_args_list) == 0

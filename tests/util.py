@@ -1,6 +1,6 @@
 """Shared test helpers: variant equality, the reference unifier and the
-two reference head matches, the reference proof finalizer, the reference
-reader, a database's contents, a queued oracle, CLI harness."""
+two reference head matches, the reference proof finalizer and WHY, the
+reference reader, a database's contents, a queued oracle, CLI harness."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from skolog.cli import main as cli_main
 from skolog.database import StoredClause
 from skolog.engine import Solution
 from skolog.explain import QUERY_ROOT, ProofNode
-from skolog.oracle import Oracle, Question, prompt_for
+from skolog.oracle import Oracle, Question, WhyContext, prompt_for
 from skolog.parser import _ESCAPE, _ESCAPES
 from skolog.terms import NIL, Term, _walk, anonymous_var, apply, mklist, rename_clause, subterms, variables_in
 
@@ -144,7 +144,7 @@ def finalize_from_scratch(solver, qvars):
     res = solver._store.resolver(history=True)
     bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
     built = []  # finished nodes, a first child on top
-    for goal, stamp, after, just in reversed(solver._records):
+    for goal, stamp, after, just, _ in reversed(solver._records):
         final = res.resolve(goal)
         entry = res.resolve(goal, stamp, later := {})
         theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
@@ -160,6 +160,27 @@ def finalize_from_scratch(solver, qvars):
         return Solution(bindings, built[0])
     goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
     return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
+
+
+def why_from_scratch(solver):
+    """Reference for ``Solver._why_supplier``: the open clauses behind the
+    pending goal, found by walking the records in preorder with a stack of
+    [record, body goals not yet started], dropping each finished subproof
+    before the next one starts, with each entry goal resolved as of its
+    stamp rather than read from its record."""
+    stack = []
+    for record in solver._records:
+        while stack and stack[-1][1] == 0:
+            stack.pop()
+        if stack:
+            stack[-1][1] -= 1
+        just = record[3]
+        stack.append([record, len(just.clause.body) if type(just) is StoredClause else 0])
+    while stack and stack[-1][1] == 0:
+        stack.pop()
+    res = solver._store.resolver(history=True)
+    frames = tuple((res.resolve(goal, stamp), just) for (goal, stamp, _, just, _), _ in stack)
+    return WhyContext(frames, solver._root)
 
 
 # ----------------------------------------------------------------------
