@@ -39,8 +39,10 @@ the goal, the binding counts before and after it, its clause or builtin
 justification, and, once read, its entry goal and bindings.  One preorder
 walk over the records builds the proof at a solution and the open clauses
 behind a question (WHY).  Proof goals and answers are resolved under the
-final bindings at every solution; a record's entry goal and bindings as of
-its counts, once, by their first reader (the live trace, if attached).
+final bindings at every solution, each ground compound in them (the
+query's input lists, say) only once in its lifetime; a record's entry goal
+and bindings as of its counts, once, by their first reader (the live
+trace, if attached).
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ class Solver:
         for rec in self._records:
             top[1] -= 1
             goal, stamp, after, just, pair = rec
-            final = res.resolve(goal)  # first, so that the entry's ground parts are memoized
+            final = res.resolve(goal)  # first, so that the entry reuses what it memoizes
             if pair is None:
                 entry = res.resolve(goal, stamp, later := {})
                 rec[4] = pair = entry, {v: res.resolve(v, after) for v in later if res.pos[v] < after}

@@ -21,6 +21,9 @@ those tests and the benchmark's tracer, which wraps them by name.
 Terms are values, equal and hashing equal when their shapes are equal.
 ``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
 hashes once, and hashes and compares without recursion, at any depth.
+A ``Struct`` is also resolved whole once it is known to be ground: the
+first resolver walk that meets no variable in it marks it, so an input
+term is walked once in its lifetime, not once per answer.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ class Struct:
     name: str
     args: tuple["Term", ...]
     _hash = None  # not a field: the first ``hash`` sets it on the instance
+    _ground = False  # not a field: ``_Resolver`` sets it on a compound it finds has no variable
 
     def __post_init__(self):
         if len(self.args) < 1:
@@ -348,6 +352,11 @@ class _Resolver:
     earlier binding count too: a memoized compound whose latest
     position lies below that count is reused whole.  The bindings must
     not change meanwhile, and the terms resolved must stay alive.
+
+    A compound whose walk meets no variable, bound or not, is marked
+    ``_ground`` instead of memoized.  Terms are immutable, so the mark
+    holds under any bindings: every later walk, of any resolver, takes
+    such a compound whole without entering it.
     """
 
     def __init__(self, bindings: dict, pos: Optional[dict] = None):
@@ -362,26 +371,31 @@ class _Resolver:
         memo, bindings, pos = self.memo, self.bindings, self.pos
         final = stamp is None
         # [compound, its resolved args so far, their latest position,
-        #  latest position of the bindings that led to the compound]
+        #  latest position of the bindings that led to the compound];
+        # a latest position of -2: no variable met; -1: only variables
+        # unbound, bound too late, or read without ``pos``
         frames: list[list] = []
         x = t
         while True:
-            latest = -1
+            latest = -1 if type(x) is Var else -2
             while type(x) is Var and (value := bindings.get(x)) is not None:
                 p = pos[x] if pos is not None else -1
                 if not final and p >= stamp:
                     if later is not None:
                         later[x] = None
                     break
-                latest = max(latest, p)
+                if p > latest:
+                    latest = p
                 x = value
-            if type(x) is Struct:
+            if type(x) is Struct and not x._ground:
                 hit = memo.get(id(x))
                 if hit is None or not (final or hit[1] < stamp):
-                    frames.append([x, [], -1, latest])
+                    frames.append([x, [], -2, latest])
                     x = x.args[0]
                     continue
-                x, latest = hit[0], max(latest, hit[1])
+                x = hit[0]
+                if hit[1] > latest:
+                    latest = hit[1]
             while frames:  # up, finishing what is complete
                 frame = frames[-1]
                 f, done = frame[0], frame[1]
@@ -392,10 +406,14 @@ class _Resolver:
                     x = f.args[len(done)]
                     break
                 frames.pop()
-                x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
-                if final:
-                    memo[id(f)] = (x, frame[2])
-                latest = max(frame[2], frame[3])
+                if frame[2] == -2:
+                    object.__setattr__(f, "_ground", True)
+                    x = f
+                else:
+                    x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
+                    if final:
+                        memo[id(f)] = (x, frame[2])
+                latest = frame[3] if frame[3] > frame[2] else frame[2]
             else:
                 return x
 

@@ -10,9 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 # property of tests/test_semantics.py, the two head-match properties
 # (against renaming then unifying, and the compiled match against the
 # generic walk) and the negation-freshness property of
-# tests/test_engine.py, the term equality and reference-unifier
-# properties of tests/test_terms.py, the retract property of
-# tests/test_database.py and the reference-reader property of
+# tests/test_engine.py, the term equality, reference-unifier and
+# reference-resolver properties of tests/test_terms.py, the retract
+# property of tests/test_database.py and the reference-reader property of
 # tests/test_parser.py once more under this profile
 # (pytest --hypothesis-profile=robustness).
 settings.register_profile("robustness", max_examples=2000)

@@ -6,7 +6,9 @@ A proof record keeps its entry goal and bindings once its first reader
 again.  These tests drive ``Solver.solutions()`` as a generator and, at
 each answer, compare the ``Solution`` it yields, proof nodes included,
 with ``finalize_from_scratch`` in ``util``, which resolves every record as
-of its stamps.
+of its stamps with the reference resolver, not ``_Resolver``.  Count
+tests pin how often finalization resolves a record as of its stamps, and
+how many compounds it enters.
 
 CI runs the random-program property once more under the ``robustness``
 profile of ``conftest.py``.
@@ -14,10 +16,13 @@ profile of ``conftest.py``.
 
 from __future__ import annotations
 
+import inspect
 import io
 import itertools
+import sys
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +31,7 @@ from skolog.corpus import corpus_text
 from skolog.database import load_clauses
 from skolog.errors import SkologError
 from skolog.parser import parse_clause_text
-from skolog.terms import _Resolver, variables_in
+from skolog.terms import Struct, _Resolver, subterms, variables_in
 
 from test_indexing import programs, steps
 from util import finalize_from_scratch
@@ -152,3 +157,43 @@ def test_all_splits_of_ten_traced_resolve_no_record_as_of_its_stamps():
         out = list(solver.solutions(goals))
     assert len(out) == 11
     assert sum(len(c.args) > 3 for c in resolve.call_args_list) == 0
+
+
+def entered_compounds(run, watched):
+    """Call ``run()`` and count the compounds that ``_Resolver.resolve``
+    enters, that is, pushes a frame for: all of them, and those whose id
+    is in ``watched``.  A line tracer on ``resolve`` alone counts the runs
+    of its one ``frames.append`` line."""
+    code = _Resolver.resolve.__code__
+    lines, first = inspect.getsourcelines(code)
+    [push] = [first + i for i, line in enumerate(lines) if "frames.append(" in line]
+    counts = [0, 0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == push:
+            counts[0] += 1
+            counts[1] += id(frame.f_locals["x"]) in watched
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_all_splits_of_a_ground_list_walk_the_list_once(n):
+    # under the final bindings, answer k enters its k + 1 goals and the k
+    # cells of X's list, which hold variables: (n + 1)^2 in all; the input
+    # list's n cells are entered once, by the first answer, which marks
+    # them ground; the 2n + 1 records resolved as of their stamps enter
+    # 3n + 1 more.  Entering the input list at every answer, as a memo
+    # that lives for one answer does, adds n^2.
+    goals = parse_query(f"append(X, Y, [{', '.join(f'e{i}' for i in range(n))}]).")
+    cells = {id(t) for t in subterms(goals[0].args[2]) if type(t) is Struct}
+    solver, out = Solver(_db(corpus_text("append.pl"))), []
+    assert entered_compounds(lambda: out.extend(solver.solutions(goals)), cells) == [n * n + 6 * n + 2, n]
+    assert len(out) == n + 1

@@ -1,6 +1,7 @@
 """Terms, substitutions, and unification."""
 
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 from skolog import Atom, Clause, Int, Struct, Var, mklist, unify
 from skolog.terms import (
     FreshVars,
+    Store,
     apply,
     compose,
     indicator_of,
     is_ground,
     rename_clause,
+    subterms,
     variables_of,
 )
 
-from strategies import VAR_NAMES, constants, ground_terms, terms, variables
-from util import occurs, reference_unify, variant_equal
+from strategies import VAR_NAMES, constants, few_terms, ground_terms, terms, variables
+from util import ReferenceResolver, occurs, reference_unify, variant_equal
 
 
 def test_struct_requires_args():
@@ -255,6 +258,23 @@ def test_term_repr_is_unchanged():
     )
 
 
+def test_a_ground_mark_changes_no_value():
+    t = Struct("f", (Atom("a"), Struct("g", (Int(1),))))
+    marked, plain = _copy(t), _copy(t)
+    assert Store().resolver().resolve(marked) is marked
+    assert marked._ground and marked.args[1]._ground and not plain._ground
+    assert [f.name for f in fields(Struct)] == ["name", "args"]
+    assert marked == plain and not marked != plain and hash(marked) == hash(plain)
+    assert repr(marked) == repr(plain) == (
+        "Struct(name='f', args=(Atom(name='a'), Struct(name='g', args=(Int(value=1),))))"
+    )
+    assert {marked: "m"}[plain] == "m"
+    for field in ("name", "args"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(marked, field, Atom("b"))
+    assert marked == plain
+
+
 def test_a_variable_is_read_only():
     v = Var("X")
     with pytest.raises(AttributeError):
@@ -284,3 +304,38 @@ def test_deep_terms_compare_and_hash_at_the_default_recursion_limit():
         assert _deep(10_000, Atom("z")) != _deep(9_999, Atom("z"))
     finally:
         sys.setrecursionlimit(limit)
+
+
+# --- the resolver against the reference resolver -----------------------------
+
+@given(st.lists(few_terms, min_size=1, max_size=4), st.data())
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_the_resolver_returns_the_reference_resolution(pieces, data):
+    # a pool whose later terms share earlier ones as subterms, resolved
+    # again and again, under bindings that grow, shrink by undo, and grow
+    # again; the ground marks a walk leaves stay on the terms throughout
+    pool = list(pieces)
+    pick = lambda: pool[data.draw(st.integers(0, len(pool) - 1))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        pool.append(Struct("h", (pick(), pick())))
+    store = Store()
+    for _ in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(0, 4))):
+            mark = len(store.bindings)
+            if not store.unify(pick(), pick()):
+                store.undo(mark)
+        res, plain, ref = store.resolver(history=True), store.resolver(), ReferenceResolver(store.bindings)
+        for _ in range(data.draw(st.integers(1, 6))):
+            t = pick()
+            stamp = data.draw(st.none() | st.integers(0, len(store.bindings)))
+            later, expected_later = {}, {}
+            got = res.resolve(t, stamp, later)
+            assert got == ref.resolve(t, stamp, expected_later)
+            assert list(later) == list(expected_later)
+            if stamp is None:
+                assert plain.resolve(t) == got
+            marked = [x for u in (got, *pool, *store.bindings.values()) for x in subterms(u)
+                      if type(x) is Struct and x._ground]
+            assert all(map(is_ground, marked))
+        store.undo(data.draw(st.integers(0, len(store.bindings))))

@@ -1,6 +1,7 @@
 """Shared test helpers: variant equality, the reference unifier and the
-two reference head matches, the reference proof finalizer and WHY, the
-reference reader, a database's contents, a queued oracle, CLI harness."""
+two reference head matches, the reference resolver, proof finalizer and
+WHY, the reference reader, a database's contents, a queued oracle, CLI
+harness."""
 
 from __future__ import annotations
 
@@ -136,18 +137,58 @@ def generic_head_match(store, goal, clause, fresh):
     return _walk(store, goal, fresh, (clause.head, clause.body, order))
 
 
+class ReferenceResolver:
+    """Reference for ``terms._Resolver``, with its ``resolve``: a plain
+    stack walk through a store's bindings that builds every compound anew,
+    with no memo and no ``_ground`` mark.  As of a binding count, a
+    variable counts as bound when its place in the bindings' order (kept
+    in ``order``) lies below that count."""
+
+    def __init__(self, bindings):
+        self.bindings = bindings
+        self.order = {v: i for i, v in enumerate(bindings)}
+
+    def resolve(self, t, stamp=None, later=None):
+        """``t`` under the bindings made before binding count ``stamp``, or
+        under all when it is None; ``later``, when given, receives the
+        variables of the result that were bound later, in first-occurrence
+        order, as keys."""
+        bindings, order = self.bindings, self.order
+        stack = []  # open compounds: (compound, its resolved arguments so far)
+        while True:
+            while type(t) is Var and t in bindings and (stamp is None or order[t] < stamp):
+                t = bindings[t]
+            if type(t) is Struct:
+                stack.append((t, []))
+                t = t.args[0]
+                continue
+            if type(t) is Var and t in bindings and later is not None:
+                later[t] = None
+            while stack:
+                compound, done = stack[-1]
+                done.append(t)
+                if len(done) < len(compound.args):
+                    t = compound.args[len(done)]
+                    break
+                stack.pop()
+                t = Struct(compound.name, tuple(done))
+            else:
+                return t
+
+
 def finalize_from_scratch(solver, qvars):
     """Reference for ``Solver._solution``: the answer over ``qvars`` and its
     proof, built from the solver's records and store as they stand, with
-    every record's entry goal and bindings resolved as of its stamps
-    rather than taken from an earlier answer's node."""
-    res = solver._store.resolver(history=True)
+    every record's entry goal and bindings resolved as of its stamps by
+    the reference resolver rather than taken from an earlier answer's
+    node."""
+    res = ReferenceResolver(solver._store.bindings)
     bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
     built = []  # finished nodes, a first child on top
     for goal, stamp, after, just, _ in reversed(solver._records):
         final = res.resolve(goal)
         entry = res.resolve(goal, stamp, later := {})
-        theta = {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+        theta = {v: res.resolve(v, after) for v in later if res.order[v] < after}
         children = ()
         if type(just) is StoredClause:
             n = len(just.clause.body)
@@ -167,7 +208,7 @@ def why_from_scratch(solver):
     pending goal, found by walking the records in preorder with a stack of
     [record, body goals not yet started], dropping each finished subproof
     before the next one starts, with each entry goal resolved as of its
-    stamp rather than read from its record."""
+    stamp by the reference resolver rather than read from its record."""
     stack = []
     for record in solver._records:
         while stack and stack[-1][1] == 0:
@@ -178,7 +219,7 @@ def why_from_scratch(solver):
         stack.append([record, len(just.clause.body) if type(just) is StoredClause else 0])
     while stack and stack[-1][1] == 0:
         stack.pop()
-    res = solver._store.resolver(history=True)
+    res = ReferenceResolver(solver._store.bindings)
     frames = tuple((res.resolve(goal, stamp), just) for (goal, stamp, _, just, _), _ in stack)
     return WhyContext(frames, solver._root)
 
