@@ -14,9 +14,16 @@ depth.  ``is_function_free`` tells the two cases apart.
 
 ``tp``, ``is_model`` and ``ground_instances`` are the textbook reference:
 every clause over every tuple of universe terms.  ``minimal_model`` gets
-the same fixpoint, in the same number of steps, by semi-naive evaluation:
-rule bodies are matched, one way, against the atoms derived so far, and
-the universe is enumerated only for variables that no body goal binds.
+the same fixpoint, in the same number of steps, by semi-naive evaluation
+over rule plans compiled once per call.  A plan numbers its rule's
+variables and ground arguments into the slots of an environment list
+and turns each body goal into steps over a derived atom's argument
+tuple: compare with a constant or a variable bound earlier, bind a
+variable met for the first time, or match a non-ground compound one way.
+Derived atoms are kept as argument tuples per predicate, indexed by the
+value at each position that a goal looks up, and become terms only in
+the model returned.  The universe is enumerated only for variables that
+no body goal binds.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .terms import (
     Atom,
     Clause,
     Struct,
-    Subst,
     Term,
     Var,
     apply,
@@ -88,8 +94,8 @@ def herbrand_universe(clauses: list[Clause], bound=UniverseBound()) -> set[Term]
     universe: set[Term] = set(constants)
     for _ in range(bound.depth):
         layer: set[Term] = set()
-        for name, arity in sorted(functors):
-            for args in itertools.product(sorted(universe, key=repr), repeat=arity):
+        for name, arity in functors:
+            for args in itertools.product(universe, repeat=arity):
                 layer.add(Struct(name, args))
         universe |= layer
     return universe
@@ -97,9 +103,9 @@ def herbrand_universe(clauses: list[Clause], bound=UniverseBound()) -> set[Term]
 
 def herbrand_base(clauses: list[Clause], bound=UniverseBound()) -> set[Term]:
     """Every predicate of the program applied to universe terms."""
-    universe = sorted(herbrand_universe(clauses, bound), key=repr)
+    universe = herbrand_universe(clauses, bound)
     base: set[Term] = set()
-    for name, arity in sorted({indicator_of(g) for g in _goals(clauses)}):
+    for name, arity in {indicator_of(g) for g in _goals(clauses)}:
         if arity == 0:
             base.add(Atom(name))
         else:
@@ -123,10 +129,11 @@ def ground_instances(clauses: list[Clause], terms: set[Term]):
     out: list[tuple[Term, tuple[Term, ...]]] = []
     for c in clauses:
         vs = variables_in((c.head,) + c.body)
+        slots = {v: i for i, v in enumerate(vs)}
         # a head argument that matches no universe term leaves no instance
         # in the base: skip the clause before building any
         if vs and not all(
-            type(a) is Var or any(_match(a, t, {}) is not None for t in universe)
+            type(a) is Var or any(_match(a, t, slots, [None] * len(vs)) for t in universe)
             for a in getattr(c.head, "args", ())
         ):
             continue
@@ -150,87 +157,183 @@ def tp(clauses: list[Clause], interpretation: Interpretation, bound=UniverseBoun
     }
 
 
-def _match(pattern: Term, fact: Term, theta: Subst) -> Optional[Subst]:
-    """``theta`` extended so that it maps ``pattern`` onto the ground
-    ``fact``, or None: one-way matching, which binds only the pattern's
-    variables and so needs no occurs check."""
-    theta = dict(theta)
+def _match(pattern: Term, fact: Term, slots: dict, env: list) -> bool:
+    """Match the non-ground ``pattern`` one way onto the ground ``fact``,
+    binding the pattern's unbound variables in ``env`` at their ``slots``:
+    one-way matching needs no occurs check."""
     todo = [(pattern, fact)]
     while todo:
         p, t = todo.pop()
         if type(p) is Var:
-            seen = theta.setdefault(p, t)
-            if seen is not t and seen != t:
-                return None
+            seen = env[slots[p]]
+            if seen is None:
+                env[slots[p]] = t
+            elif seen != t:
+                return False
         elif type(p) is Struct:
             if type(t) is not Struct or p.name != t.name or len(p.args) != len(t.args):
-                return None
+                return False
             todo.extend(zip(p.args, t.args))
         elif p != t:
-            return None
-    return theta
+            return False
+    return True
 
 
-class _Facts:
-    """Ground atoms, found by predicate indicator or by the value at one
-    argument position, so that a join looks up what its bound arguments
-    allow instead of scanning the predicate."""
+class _Relation:
+    """The ground argument tuples of one predicate, as a set and, at each
+    argument position that some goal looks up, by their value there: a
+    goal reads the shortest list that its bound arguments allow instead
+    of scanning them all."""
 
-    def __init__(self, atoms: Iterable[Term] = ()):
-        self.atoms: Interpretation = set()
-        # indicator, or (indicator, position, value) -> atoms
-        self.index: dict = {}
-        self.add(atoms)
+    __slots__ = ("rows", "index")
 
-    def add(self, atoms: Iterable[Term]) -> None:
-        for a in atoms:
-            ind = indicator_of(a)
-            self.atoms.add(a)
-            self.index.setdefault(ind, []).append(a)
-            for i, x in enumerate(getattr(a, "args", ())):
-                self.index.setdefault((ind, i, x), []).append(a)
+    def __init__(self, columns: Iterable[int]):
+        self.rows: set[tuple] = set()
+        self.index: dict[int, dict] = {p: {} for p in columns}
 
-    def matches(self, goal: Term, theta: Subst) -> Iterator[Subst]:
-        """``theta`` extended to map ``goal`` onto each atom it matches."""
-        goal = apply(theta, goal)
-        if is_ground(goal):
-            if goal in self.atoms:
-                yield theta
-            return
-        ind = indicator_of(goal)
-        candidates = self.index.get(ind, ())
-        for i, x in enumerate(goal.args):
-            if is_ground(x):
-                found = self.index.get((ind, i, x), ())
-                if len(found) < len(candidates):
-                    candidates = found
-        for atom in candidates:
-            extended = _match(goal, atom, theta)
-            if extended is not None:
-                yield extended
+    def add(self, rows: set) -> None:
+        self.rows |= rows  # a set merges with its stored hashes
+        for p, column in self.index.items():
+            for row in rows:
+                column.setdefault(row[p], []).append(row)
 
 
-def _consequences(rule: Clause, known: _Facts, new: _Facts, universe: list[Term], terms: set[Term]):
-    """Heads of the rule's ground instances whose body lies in ``known``
-    with at least one goal in ``new``: each goal in turn is the pivot
-    that reads ``new``, the others read ``known``, left to right.  Head
-    variables that no body goal binds range over the universe."""
-    bound_by_body = set(variables_in(rule.body))
-    free = [v for v in variables_of(rule.head) if v not in bound_by_body]
-    for pivot, goal in enumerate(rule.body):
-        if indicator_of(goal) not in new.index:
-            continue
-        thetas: list[Subst] = [{}]
-        for i, g in enumerate(rule.body):
-            facts = new if i == pivot else known
-            thetas = [m for theta in thetas for m in facts.matches(g, theta)]
-            if not thetas:
-                break
-        for theta in thetas:
-            for values in itertools.product(universe, repeat=len(free)):
-                head = apply({**theta, **dict(zip(free, values))}, rule.head)
-                if _in_base(head, terms):
-                    yield head
+class _Goal:
+    """One body goal as steps over a fact's argument tuple, for the
+    environment its rule reaches it with.  ``known`` compares a position
+    with a ground constant or a variable that an earlier goal bound (each
+    held in a slot), ``same`` compares a position with an earlier one that
+    the same variable took, ``binds`` binds a variable met for the first
+    time, and ``patterns`` matches a non-ground compound one way.  The
+    goal's variables are added to ``bound``."""
+
+    __slots__ = ("indicator", "known", "same", "binds", "patterns", "full")
+
+    def __init__(self, goal: Term, slot, bound: set):
+        self.indicator = indicator_of(goal)
+        self.known, self.same, self.binds, self.patterns = [], [], [], []
+        first: dict = {}  # variable -> the position that binds it
+        inner: list = []  # the variables of the patterns
+        args = getattr(goal, "args", ())
+        for p, x in enumerate(args):
+            if type(x) is Var and x not in bound:
+                if x in first:
+                    self.same.append((p, first[x]))
+                else:
+                    first[x] = p
+                    self.binds.append((p, slot(x)))
+            elif type(x) is not Struct or is_ground(x):
+                self.known.append((p, slot(x)))
+            else:
+                self.patterns.append((p, x))
+                inner += variables_of(x)
+        for v in inner:
+            slot(v)
+        bound.update(first, inner)
+        # every argument known: a lookup of the whole tuple
+        self.full = [s for _, s in self.known] if len(self.known) == len(args) else None
+
+    def extend(self, rel: _Relation, envs: list, slots: dict) -> list:
+        """Each environment of ``envs`` extended by each row of ``rel``
+        that the goal matches under it; one that gains no binding is
+        passed on, not copied."""
+        if self.full is not None:
+            return [env for env in envs if tuple(map(env.__getitem__, self.full)) in rel.rows]
+        out = []
+        known, same, binds, patterns = self.known, self.same, self.binds, self.patterns
+        for env in envs:
+            rows, at = rel.rows, None
+            for p, s in known:
+                found = rel.index[p].get(env[s], ())
+                if len(found) < len(rows):
+                    rows, at = found, p
+            for row in rows:
+                for p, s in known:
+                    if p != at and row[p] != env[s]:
+                        break
+                else:
+                    for p, q in same:
+                        if row[p] != row[q]:
+                            break
+                    else:
+                        ext = env.copy()
+                        for p, s in binds:
+                            ext[s] = row[p]
+                        if not patterns or all(_match(x, row[p], slots, ext) for p, x in patterns):
+                            out.append(ext)
+        return out
+
+
+class _Rule:
+    """A rule compiled once for the rounds of one fixpoint: its variables
+    and ground arguments numbered into the slots of an environment list,
+    each body goal a ``_Goal``, and its head the slots that make the
+    derived argument tuple.  A compound head argument is built from the
+    slots and kept only if it lies in the universe; a head variable that
+    no body goal binds ranges over the universe."""
+
+    def __init__(self, rule: Clause):
+        slots: dict = {}  # variable or ground argument -> slot
+
+        def slot(x):
+            return slots.setdefault(x, len(slots))
+
+        bound: set = set()
+        self.goals = [_Goal(g, slot, bound) for g in rule.body]
+        self.indicator = indicator_of(rule.head)
+        args = getattr(rule.head, "args", ())
+        self.head = [slot(x) for x in args]
+        # compound arguments, built in place of the slot of their own
+        self.compounds = [(p, x) for p, x in enumerate(args) if type(x) is Struct]
+        variables = variables_of(rule.head)
+        self.free = [slot(v) for v in variables if v not in bound]
+        self.vars = [(v, slots[v]) for v in variables]
+        self.slots = slots
+        self.env = [None if type(x) is Var else x for x in slots]
+
+    def consequences(self, known: dict, new: dict, universe: list, terms: set) -> set:
+        """Argument tuples of the heads of the rule's ground instances whose
+        body lies in ``known`` with at least one goal in ``new``: each goal
+        in turn is the pivot that reads ``new``, the others read ``known``,
+        left to right."""
+        out: set = set()
+        for pivot, goal in enumerate(self.goals):
+            if goal.indicator not in new:
+                continue
+            envs = [self.env]
+            for i, g in enumerate(self.goals):
+                rel = (new if i == pivot else known).get(g.indicator)
+                envs = g.extend(rel, envs, self.slots) if rel else []
+                if not envs:
+                    break
+            if self.free:
+                envs = [
+                    self._with_free(env, values)
+                    for env in envs
+                    for values in itertools.product(universe, repeat=len(self.free))
+                ]
+            for env in envs:
+                row = self._head(env, terms)
+                if row is not None:
+                    out.add(row)
+        return out
+
+    def _with_free(self, env: list, values: tuple) -> list:
+        env = env.copy()
+        for s, x in zip(self.free, values):
+            env[s] = x
+        return env
+
+    def _head(self, env: list, terms: set) -> Optional[tuple]:
+        if not self.compounds:
+            return tuple(map(env.__getitem__, self.head))
+        row = list(map(env.__getitem__, self.head))
+        theta = {v: env[s] for v, s in self.vars}
+        for p, x in self.compounds:
+            row[p] = apply(theta, x)
+            if row[p] not in terms:
+                return None
+        return tuple(row)
 
 
 def minimal_model_with_steps(clauses: list[Clause], bound=UniverseBound()):
@@ -243,22 +346,37 @@ def minimal_model_with_steps(clauses: list[Clause], bound=UniverseBound()):
     (the one that adds nothing) included."""
     check_definite(clauses)
     terms = herbrand_universe(clauses, bound)
-    universe = sorted(terms, key=repr)
-    rules = [c for c in clauses if c.body]
-    added = {head for head, _ in ground_instances([c for c in clauses if not c.body], terms)}
-    known = _Facts()
+    universe = list(terms)
+    rules = [_Rule(c) for c in clauses if c.body]
+    columns: dict = {}  # indicator -> the positions that some goal looks up
+    for g in (g for rule in rules for g in rule.goals if g.full is None):
+        columns.setdefault(g.indicator, set()).update(p for p, _ in g.known)
+    added: dict = {}  # indicator -> argument tuples new this round
+    for head, _ in ground_instances([c for c in clauses if not c.body], terms):
+        added.setdefault(indicator_of(head), set()).add(getattr(head, "args", ()))
+    known: dict = {}  # indicator -> _Relation
     steps = 1
     while added:
-        known.add(added)
-        new = _Facts(added)
-        added = {
-            head
-            for rule in rules
-            for head in _consequences(rule, known, new, universe, terms)
-            if head not in known.atoms
-        }
+        new: dict = {}
+        for ind, rows in added.items():
+            for relations in (known, new):
+                if ind not in relations:
+                    relations[ind] = _Relation(columns.get(ind, ()))
+                relations[ind].add(rows)
+        added = {}
+        for rule in rules:
+            rows = rule.consequences(known, new, universe, terms)
+            if rule.indicator in known:
+                rows -= known[rule.indicator].rows
+            if rows:
+                added.setdefault(rule.indicator, set()).update(rows)
         steps += 1
-    return known.atoms, steps
+    model = {
+        Struct(name, row) if row else Atom(name)
+        for (name, _), rel in known.items()
+        for row in rel.rows
+    }
+    return model, steps
 
 
 def minimal_model(clauses: list[Clause], bound=UniverseBound()) -> Interpretation:

@@ -137,7 +137,7 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
 
 
 # ``subterms`` is the one read-only walk but for ``is_ground``, which the
-# fixpoint checker's ``_Facts.matches`` asks of every goal; the walkers
+# builtins call on the solver's path to check their arguments; the walkers
 # that rebuild terms (``_rebuild``, ``_Resolver``) and the store's occurs
 # check, which reads through bindings, keep stacks of their own.  None
 # recurses: a list of n elements nests n deep.

@@ -1,12 +1,12 @@
 """The `skolog run` invocations that README and the twins case study show,
-one that enumerates four answers, and two REPL sessions, print exactly
-their recorded output.
+one that enumerates four answers, two REPL sessions and two
+`skolog semantics` models print exactly their recorded output.
 
 Each `run` invocation is recorded twice, with `--trace --explain` and with
 `--json`; the files in `data/golden/` hold stdout byte for byte, and for
-the fact-acquisition session stderr as well.  After a deliberate change of
-output, `python tests/test_golden.py` rewrites them, and the demo scripts'
-transcripts in `data/` that `test_demos.py` checks.
+the fact-acquisition session and the models stderr as well.  After a
+deliberate change of output, `python tests/test_golden.py` rewrites them,
+and the demo scripts' transcripts in `data/` that `test_demos.py` checks.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ REPL_INPUT = (
     ":quit\n"
 )
 
+# name -> (program text, --bound): append/3 over a universe with a second
+# constant and functor, whose model is depth-approximate, and a transitive
+# closure over a graph with a cycle
+SEMANTICS = {
+    "semantics_append": (corpus_path("append.pl").read_text(encoding="utf-8") + "t(b). q(b, f([])).\n", 2),
+    "semantics_path": ((DATA / "path.pl").read_text(encoding="utf-8"), 0),
+}
+
 
 # A value answered from the script and explained, one negation whose
 # witness is proposed a stored name, a compound, then a fresh atom, and one
@@ -94,6 +102,14 @@ def _repl():
     return run_cli(["repl", str(corpus_path("append.pl"))], stdin_text=REPL_INPUT)
 
 
+def _semantics(name: str):
+    text, bound = SEMANTICS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        program = Path(tmp) / "program.pl"
+        program.write_text(text, encoding="utf-8")
+        return run_cli(["semantics", str(program), "--bound", str(bound)])
+
+
 def _acquisition():
     with tempfile.TemporaryDirectory() as tmp:
         script = Path(tmp) / "answers.txt"
@@ -123,12 +139,23 @@ def test_acquisition_session_matches_its_golden():
     assert r.err == (GOLDEN / "acquisition.err").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", SEMANTICS)
+def test_semantics_output_matches_its_golden(name):
+    r = _semantics(name)
+    assert r.code == 0
+    assert r.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert r.err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     outputs = {f"{n}.{m}": _run(n, m).out for n in RUNS for m in MODES}
     outputs["repl.out"] = _repl().out
     acquisition = _acquisition()
     outputs["acquisition.out"], outputs["acquisition.err"] = acquisition.out, acquisition.err
+    for name in SEMANTICS:
+        model = _semantics(name)
+        outputs[f"{name}.out"], outputs[f"{name}.err"] = model.out, model.err
     for file, text in outputs.items():
         (GOLDEN / file).write_text(text, encoding="utf-8")
     for script in DEMOS:

@@ -223,7 +223,8 @@ def naive_model_with_steps(clauses, bound):
         model = nxt
 
 
-VARIABLES = [Var("X"), Var("Y"), Var("Z")]
+VARIABLES = [Var("X"), Var("Y"), Var("Z"), Var("W")]
+PREDICATES = (("p", 1), ("q", 2), ("u", 3), ("r", 0), ("s", 0), ("t", 1))
 
 
 @st.composite
@@ -231,9 +232,11 @@ def small_programs(draw):
     """(clauses, bound) with a universe of at most eight terms, so that the
     naive iteration stays cheap.  The constants are a subset of a and b
     (none gives a constant-free program over the stand-in c0); f/1 may
-    appear at every bound, g/2 only up to bound 1.  Clauses use X, Y and Z
+    appear at every bound, g/2 only up to bound 1.  Clauses have up to
+    three body goals over predicates of arity 0 to 3 and use X, Y, Z and W
     freely, so facts that are not ground, head variables that no body goal
-    binds and variables repeated in one goal all come up."""
+    binds, variables repeated in one goal, and a variable that one goal
+    binds and a later goal checks (as in same-generation) all come up."""
     bound = draw(st.integers(0, 2))
     constants = draw(st.lists(st.sampled_from((Atom("a"), Atom("b"))), unique=True, max_size=2))
     functors = ("f", "g") if bound <= 1 else ("f",)
@@ -246,11 +249,11 @@ def small_programs(draw):
         return Struct(name, tuple(arg(depth + 1) for _ in range(1 if name == "f" else 2)))
 
     def goal():
-        name, arity = draw(st.sampled_from((("p", 1), ("q", 2), ("r", 0), ("s", 0), ("t", 1))))
+        name, arity = draw(st.sampled_from(PREDICATES))
         return Struct(name, tuple(arg() for _ in range(arity))) if arity else Atom(name)
 
     def clause():
-        return Clause(goal(), tuple(goal() for _ in range(draw(st.integers(0, 2)))))
+        return Clause(goal(), tuple(goal() for _ in range(draw(st.integers(0, 3)))))
 
     return [clause() for _ in range(draw(st.integers(1, 7)))], UniverseBound(bound)
 
@@ -264,11 +267,37 @@ def test_semi_naive_equals_the_naive_iteration(program):
     assert minimal_model_with_steps(clauses, bound) == (model, steps)
 
 
+def _parents(rng, k):
+    """Node i > 0 of a k-node tree hangs below one of the three before it."""
+    return {i: rng.randrange(max(0, i - 3), i) for i in range(1, k)}
+
+
+def closure_program(seed, k=7):
+    """Transitive closure over a seeded tree with one shortcut edge, which
+    makes it a DAG that is not a tree."""
+    rng = random.Random(seed)
+    edges = {(p, c) for c, p in _parents(rng, k).items()}
+    edges.add(tuple(sorted(rng.sample(range(k), 2))))
+    return "".join(f"edge(n{x}, n{y}). " for x, y in sorted(edges)) + (
+        "path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y)."
+    )
+
+
+def same_generation_program(seed, k=6):
+    """Same generation over a seeded tree: a 4-variable rule whose first
+    goal binds X and whose third checks YP, bound by the second."""
+    rng = random.Random(seed)
+    nodes = "".join(f"node(n{i}). " for i in range(k))
+    parents = "".join(f"par(n{c}, n{p}). " for c, p in sorted(_parents(rng, k).items()))
+    return nodes + parents + "sg(X, X) :- node(X). sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP)."
+
+
 def test_semi_naive_on_hand_programs():
     # cases the property above draws only now and then: non-ground facts
     # over c0 and over a constant that only a rule names, repeated
     # variables, a head-only variable, a body goal whose facts come a round
-    # after the goal before it, functors of one arity and two names
+    # after the goal before it, functors of one arity and two names, and
+    # the benchmark's transitive-closure and same-generation rules
     for text, bound in [
         ("p(X).", 0),
         ("p(X). q(c) :- p(c).", 0),
@@ -280,6 +309,11 @@ def test_semi_naive_on_hand_programs():
         ("e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).", 0),
         # two ground arguments of a non-ground goal, each clashing in turn
         ("e(a, b, c). e(x, b, d). e(a, y, d). e(a, z, d). r(Z) :- e(a, b, Z).", 0),
+        # a compound pattern whose variable a later goal reuses
+        ("p(f(a)). p(f(c)). p(b). q(a, b). q(b, c). q(c, a). r(Y) :- p(f(X)), q(X, Y).", 1),
+        # a head-only variable beside a body-bound one
+        ("p(a). p(b). q(c). s(X, Y) :- p(X). t(Y, X, Y) :- q(X).", 0),
+        *((graph, 0) for seed in (1, 2, 3) for graph in (closure_program(seed), same_generation_program(seed))),
     ]:
         clauses = prog(text)
         assert minimal_model_with_steps(clauses, UniverseBound(bound)) == naive_model_with_steps(
