@@ -33,8 +33,8 @@ from .terms import (
     Subst,
     Struct,
     Term,
-    goal_constants,
     indicator_of,
+    signature,
     variables_in,
 )
 
@@ -204,7 +204,7 @@ def constants_of(db: Database) -> set[Term]:
     Predicate and functor names do not count; known/4 facts and s-facts do.
     Each call scans every stored clause.
     """
-    return goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
+    return signature(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))[0]
 
 
 def load_program(db: Database, text: str) -> list[StoredClause]:

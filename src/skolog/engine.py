@@ -389,14 +389,12 @@ class Solver:
         a, p, v = (res.resolve(x) for x in g.args)
         if type(a) is not Atom or type(p) is not Atom:
             raise InstantiationError(f"ask attribute and subject must be atoms: {self._shown(g)}")
-        if is_ground(v):
-            res = oracle_mod.ask(self.db, a.name, p.name, v, self.oracle, self._why_supplier)
-        elif type(v) is Var:
-            res = oracle_mod.ask_value(self.db, a.name, p.name, self.oracle, self._why_supplier)
-            if res.succeeded:
-                self._store.bindings[v] = res.value
-        else:
+        ground = is_ground(v)
+        if not ground and type(v) is not Var:
             raise InstantiationError(f"ask value must be ground or a variable: {self._shown(g)}")
+        res = oracle_mod.ask(self.db, a.name, p.name, v if ground else None, self.oracle, self._why_supplier)
+        if res.value is not None:  # only a value question's success has one
+            self._store.bindings[v] = res.value
         return res.just if res.succeeded else None
 
     def _clause_arg(self, g, verb: str) -> Clause:

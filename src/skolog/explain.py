@@ -22,7 +22,7 @@ from typing import Union
 
 from .database import StoredClause, KIND_S_FACT
 from .oracle import UserSaidJust, prompt_for
-from .parser import format_bindings, format_clause, format_goal, format_goals, format_term
+from .parser import format_bindings, format_clause, format_goal, format_term
 from .terms import Subst, Term, TRUE, indicator_of
 
 Justification = Union[StoredClause, str, UserSaidJust]
@@ -93,8 +93,7 @@ def _node_line(node: ProofNode) -> str:
                 # an ask answered from the known/4 memo, or holds_negated/1
                 return f"{g} BECAUSE {format_term(c.head)} is a fact"
             return f"{g} is a fact"
-        rule = format_term(c.head) + " :- " + format_goals(c.body)
-        return f"{g} BECAUSE {rule} WITH {{{format_bindings(node.bindings)}}}"
+        return f"{g} BECAUSE {format_clause(c)[:-1]} WITH {{{format_bindings(node.bindings)}}}"
     if type(j) is UserSaidJust:
         return f'user said {format_term(j.answer)} to "{prompt_for(j.question)}"'
     return f"{g} by builtin {j}"

@@ -6,7 +6,9 @@ script standing in for the user) says is memoised as a ground
 ordinary database, so ``listing`` shows it and ``retract`` can take it
 back.  A reply with a variable in it is an error, and a known/4 fact with
 one answers nothing.  A given question is put to the oracle at most once
-per session:
+per session.  One function, ``ask``, applies this table to both kinds of
+question (``value=None`` asks for a value, as ``Question`` has it), taking
+the first fact in database order that a row names:
 
     ask(A, P, V):        known(yes, A, P, V)  -> succeed
                          known(_,  A, P, V)   -> fail
@@ -48,7 +50,9 @@ NO = Atom("no")
 
 
 def value_answer(t: Term) -> Term:
-    """The reply that gives the value ``t``: the term itself."""
+    """The reply that gives the value ``t``: the term itself.  Only the
+    benchmark's ``DictOracle`` calls it; ROADMAP item 1, which changes the
+    benchmark, deletes it."""
     return t
 
 
@@ -206,14 +210,6 @@ class AskResult:
     value: Optional[Term] = None  # ask_value: term bound to V
 
 
-def _known_facts(db: Database, attribute: str, subject: str):
-    """The ground known/4 facts that can be about ``attribute`` of
-    ``subject``; a fact with a variable in it answers nothing."""
-    for sc in db.clauses(KNOWN, (None, Atom(attribute), Atom(subject))):
-        if not sc.clause.body and is_ground(sc.clause.head):
-            yield sc
-
-
 def _record(db: Database, q: Question, reply: Term) -> None:
     """Store ``reply`` to ``q`` as a known/4 fact: a yes/no reply as given,
     a refused value as ``no_value``, and a value as a ``yes`` for it.  A
@@ -233,22 +229,38 @@ def ask(
     db: Database,
     attribute: str,
     subject: str,
-    value: Term,
+    value: Optional[Term],
     oracle: Optional[Oracle],
     why_supplier: Optional[Callable] = None,
 ) -> AskResult:
-    """Yes/no question about a ground (attribute, subject, value) triple."""
+    """Answer the question about ``attribute`` of ``subject``: whether it is
+    the ground ``value``, or, with ``value`` None, what it is.  The known/4
+    memo answers by the table above; otherwise the oracle is consulted and
+    its reply recorded."""
+    key = (Atom(attribute), Atom(subject))
+    refused = None
+    for sc in db.clauses(KNOWN, (None, *key)):
+        c = sc.clause
+        if c.body or not is_ground(c.head) or c.head.args[1:3] != key:
+            continue  # a rule or a fact with a variable answers nothing
+        said, _, _, known = c.head.args
+        if value is not None:
+            if known == value:
+                return AskResult(said == YES, "memo", sc)
+        elif said == YES:  # answers wherever a refusal sits
+            return AskResult(True, "memo", sc, known)
+        elif refused is None and said == NO and known == NO_VALUE:
+            refused = sc
+    if refused is not None:
+        return AskResult(False, "memo", refused)
     q = Question(attribute, subject, value)
-    target = (Atom(attribute), Atom(subject), value)
-    for sc in _known_facts(db, attribute, subject):
-        args = sc.clause.head.args
-        if args[1:] == target:
-            return AskResult(args[0] == YES, "memo", sc)
     reply = consult(oracle, q, why_supplier)
     # A term offered where yes/no was wanted is recorded as given, and the
     # ask succeeds exactly when the memo hit on that record later would.
     _record(db, q, reply)
-    return AskResult(reply == YES, "fresh", UserSaidJust(q, reply))
+    if value is not None or reply == NO:
+        return AskResult(reply == YES, "fresh", UserSaidJust(q, reply))
+    return AskResult(True, "fresh", UserSaidJust(q, reply), reply)
 
 
 def ask_value(
@@ -259,23 +271,7 @@ def ask_value(
     why_supplier: Optional[Callable] = None,
 ) -> AskResult:
     """Value question: what is <attribute> of <subject>?"""
-    q = Question(attribute, subject, None)
-    key = (Atom(attribute), Atom(subject))
-    matching = [sc for sc in _known_facts(db, attribute, subject) if sc.clause.head.args[1:3] == key]
-    # any yes entry answers the question, wherever a refusal marker sits
-    for sc in matching:
-        args = sc.clause.head.args
-        if args[0] == YES:
-            return AskResult(True, "memo", sc, args[3])
-    for sc in matching:
-        args = sc.clause.head.args
-        if args[0] == NO and args[3] == NO_VALUE:
-            return AskResult(False, "memo", sc)
-    reply = consult(oracle, q, why_supplier)
-    _record(db, q, reply)
-    if reply == NO:
-        return AskResult(False, "fresh", UserSaidJust(q, reply))
-    return AskResult(True, "fresh", UserSaidJust(q, reply), reply)
+    return ask(db, attribute, subject, None, oracle, why_supplier)
 
 
 def reset_known(db: Database) -> int:

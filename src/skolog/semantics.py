@@ -41,10 +41,9 @@ from .terms import (
     Term,
     Var,
     apply,
-    goal_constants,
-    goal_functors,
     indicator_of,
     is_ground,
+    signature,
     variables_in,
     variables_of,
 )
@@ -83,14 +82,14 @@ def _goals(clauses: Iterable[Clause]) -> Iterator[Term]:
 
 
 def is_function_free(clauses: Iterable[Clause]) -> bool:
-    return not goal_functors(_goals(clauses))
+    return not signature(_goals(clauses))[1]
 
 
 def herbrand_universe(clauses: list[Clause], bound=UniverseBound()) -> set[Term]:
     """Ground terms over the program's constants and functors up to the
     depth bound.  A program with no constants gets the stand-in ``c0``."""
-    constants = goal_constants(_goals(clauses)) or {Atom("c0")}
-    functors = goal_functors(_goals(clauses))
+    constants, functors = signature(_goals(clauses))
+    constants = constants or {Atom("c0")}
     universe: set[Term] = set(constants)
     for _ in range(bound.depth):
         layer: set[Term] = set()

@@ -136,11 +136,13 @@ def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
     return out
 
 
-# ``subterms`` is the one read-only walk but for ``is_ground``, which the
-# builtins call on the solver's path to check their arguments; the walkers
-# that rebuild terms (``_rebuild``, ``_Resolver``) and the store's occurs
-# check, which reads through bindings, keep stacks of their own.  None
-# recurses: a list of n elements nests n deep.
+# ``subterms`` is the one read-only walk but for two with walks of their
+# own: ``is_ground``, which the builtins call on the solver's path to check
+# their arguments, and ``signature``, which every fixpoint call and every
+# negation's freshness scan reads.  The walkers that rebuild terms
+# (``_rebuild``, ``_Resolver``) and the store's occurs check, which reads
+# through bindings, keep stacks of their own.  None recurses: a list of n
+# elements nests n deep.
 
 def subterms(t: Term) -> Iterator[Term]:
     """``t`` and every term inside it, in left-to-right preorder."""
@@ -726,18 +728,22 @@ def indicator_of(t: Term) -> tuple[str, int]:
     raise ValueError(f"not a callable term: {t!r}")
 
 
-def goal_constants(goals: Iterable[Term]) -> set[Term]:
-    """Atoms and integers in argument positions of heads and body goals.
+def signature(goals: Iterable[Term]) -> tuple[set[Term], set[tuple[str, int]]]:
+    """The atoms and integers, and the functor/arity pairs of compounds, in
+    argument positions of heads and body goals, from one walk.
 
-    A predicate symbol is not a data constant; functor names of nested
-    compounds are not either.
+    A predicate symbol is neither; the functor of a nested compound is not
+    a data constant.
     """
-    inner = (x for g in goals for x in itertools.islice(subterms(g), 1, None))
-    return {x for x in inner if type(x) is Atom or type(x) is Int}
-
-
-def goal_functors(goals: Iterable[Term]) -> set[tuple[str, int]]:
-    """Functor/arity pairs of compounds in argument positions of heads and
-    body goals."""
-    inner = (x for g in goals for x in itertools.islice(subterms(g), 1, None))
-    return {(x.name, len(x.args)) for x in inner if type(x) is Struct}
+    constants: set[Term] = set()
+    functors: set[tuple[str, int]] = set()
+    for g in goals:
+        todo = list(g.args) if type(g) is Struct else []
+        while todo:
+            x = todo.pop()
+            if type(x) is Struct:
+                functors.add((x.name, len(x.args)))
+                todo.extend(x.args)
+            elif type(x) is Atom or type(x) is Int:
+                constants.add(x)
+    return constants, functors

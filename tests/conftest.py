@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # generic walk) and the negation-freshness property of
 # tests/test_engine.py, the term equality, reference-unifier and
 # reference-resolver properties of tests/test_terms.py, the retract
-# property of tests/test_database.py and the reference-reader property of
-# tests/test_parser.py once more under this profile
+# property of tests/test_database.py, the reference-reader property of
+# tests/test_parser.py and the memo-table property of tests/test_oracle.py
+# once more under this profile
 # (pytest --hypothesis-profile=robustness).
 settings.register_profile("robustness", max_examples=2000)

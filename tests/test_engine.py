@@ -31,9 +31,8 @@ import skolog.terms as skolog_terms
 from skolog.corpus import corpus_text
 from skolog.database import load_clauses
 from skolog.engine import Store
-from skolog.oracle import value_answer
 from skolog.parser import parse_clause_text
-from skolog.terms import CUT, FreshVars, apply, goal_constants, rename_clause, variables_in
+from skolog.terms import CUT, FreshVars, apply, rename_clause, signature, variables_in
 
 from strategies import few_terms, head_matches, terms
 from util import QueuedOracle, generic_head_match, reference_unify, rename_then_unify, run_cli, variant_equal
@@ -358,7 +357,7 @@ def test_the_last_solution_wanted_asks_for_no_more():
     # with max_solutions=1 the search stops at the first answer, so the
     # second clause, which would put a question, is never tried
     db = fresh_db("p(a). p(X) :- ask_value(colour, sky, X).")
-    orc = QueuedOracle([value_answer(Atom("blue"))])
+    orc = QueuedOracle([Atom("blue")])
     out = solve(db, parse_query("p(X)."), SolveOptions(max_solutions=1), oracle=orc)
     assert [s.bindings for s in out.solutions] == [{Var("X"): Atom("a")}] and orc.asked == []
     out = solve(db, parse_query("p(X)."), SolveOptions(max_solutions=2), oracle=orc)
@@ -843,7 +842,7 @@ def test_twins_renames_only_the_person_rule_that_matches():
     query = "person(marsha, F, M, Mo, Y, family(X, marsha))."
 
     def run():
-        oracle = QueuedOracle([value_answer(Atom("smith"))])
+        oracle = QueuedOracle([Atom("smith")])
         return results(fresh_db(corpus_text("twins.pl")), query, oracle=oracle)
 
     out = run()
@@ -892,7 +891,7 @@ def test_every_negation_issues_fresh_constants(program, writes):
     ledger, issued = set(), set()
     for kind, item in writes:
         if kind == "negate":
-            stored = goal_constants(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))
+            stored = signature(g for sc in db.all_stored() for g in (sc.clause.head, *sc.clause.body))[0]
             new = negate_fact(db, parse_clause_text(item), ledger=ledger).skolem_constants
             assert stored.isdisjoint(new) and issued.isdisjoint(new)
             issued.update(new)

@@ -28,7 +28,7 @@ from skolog import (
 )
 from skolog.database import KIND_S_FACT
 from skolog.negation import find_s_fact
-from skolog.oracle import NO, value_answer
+from skolog.oracle import NO
 
 from util import QueuedOracle
 
@@ -37,7 +37,7 @@ def test_a_fresh_proposal_is_taken_and_lands_in_the_ledger():
     db = Database()
     load_program(db, "likes(X, apple).")
     ledger = FreshnessLedger()
-    orc = QueuedOracle([value_answer(Atom("stranger"))])
+    orc = QueuedOracle([Atom("stranger")])
     nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, ledger=ledger)
     assert nf.skolem_constants == (Atom("stranger"),)
     assert ledger == {Atom("stranger")}
@@ -47,7 +47,7 @@ def test_a_database_constant_proposed_four_times_falls_back_to_sk_1():
     db = Database()
     load_program(db, "person(marsha, father1, mother1, month1, year1).")
     diag = io.StringIO()
-    orc = QueuedOracle([value_answer(Atom("marsha"))] * 4)
+    orc = QueuedOracle([Atom("marsha")] * 4)
     nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, diag=diag)
     assert nf.skolem_constants == (Atom("sk_1"),)
     assert diag.getvalue() == "constant_occurs_in_kb: marsha is not fresh\n" * 4
@@ -90,7 +90,7 @@ def test_negate_ground_fact_keeps_terms():
 def test_negate_with_variable_uses_oracle_proposal():
     db = Database()
     load_program(db, "likes(X, apple).")
-    orc = QueuedOracle([value_answer(Atom("stranger"))])
+    orc = QueuedOracle([Atom("stranger")])
     nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc)
     assert nf.stored == parse_term_text("s(neg(likes), stranger, apple)")
     assert nf.skolem_constants == (Atom("stranger"),)
@@ -104,7 +104,7 @@ def test_negate_reads_the_database_constants_once(monkeypatch):
     calls = []
     real = skolog.negation.constants_of
     monkeypatch.setattr(skolog.negation, "constants_of", lambda d: calls.append(d) or real(d))
-    orc = QueuedOracle([value_answer(Atom(c)) for c in ("ann", "zed", "yan")])
+    orc = QueuedOracle([Atom(c) for c in ("ann", "zed", "yan")])
     nf = negate_fact(db, parse_clause_text("takes(X, Y)."), oracle=orc, diag=io.StringIO())
     assert nf.skolem_constants == (Atom("zed"), Atom("yan"))
     assert len(calls) == 1
@@ -114,7 +114,7 @@ def test_negate_rejected_proposal_reprompts_then_accepts():
     db = Database()
     load_program(db, "likes(X, apple).")
     diag = io.StringIO()
-    orc = QueuedOracle([value_answer(Atom("apple")), value_answer(Atom("sk_9"))])
+    orc = QueuedOracle([Atom("apple"), Atom("sk_9")])
     nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, diag=diag)
     assert nf.skolem_constants == (Atom("sk_9"),)
     assert "constant_occurs_in_kb" in diag.getvalue()
@@ -125,7 +125,7 @@ def test_negate_non_atom_proposals_are_refused():
     db = Database()
     diag = io.StringIO()
     proposals = [parse_term_text("f(x)"), Int(3), Atom("w")]
-    orc = QueuedOracle([value_answer(t) for t in proposals])
+    orc = QueuedOracle(proposals)
     nf = negate_fact(db, parse_clause_text("q(X)."), oracle=orc, diag=diag)
     assert diag.getvalue() == "skolem constant must be a new atom\n" * 2
     assert format_term(nf.stored) == "s(neg(q),w)"
@@ -148,7 +148,7 @@ def test_a_proposed_yes_is_checked_for_freshness_like_any_atom():
 def test_negate_exhausted_proposals_fall_back_to_gensym():
     db = Database()
     load_program(db, "likes(X, apple).")
-    bad = value_answer(Atom("apple"))
+    bad = Atom("apple")
     orc = QueuedOracle([bad, bad, bad, bad])
     nf = negate_fact(db, parse_clause_text("likes(X, apple)."), oracle=orc, diag=io.StringIO())
     assert nf.skolem_constants == (Atom("sk_1"),)

@@ -1,11 +1,15 @@
 """The ask/known protocol: prompts, memoization, scripts, WHY."""
 
 import io
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolog import (
     Atom,
+    Clause,
     Database,
     EngineError,
     InteractiveOracle,
@@ -24,7 +28,7 @@ from skolog import (
     solve,
 )
 from skolog.errors import OracleScriptError
-from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, ask, ask_value, value_answer
+from skolog.oracle import NO, YES, NO_VALUE, UserSaidJust, ask, ask_value
 from skolog.terms import is_ground
 
 from util import QueuedOracle, stored_clauses
@@ -79,7 +83,7 @@ def test_ask_result_cites_the_memo_fact_or_the_users_answer():
     assert fresh.just == UserSaidJust(q, YES)
     memo = ask(db, "country", "marsha", Atom("egypt"), QueuedOracle([]))
     assert memo.just is db.clauses(("known", 4))[0]
-    v = value_answer(Atom("egypt"))
+    v = Atom("egypt")
     fresh = ask_value(db, "home", "marsha", QueuedOracle([v]))
     assert fresh.just == UserSaidJust(Question("home", "marsha"), v)
     memo = ask_value(db, "home", "marsha", QueuedOracle([]))
@@ -104,7 +108,7 @@ def test_new_known_facts_go_to_the_front():
 
 def test_ask_value_binds_and_stores_yes():
     db = Database()
-    res = ask_value(db, "country", "marsha", QueuedOracle([value_answer(Atom("egypt"))]))
+    res = ask_value(db, "country", "marsha", QueuedOracle([Atom("egypt")]))
     assert res.succeeded and res.value == Atom("egypt")
     assert known_facts(db) == [
         Struct("known", (Atom("yes"), Atom("country"), Atom("marsha"), Atom("egypt")))
@@ -130,7 +134,7 @@ def test_ask_value_refusal_stores_no_value_marker():
         Struct("known", (Atom("no"), Atom("country"), Atom("marsha"), NO_VALUE))
     ]
     # and the refusal is remembered
-    orc2 = QueuedOracle([value_answer(Atom("x"))])
+    orc2 = QueuedOracle([Atom("x")])
     res2 = ask_value(db, "country", "marsha", orc2)
     assert not res2.succeeded and orc2.asked == []
 
@@ -163,10 +167,10 @@ X = Var("X")
 def test_a_reply_that_is_not_ground_is_refused_before_anything_is_stored(reply):
     db = Database()
     with pytest.raises(EngineError) as e:
-        ask_value(db, "color", "bob", QueuedOracle([value_answer(reply)]))
+        ask_value(db, "color", "bob", QueuedOracle([reply]))
     assert str(e.value) == f'reply {format_term(reply)} to "color of person bob is ?" is not ground'
     with pytest.raises(EngineError) as e:
-        ask(db, "color", "bob", Atom("red"), QueuedOracle([value_answer(reply)]))
+        ask(db, "color", "bob", Atom("red"), QueuedOracle([reply]))
     assert str(e.value) == f'reply {format_term(reply)} to "color of person bob is red ?" is not ground'
     assert known_facts(db) == []
 
@@ -175,7 +179,7 @@ def test_a_reply_that_is_not_ground_is_refused_before_anything_is_stored(reply):
 def test_a_known_fact_with_a_variable_is_not_a_memo_answer(stored):
     db = Database()
     load_program(db, f"known(yes, color, bob, {stored}). known(X, color, bob, red).")
-    orc = QueuedOracle([value_answer(Atom("blue")), YES])
+    orc = QueuedOracle([Atom("blue"), YES])
     res = ask_value(db, "color", "bob", orc)
     assert res.source == "fresh" and res.value == Atom("blue") and is_ground(res.value)
     res = ask(db, "color", "bob", Atom("red"), orc)
@@ -186,7 +190,7 @@ def test_a_known_fact_with_a_variable_is_not_a_memo_answer(stored):
 def test_a_known_fact_with_a_variable_leaks_nothing_into_an_answer():
     db = Database()
     load_program(db, "known(yes, color, bob, X).")
-    out = solve(db, parse_query("ask_value(color, bob, V), X = red."), oracle=QueuedOracle([value_answer(Atom("blue"))]))
+    out = solve(db, parse_query("ask_value(color, bob, V), X = red."), oracle=QueuedOracle([Atom("blue")]))
     assert out.solutions[0].bindings == {Var("V"): Atom("blue"), Var("X"): Atom("red")}
 
 
@@ -195,6 +199,99 @@ def test_a_quoted_no_refuses_a_value():
     res = ask_value(db, "country", "marsha", InteractiveOracle(io.StringIO("'no'.\n"), io.StringIO()))
     assert not res.succeeded
     assert known_facts(db) == [Struct("known", (NO, Atom("country"), Atom("marsha"), NO_VALUE))]
+
+
+_R = Var("R")
+
+
+def _known_clause(reply, value, about, spoil):
+    # a spoilt clause has a body, or a variable in one position, so it
+    # answers nothing
+    args = [reply, *about, value]
+    if spoil == "body":
+        return Clause(Struct("known", tuple(args)), (Atom("true"),))
+    if spoil is not None:
+        args[spoil] = _R if spoil < 3 else Struct("f", (_R,))
+    return Clause(Struct("known", tuple(args)))
+
+
+# Up to 8 clauses about a few (attribute, subject) pairs: a memo often
+# holds two facts about one question, where the table's order matters.
+_known_clauses = st.lists(
+    st.tuples(st.sampled_from([Atom("a"), Atom("b")]), st.sampled_from([Atom("p"), Atom("q")])),
+    min_size=1,
+    max_size=3,
+).flatmap(
+    lambda pairs: st.lists(
+        st.builds(
+            _known_clause,
+            st.sampled_from([YES, NO, Atom("maybe")]),
+            st.sampled_from([Atom("x"), Atom("y"), NO_VALUE]),
+            st.sampled_from(pairs),
+            st.sampled_from([None] * 10 + ["body", 0, 1, 2, 3]),
+        ),
+        max_size=8,
+    )
+)
+
+
+def memo_reference(facts, attribute, subject, value):
+    """The docstring's table over the ground bodyless known/4 clauses, in
+    database order: (succeeded, the cited clause, value) of a memo hit, or
+    None when the oracle must be consulted."""
+    about = [
+        (sc, sc.clause.head.args) for sc in facts
+        if not sc.clause.body and is_ground(sc.clause.head)
+        and sc.clause.head.args[1:3] == (Atom(attribute), Atom(subject))
+    ]
+    if value is not None:
+        return next(((args[0] == YES, sc, None) for sc, args in about if args[3] == value), None)
+    for sc, args in about:
+        if args[0] == YES:
+            return True, sc, args[3]
+    for sc, args in about:
+        if args[0] == NO and args[3] == NO_VALUE:
+            return False, sc, None
+    return None
+
+
+# at least 200 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(_known_clauses, st.sampled_from([YES, NO, Atom("maybe"), Atom("x")]))
+def test_the_memo_answers_both_question_kinds_by_its_table(clauses, reply):
+    for attribute, subject, value in itertools.product(
+        "ab", "pq", [None, Atom("x"), Atom("y"), NO_VALUE]
+    ):
+        db = Database()
+        for c in clauses:
+            db.assertz(c)
+        before = db.clauses(("known", 4))
+        expected = memo_reference(before, attribute, subject, value)
+        orc = QueuedOracle([reply])
+        if value is None:
+            res = ask_value(db, attribute, subject, orc)
+        else:
+            res = ask(db, attribute, subject, value, orc)
+        if expected is not None:
+            succeeded, cited, bound = expected
+            assert (res.succeeded, res.source, res.value) == (succeeded, "memo", bound)
+            assert res.just is cited
+            assert orc.asked == [] and db.clauses(("known", 4)) == before
+            continue
+        q = Question(attribute, subject, value)
+        if value is not None:
+            succeeded, bound, recorded = reply == YES, None, (reply, value)
+        elif reply == NO:
+            succeeded, bound, recorded = False, None, (NO, NO_VALUE)
+        else:
+            succeeded, bound, recorded = True, reply, (YES, reply)
+        assert (res.succeeded, res.source, res.value) == (succeeded, "fresh", bound)
+        assert res.just == UserSaidJust(q, reply)
+        assert orc.asked == [q]
+        after = db.clauses(("known", 4))
+        assert after[1:] == before
+        answer, stored = recorded
+        assert after[0].clause == Clause(Struct("known", (answer, Atom(attribute), Atom(subject), stored)))
 
 
 # --- scripted oracle -------------------------------------------------------------
@@ -208,7 +305,7 @@ def test_scripted_oracle_matches_in_order():
     a1 = orc.answer(Question("likes", "peter", Atom("icecream")), None)
     assert a1 == YES
     a2 = orc.answer(Question("country", "marsha", None), None)
-    assert a2 == value_answer(Atom("egypt"))
+    assert a2 == Atom("egypt")
 
 
 def test_scripted_oracle_entry_consumed_once():
@@ -229,7 +326,7 @@ def test_scripted_oracle_skips_used_entries_and_the_other_kind():
     orc = ScriptedOracle("askv a p -> x\nask a p v -> no\nask a p v -> yes\n")
     assert orc.answer(Question("a", "p", Atom("v")), None) == NO
     assert orc.answer(Question("a", "p", Atom("v")), None) == YES
-    assert orc.answer(Question("a", "p", None), None) == value_answer(Atom("x"))
+    assert orc.answer(Question("a", "p", None), None) == Atom("x")
     # a compound value must equal the entry's, argument for argument
     orc = ScriptedOracle("ask colour sky f(a) -> yes\n")
     with pytest.raises(UnansweredQuestionError):
@@ -289,8 +386,8 @@ def test_interactive_oracle_parses_answers():
     q_val = Question("a", "p", None)
     assert orc.answer(q_yn, None) == YES
     assert orc.answer(q_yn, None) == NO
-    assert orc.answer(q_val, None) == value_answer(Atom("egypt"))
-    assert orc.answer(q_val, None) == value_answer(Struct("f", (Atom("x"),)))
+    assert orc.answer(q_val, None) == Atom("egypt")
+    assert orc.answer(q_val, None) == Struct("f", (Atom("x"),))
     assert out.getvalue().count("a of person p is") == 4
 
 
@@ -381,4 +478,4 @@ def test_answer_text_rendering():
     # a reply is a term, and prints as one
     assert format_term(YES) == "yes"
     assert format_term(NO) == "no"
-    assert format_term(value_answer(Atom("egypt"))) == "egypt"
+    assert format_term(Atom("egypt")) == "egypt"

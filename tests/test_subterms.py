@@ -1,9 +1,9 @@
-"""The one read-only term walk, and the walkers built on it."""
+"""The read-only term walks, each against a recursive reference."""
 
 from hypothesis import given, settings
 
 from skolog import Atom, Int, Struct, Var, mklist
-from skolog.terms import goal_constants, goal_functors, is_ground, subterms, variables_of
+from skolog.terms import is_ground, signature, subterms, variables_of
 
 from strategies import terms
 
@@ -38,8 +38,10 @@ def test_walks_match_recursive_references(t):
     assert variables_of(t) == ref_variables(t)
     assert is_ground(t) == (ref_variables(t) == [])
     inner = ref_argument_terms(t)
-    assert goal_constants([t]) == {x for x in inner if isinstance(x, (Atom, Int))}
-    assert goal_functors([t]) == {(x.name, len(x.args)) for x in inner if isinstance(x, Struct)}
+    assert signature([t]) == (
+        {x for x in inner if isinstance(x, (Atom, Int))},
+        {(x.name, len(x.args)) for x in inner if isinstance(x, Struct)},
+    )
 
 
 def test_subterms_is_preorder_left_to_right():
@@ -49,8 +51,7 @@ def test_subterms_is_preorder_left_to_right():
 
 def test_goal_walks_read_many_goals_but_not_predicate_symbols():
     goals = [Atom("p"), Struct("q", (Atom("a"), Struct("s", (Int(2),)))), Var("G")]
-    assert goal_constants(goals) == {Atom("a"), Int(2)}
-    assert goal_functors(goals) == {("s", 1)}
+    assert signature(goals) == ({Atom("a"), Int(2)}, {("s", 1)})
 
 
 def test_walks_do_not_recurse_on_a_long_list():
@@ -59,5 +60,4 @@ def test_walks_do_not_recurse_on_a_long_list():
     t = Struct("p", (lst,))
     assert not is_ground(lst)
     assert variables_of(lst) == [Var("X")]
-    assert goal_constants([t]) == {Atom("a"), Int(7), Atom("[]")}
-    assert goal_functors([t]) == {(".", 2)}
+    assert signature([t]) == ({Atom("a"), Int(7), Atom("[]")}, {(".", 2)})
