@@ -38,11 +38,12 @@ preorder (a clause's children are the records of its body goals after it):
 the goal, the binding counts before and after it, its clause or builtin
 justification, and, once read, its entry goal and bindings.  One preorder
 walk over the records builds the proof at a solution and the open clauses
-behind a question (WHY).  Proof goals and answers are resolved under the
-final bindings at every solution, each ground compound in them (the
-query's input lists, say) only once in its lifetime; a record's entry goal
-and bindings as of its counts, once, by their first reader (the live
-trace, if attached).
+behind a question (WHY).  An answer's bindings are resolved under the
+final bindings at its solution, and a record's entry goal and bindings as
+of its counts, once, by their first reader (the live trace, if attached).
+A proof node's goal is resolved on its first read, over a copy of the
+bindings taken at its solution; each ground compound (the query's input
+lists, say) is entered only once in its lifetime.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .parser import format_goal
 from .terms import (
     CUT,
     FAIL,
+    TRUE,
     Atom,
     Clause,
     FreshVars,
@@ -294,49 +296,53 @@ class Solver:
         return False
 
     def _solution(self, qvars) -> Solution:
-        """The answer and its proof under the current bindings."""
+        """The answer under the current bindings, and its proof, whose goals
+        resolve on their first read over a copy of those bindings."""
         res = self._store.resolver(history=True)
         bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
-        built = self._tree(res)[0][2]
+        built = self._tree(res, self._store.snapshot().resolve)[0][2]
         if len(built) == 1:
             return Solution(bindings, built[0])
-        goal = Struct(",", tuple(p.goal for p in built)) if built else Atom("true")
-        return Solution(bindings, ProofNode(goal, goal, QUERY_ROOT, {}, tuple(built)))
+        if not built:
+            return Solution(bindings, ProofNode(TRUE, TRUE, QUERY_ROOT, {}, ()))
+        built = tuple(built)
+        return Solution(bindings, ProofNode.lazy(_conjunction, built, None, QUERY_ROOT, {}, built))
 
     def _why_supplier(self):
         # the open clauses behind the pending goal, outermost first
-        open_frames = self._tree(self._store.resolver(history=True))[1:]
+        res = self._store.resolver(history=True)
+        open_frames = self._tree(res, res.resolve)[1:]  # its nodes go unread
         return oracle_mod.WhyContext(tuple((r[4][0], r[3]) for r, *_ in open_frames), self._root)
 
-    def _tree(self, res) -> list[list]:
+    def _tree(self, res, final) -> list[list]:
         """Walk the records in preorder and return the frames still open,
-        the query's first: [record, body goals left, finished child nodes,
-        goal under the final bindings].  A record whose body is proved, or a
-        leaf, becomes a node of the frame below it.  A record's entry goal
-        and bindings, resolved as of its counts by their first reader, stay
-        in it: they read only bindings below its count after, and a record
-        that backtracking keeps was made before the resumed choicepoint, so
-        that count is at most the choicepoint's mark, below which undo pops
-        nothing."""
-        stack = [[None, -1, [], None]]  # the query's frame: its count never reaches 0
+        the query's first: [record, body goals left, finished child nodes].
+        A record whose body is proved, or a leaf, becomes a node of the
+        frame below it, whose goal is ``final(goal)``, made on its first
+        read.  A record's entry goal and bindings, resolved as of its
+        counts by their first reader, stay in it: they read only bindings
+        below its count after, and a record that backtracking keeps was
+        made before the resumed choicepoint, so that count is at most the
+        choicepoint's mark, below which undo pops nothing."""
+        resolve, pos, lazy = res.resolve, res.pos, ProofNode.lazy
+        stack = [[None, -1, []]]  # the query's frame: its count never reaches 0
         top = stack[0]
         for rec in self._records:
             top[1] -= 1
             goal, stamp, after, just, pair = rec
-            final = res.resolve(goal)  # first, so that the entry reuses what it memoizes
             if pair is None:
-                entry = res.resolve(goal, stamp, later := {})
-                rec[4] = pair = entry, {v: res.resolve(v, after) for v in later if res.pos[v] < after}
+                entry = resolve(goal, stamp, later := {})
+                rec[4] = pair = entry, {v: resolve(v, after) for v in later if pos[v] < after}
             if type(just) is StoredClause and just.clause.body:
-                top = [rec, len(just.clause.body), [], final]
+                top = [rec, len(just.clause.body), []]
                 stack.append(top)
                 continue
-            top[2].append(ProofNode(final, pair[0], just, pair[1], ()))
+            top[2].append(lazy(final, goal, pair[0], just, pair[1]))
             while top[1] == 0:  # the node just added was its last body goal's
                 stack.pop()
-                (_, _, _, just, (entry, theta)), _, nodes, final = top
+                (goal, _, _, just, (entry, theta)), _, nodes = top
                 top = stack[-1]
-                top[2].append(ProofNode(final, entry, just, theta, tuple(nodes)))
+                top[2].append(lazy(final, goal, entry, just, theta, tuple(nodes)))
         return stack
 
     # ------------------------------------------------------------------
@@ -441,6 +447,10 @@ _BUILTINS = {
     ("retract", 1): Solver._bi_retract,
     ("holds_negated", 1): Solver._bi_holds_negated,
 }
+
+
+def _conjunction(nodes) -> Struct:
+    return Struct(",", tuple(n.goal for n in nodes))
 
 
 def solve(

@@ -40,6 +40,12 @@ class ProofNode:
     unifier restricted to the entry goal's variables.  Successive answers
     may share an unchanged reduction's ``entry_goal`` and ``bindings``
     objects, so nothing mutates them (``trace_of`` copies the bindings).
+
+    The solver makes its nodes with ``lazy``: such a node holds its goal
+    unresolved, resolves it on its first read and keeps it, so that later
+    reads are plain attribute hits.  Its entry goal, bindings and children
+    are there from the start.  Equality, ``repr``, copies and pickles read
+    the goal as an eager node's.
     """
 
     goal: Term
@@ -47,6 +53,32 @@ class ProofNode:
     justification: Justification
     bindings: Subst
     children: tuple["ProofNode", ...] = ()
+
+    @classmethod
+    def lazy(cls, resolve, raw, entry_goal, justification, bindings, children=()) -> "ProofNode":
+        """A node whose goal is ``resolve(raw)``, made on its first read; an
+        ``entry_goal`` of None stands for that goal too."""
+        node = object.__new__(cls)
+        state = node.__dict__
+        state["_raw"] = resolve, raw
+        if entry_goal is not None:
+            state["entry_goal"] = entry_goal
+        state["justification"], state["bindings"], state["children"] = justification, bindings, children
+        return node
+
+    def __getattr__(self, name):
+        # called only for a name missing from the instance: a lazy goal
+        state = self.__dict__
+        if name not in ("goal", "entry_goal") or "_raw" not in state:
+            raise AttributeError(f"'ProofNode' object has no attribute '{name}'")
+        resolve, raw = state.pop("_raw")
+        goal = state["goal"] = resolve(raw)
+        state.setdefault("entry_goal", goal)
+        return state[name]
+
+    def __getstate__(self):
+        self.goal  # a copy holds the goal, not the resolver, whose memo is keyed by ids
+        return self.__dict__
 
 
 @dataclass(frozen=True)

@@ -321,9 +321,11 @@ def format_goals(goals) -> str:
 
 
 def format_clause(c: Clause) -> str:
-    if not c.body:
-        return format_term(c.head) + "."
-    return format_term(c.head) + " :- " + format_goals(c.body) + "."
+    text = c._text
+    if text is None:
+        text = format_term(c.head) + (" :- " + format_goals(c.body) if c.body else "") + "."
+        object.__setattr__(c, "_text", text)  # a clause is immutable: its text never goes stale
+    return text
 
 
 def format_bindings(theta: Subst) -> str:

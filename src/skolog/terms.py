@@ -58,6 +58,9 @@ class Var(tuple):
     def __repr__(self):
         return f"Var(name={self[0]!r}, id={self[1]!r})"
 
+    def __getnewargs__(self):  # copies and pickles call ``__new__`` with these
+        return tuple(self)
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -127,6 +130,7 @@ class Clause:
     head: Term
     body: tuple[Term, ...] = ()
     _match = None  # not a field: the first ``Store.unify_head`` sets it on the instance
+    _text = None  # not a field either: the first ``parser.format_clause`` sets it
 
 
 def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
@@ -258,6 +262,11 @@ class Store:
         pos = {v: i for i, v in enumerate(self.bindings)} if history else None
         return _Resolver(self.bindings, pos)
 
+    def snapshot(self) -> "_Resolver":
+        """Reads terms under a copy of the current bindings, as they
+        resolve now, after the store has moved on too."""
+        return _Resolver(dict(self.bindings))
+
     def unify(self, a: Term, b: Term) -> bool:
         """Unify ``a`` with ``b``, the occurs check always on."""
         bindings = self.bindings
@@ -352,13 +361,24 @@ class _Resolver:
     binding's position being its place in the store's binding order.
     Given ``pos`` (variable -> position), a term can be resolved as of an
     earlier binding count too: a memoized compound whose latest
-    position lies below that count is reused whole.  The bindings must
+    position lies below that count is reused whole, and a compound whose
+    walk meets no binding at or after that count is memoized, since it
+    resolves to the same term under all the bindings.  The bindings must
     not change meanwhile, and the terms resolved must stay alive.
 
     A compound whose walk meets no variable, bound or not, is marked
     ``_ground`` instead of memoized.  Terms are immutable, so the mark
     holds under any bindings: every later walk, of any resolver, takes
     such a compound whole without entering it.
+
+    The memo is keyed by ``id``, and an id names a term only while the
+    term is alive.  A resolver over a ``Store.snapshot`` outlives the
+    store's bindings, so the terms that its memo keys must stay alive, or
+    a later term could take a freed one's id and hit its entry.  The copy
+    keeps every binding's value alive, and each reader keeps the term it
+    resolves.  Every term that a walk meets lies in one of those, so it
+    was alive when the copy was taken, as was every term the memo keys:
+    a memo key that a dropped reader freed names no term met later.
     """
 
     def __init__(self, bindings: dict, pos: Optional[dict] = None):
@@ -375,7 +395,7 @@ class _Resolver:
         # [compound, its resolved args so far, their latest position,
         #  latest position of the bindings that led to the compound];
         # a latest position of -2: no variable met; -1: only variables
-        # unbound, bound too late, or read without ``pos``
+        # unbound, or read without ``pos``
         frames: list[list] = []
         x = t
         while True:
@@ -385,6 +405,7 @@ class _Resolver:
                 if not final and p >= stamp:
                     if later is not None:
                         later[x] = None
+                    latest = p  # at or after the stamp: no compound around it is memoized
                     break
                 if p > latest:
                     latest = p
@@ -413,7 +434,7 @@ class _Resolver:
                     x = f
                 else:
                     x = f if all(map(is_, done, f.args)) else Struct(f.name, tuple(done))
-                    if final:
+                    if final or frame[2] < stamp:
                         memo[id(f)] = (x, frame[2])
                 latest = frame[3] if frame[3] > frame[2] else frame[2]
             else:

@@ -6,7 +6,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 # CI runs tests/test_robustness.py, tests/test_indexing.py, the
-# random-program property of tests/test_finalization.py, the semi-naive
+# two random-program properties of tests/test_finalization.py, the semi-naive
 # property of tests/test_semantics.py, the two head-match properties
 # (against renaming then unifying, and the compiled match against the
 # generic walk) and the negation-freshness property of

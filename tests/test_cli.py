@@ -618,6 +618,25 @@ def test_repl_how_after_query():
     assert "BECAUSE" in r.out
 
 
+def test_repl_how_after_the_search_is_exhausted():
+    # the last proof's goals are read after ';' has undone every binding
+    r = run_cli(["repl", APPEND], stdin_text="append(X,Y,[a,b]).\n;\n;\n;\nhow.\n:quit\n")
+    assert r.out.endswith(
+        "Y = []\nno\n"
+        "?- append([a,b],[],[a,b]) BECAUSE append([X|Xs],Ys,[X|Zs]) :- append(Xs,Ys,Zs) WITH {X = [a|_G3]}\n"
+        "  append([b],[],[b]) BECAUSE append([X|Xs],Ys,[X|Zs]) :- append(Xs,Ys,Zs) WITH {_G3 = [b|_G8]}\n"
+        "    append([],[],[]) is a fact\n?- "
+    )
+
+
+def test_repl_how_after_backtracking_has_undone_the_answer(tmp_path):
+    # ';' finds no second answer and pops the bindings of the first
+    f = tmp_path / "member.pl"
+    f.write_text("member(X, [X|_]).\nmember(X, [_|T]) :- member(X, T).\n")
+    r = run_cli(["repl", str(f)], stdin_text="member(X, [a,b]), X = a.\n;\nhow.\n:quit\n")
+    assert r.out == "?- X = a\nno\n?- member(a,[a,b]) is a fact\na = a by builtin =\n?- "
+
+
 def test_repl_how_without_success():
     r = run_cli(["repl"], stdin_text="how.\n:quit\n")
     assert "no proof available" in r.out

@@ -1,5 +1,7 @@
 """Terms, substitutions, and unification."""
 
+import copy
+import pickle
 import sys
 from dataclasses import FrozenInstanceError, fields
 
@@ -282,6 +284,14 @@ def test_a_variable_is_read_only():
     with pytest.raises(AttributeError):
         v.id = 1
     assert (v.name, v.id) == ("X", 0)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_variable_keeps_its_name_and_id(duplicate):
+    v = Var("_G3", 3)
+    assert repr(duplicate(v)) == "Var(name='_G3', id=3)"
+    assert duplicate(Struct("f", (v, Atom("a")))) == Struct("f", (v, Atom("a")))
 
 
 def _deep(n, leaf):
