@@ -19,8 +19,14 @@ unifier kept with the tests.  ``rename_clause`` and ``compose`` serve
 those tests and the benchmark's tracer, which wraps them by name.
 
 Terms are values, equal and hashing equal when their shapes are equal.
-``Var`` hashes in C, as every binding lookup hashes one; a ``Struct``
-hashes once, and hashes and compares without recursion, at any depth.
+Atoms are interned (the WAM's atom table: Aït-Kaci 1991): ``Atom(name)``
+returns the one object that a process-wide table holds for ``name``, so
+an atom's equality and hash are identity, in C, and copies and pickles
+give back the table's object.  The table never shrinks.  ``Var`` hashes
+in C, as every binding lookup hashes one; a ``Struct`` hashes once, and
+hashes and compares without recursion, at any depth.  Atom hashes differ
+from process to process, so a pickled ``Struct`` leaves its cached hash
+behind.
 A ``Struct`` is also resolved whole once it is known to be ground: the
 first resolver walk that meets no variable in it marks it, so an input
 term is walked once in its lifetime, not once per answer.
@@ -62,9 +68,34 @@ class Var(tuple):
         return tuple(self)
 
 
-@dataclass(frozen=True)
 class Atom:
-    name: str
+    """A symbolic constant, one object per name (see the module docstring);
+    it has no ``__eq__`` or ``__hash__`` of its own."""
+
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "name", name)
+            atom = _ATOMS.setdefault(name, atom)
+        return atom
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}: an atom is read-only")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}: an atom is read-only")
+
+    def __repr__(self):
+        return f"Atom(name={self.name!r})"
+
+    def __reduce__(self):  # copies and pickles give back the table's object
+        return (Atom, (self.name,))
+
+
+_ATOMS: dict[str, Atom] = {}  # name -> its atom, for the whole process; it never shrinks
 
 
 @dataclass(frozen=True)
@@ -82,6 +113,11 @@ class Struct:
     def __post_init__(self):
         if len(self.args) < 1:
             raise ValueError("compound term needs at least one argument")
+
+    def __getstate__(self):  # a loaded compound hashes again, under its own process's atoms
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
 
     def __hash__(self):
         # inner compounds first: ``hash((name, args))`` then finds theirs cached
@@ -131,6 +167,9 @@ class Clause:
     body: tuple[Term, ...] = ()
     _match = None  # not a field: the first ``Store.unify_head`` sets it on the instance
     _text = None  # not a field either: the first ``parser.format_clause`` sets it
+
+    def __getstate__(self):  # a compiled match does not pickle: both are rebuilt on first use
+        return {"head": self.head, "body": self.body}
 
 
 def mklist(items: Iterable[Term], tail: Term = NIL) -> Term:
@@ -641,7 +680,7 @@ def _compile(key: tuple) -> Callable:
             k = f"k{t[2]}"
             lines.append(f"{at}if type(x) is Var: bindings[x] = {k}")
             lines.append(f"{at}elif " + {
-                _ATOM: f"type(x) is not Atom or x.name != {k}.name",
+                _ATOM: f"x is not {k}",
                 _INT: f"type(x) is not Int or x.value != {k}.value",
                 _GROUND: f"not store.unify(x, {k})",
             }[t[1]] + ": return None")
@@ -681,7 +720,7 @@ def _compile(key: tuple) -> Callable:
     if next(slots):
         prologue.append(f"  {''.join(f'k{i}, ' for i in range(next(slots) - 1))}= k")
     source = "\n".join([
-        f"def make(Var, Struct, Atom, Int, {''.join(f'n{i}, ' for i in range(len(names)))}):",
+        f"def make(Var, Struct, Int, {''.join(f'n{i}, ' for i in range(len(names)))}):",
         " def match(store, goal, fresh, k):",
         *prologue,
         *lines,
@@ -689,7 +728,7 @@ def _compile(key: tuple) -> Callable:
     ])
     scope: dict = {}
     exec(compile(source, "<head match>", "exec"), scope)
-    return scope["make"](Var, Struct, Atom, Int, *names)
+    return scope["make"](Var, Struct, Int, *names)
 
 
 def _walk(store: Store, goal: Term, fresh: FreshVars, clause: tuple) -> Optional[tuple]:

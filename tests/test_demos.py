@@ -16,13 +16,16 @@ DATA = Path(__file__).resolve().parent / "data"
 DEMOS = ["append_trace", "twins_case_study"]
 
 
-def run_demo(script):
-    """Run ``scripts/<script>.py`` on this checkout's package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(skolog.__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(skolog.__file__)))
+
+
+def run_demo(script, **env):
+    """Run ``scripts/<script>.py`` on this checkout's package, with ``env``
+    added to the environment."""
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / f"{script}.py")],
         capture_output=True, text=True, encoding="utf-8",
-        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC, **env), timeout=60,
     )
 
 

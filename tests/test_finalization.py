@@ -228,10 +228,26 @@ def test_a_copy_of_a_lazy_node_equals_an_eager_one(duplicate):
 
 
 def test_a_pickled_lazy_node_equals_an_eager_one():
-    # builtins only: a clause's compiled head match does not pickle
-    sol, expected = lazy_and_eager("X = f(Y), Y = [a], Z = g(X).")
-    assert pickle.loads(pickle.dumps(sol)) == expected
-    assert sol == expected
+    # builtins only, then clauses cited: a clause that has matched pickles
+    # without its compiled head match and its text, which a loaded clause
+    # builds again on first use
+    for query, cited in [("X = f(Y), Y = [a], Z = g(X).", 0), ("nrev([a,b], R), member(X, R).", 7)]:
+        sol, expected = lazy_and_eager(query)
+        loaded = pickle.loads(pickle.dumps(sol))
+        assert loaded == expected
+        assert sol == expected
+        clauses = [n.justification.clause for n in _nodes(loaded.proof) if hasattr(n.justification, "clause")]
+        assert len(clauses) == cited
+        assert all(vars(c).keys() == {"head", "body"} for c in clauses)
+
+
+def _nodes(root):
+    """The proof nodes under ``root``, ``root`` included."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += node.children
 
 
 def test_two_reads_of_a_lazy_goal_return_the_same_object():

@@ -4,20 +4,26 @@ one that enumerates four answers, two REPL sessions and two
 
 Each `run` invocation is recorded twice, with `--trace --explain` and with
 `--json`; the files in `data/golden/` hold stdout byte for byte, and for
-the fact-acquisition session and the models stderr as well.  After a
+the fact-acquisition session and the models stderr as well.  Each
+invocation, and each demo script, also runs as a new process under two
+values of PYTHONHASHSEED and prints the same bytes.  After a
 deliberate change of output, `python tests/test_golden.py` rewrites them,
 and the demo scripts' transcripts in `data/` that `test_demos.py` checks.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from skolog.corpus import corpus_path
-from test_demos import DATA, DEMOS, run_demo
+from test_demos import DATA, DEMOS, SRC, run_demo
 from util import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -90,50 +96,54 @@ ACQUISITION_INPUT = (
 )
 
 
-def _run(name: str, mode: str):
-    program, goal, script, _ = RUNS[name]
-    argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode], *OPTIONS.get(name, ())]
-    if script:
-        argv += ["--oracle", str(corpus_path(script))]
-    return run_cli(argv)
-
-
-def _repl():
-    return run_cli(["repl", str(corpus_path("append.pl"))], stdin_text=REPL_INPUT)
-
-
-def _semantics(name: str):
-    text, bound = SEMANTICS[name]
-    with tempfile.TemporaryDirectory() as tmp:
-        program = Path(tmp) / "program.pl"
+def _invocations(tmp: Path) -> dict[str, tuple[list[str], str]]:
+    """Every recorded CLI invocation, by the golden file of its stdout: its
+    ``skolog`` arguments and its stdin.  The files it reads from outside
+    the corpus are written under ``tmp``."""
+    out = {}
+    for name, (program, goal, script, _) in RUNS.items():
+        for mode in MODES:
+            argv = ["run", str(corpus_path(program)), "--goal", goal, *MODES[mode], *OPTIONS.get(name, ())]
+            out[f"{name}.{mode}"] = (argv + (["--oracle", str(corpus_path(script))] if script else []), "")
+    out["repl.out"] = (["repl", str(corpus_path("append.pl"))], REPL_INPUT)
+    answers = tmp / "answers.txt"
+    answers.write_text(ACQUISITION_SCRIPT, encoding="utf-8")
+    out["acquisition.out"] = (["repl", str(corpus_path("twins.pl")), "--oracle", str(answers)], ACQUISITION_INPUT)
+    for name, (text, bound) in SEMANTICS.items():
+        (tmp / name).mkdir()
+        program = tmp / name / "program.pl"
         program.write_text(text, encoding="utf-8")
-        return run_cli(["semantics", str(program), "--bound", str(bound)])
+        out[f"{name}.out"] = (["semantics", str(program), "--bound", str(bound)], "")
+    return out
 
 
-def _acquisition():
+# the goldens whose invocation's stderr is recorded too, beside them as .err
+WITH_STDERR = {"acquisition.out", *(f"{name}.out" for name in SEMANTICS)}
+
+
+def _cli(golden: str):
+    """The recorded invocation whose stdout ``golden`` holds, run in-process."""
     with tempfile.TemporaryDirectory() as tmp:
-        script = Path(tmp) / "answers.txt"
-        script.write_text(ACQUISITION_SCRIPT, encoding="utf-8")
-        argv = ["repl", str(corpus_path("twins.pl")), "--oracle", str(script)]
-        return run_cli(argv, stdin_text=ACQUISITION_INPUT)
+        argv, stdin = _invocations(Path(tmp))[golden]
+        return run_cli(argv, stdin_text=stdin)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", RUNS)
 def test_run_output_matches_its_golden(name, mode):
-    r = _run(name, mode)
+    r = _cli(f"{name}.{mode}")
     assert (r.code, r.err) == (RUNS[name][3], "")
     assert r.out == (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
 
 
 def test_repl_session_matches_its_golden():
-    r = _repl()
+    r = _cli("repl.out")
     assert (r.code, r.err) == (0, "")
     assert r.out == (GOLDEN / "repl.out").read_text(encoding="utf-8")
 
 
 def test_acquisition_session_matches_its_golden():
-    r = _acquisition()
+    r = _cli("acquisition.out")
     assert r.code == 0
     assert r.out == (GOLDEN / "acquisition.out").read_text(encoding="utf-8")
     assert r.err == (GOLDEN / "acquisition.err").read_text(encoding="utf-8")
@@ -141,23 +151,43 @@ def test_acquisition_session_matches_its_golden():
 
 @pytest.mark.parametrize("name", SEMANTICS)
 def test_semantics_output_matches_its_golden(name):
-    r = _semantics(name)
+    r = _cli(f"{name}.out")
     assert r.code == 0
     assert r.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert r.err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
+# Atoms hash by their address and strings by PYTHONHASHSEED, so a set or
+# dict of terms iterates in an order that differs from process to process;
+# no output may follow it.
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_output_does_not_depend_on_hashing(seed, tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+    entry = [sys.executable, "-c", "from skolog.cli import entry; entry()"]
+
+    def run(item):
+        golden, (argv, stdin) = item
+        r = subprocess.run(entry + argv, input=stdin.encode(), capture_output=True, env=env, timeout=60)
+        err = (GOLDEN / golden).with_suffix(".err").read_bytes() if golden in WITH_STDERR else b""
+        return golden, (r.stdout, r.stderr), ((GOLDEN / golden).read_bytes(), err)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for golden, got, recorded in pool.map(run, _invocations(tmp_path).items()):
+            assert got == recorded, golden
+    for script in DEMOS:
+        r = run_demo(script, PYTHONHASHSEED=seed)
+        assert (r.returncode, r.stderr, r.stdout) == (0, "", (DATA / f"{script}.out").read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    outputs = {f"{n}.{m}": _run(n, m).out for n in RUNS for m in MODES}
-    outputs["repl.out"] = _repl().out
-    acquisition = _acquisition()
-    outputs["acquisition.out"], outputs["acquisition.err"] = acquisition.out, acquisition.err
-    for name in SEMANTICS:
-        model = _semantics(name)
-        outputs[f"{name}.out"], outputs[f"{name}.err"] = model.out, model.err
-    for file, text in outputs.items():
-        (GOLDEN / file).write_text(text, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = list(_invocations(Path(tmp)))
+    for golden in goldens:
+        r = _cli(golden)
+        (GOLDEN / golden).write_text(r.out, encoding="utf-8")
+        if golden in WITH_STDERR:
+            (GOLDEN / golden).with_suffix(".err").write_text(r.err, encoding="utf-8")
     for script in DEMOS:
         r = run_demo(script)
         r.check_returncode()

@@ -1,7 +1,9 @@
 """Terms, substitutions, and unification."""
 
 import copy
+import os
 import pickle
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
 
@@ -23,6 +25,7 @@ from skolog.terms import (
 )
 
 from strategies import VAR_NAMES, constants, few_terms, ground_terms, terms, variables
+from test_demos import SRC
 from util import ReferenceResolver, occurs, reference_unify, variant_equal
 
 
@@ -230,8 +233,13 @@ renamed_terms = terms(leaves=constants | st.builds(Var, st.sampled_from(VAR_NAME
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_equality_and_hash_follow_the_structure(a, b):
     a2, b2 = _copy(a), _copy(b)
-    assert a2 is not a and a2 == a and not a2 != a and hash(a2) == hash(a)
+    assert a2 == a and not a2 != a and hash(a2) == hash(a)
+    # a copy is new objects but for its atoms: equal atoms are one object
+    for x, x2 in zip(subterms(a), subterms(a2)):
+        assert (x2 is x) == (type(x) is Atom)
     same = _key(a) == _key(b)
+    if type(a) is Atom:
+        assert (a is b) == same
     assert (a == b) == (a2 == b) == (a == b2) == (b2 == a) == same
     assert (a != b) == (not same)
     # a shared argument, compared first, decides nothing about the others
@@ -284,6 +292,60 @@ def test_a_variable_is_read_only():
     with pytest.raises(AttributeError):
         v.id = 1
     assert (v.name, v.id) == ("X", 0)
+
+
+def test_an_atom_is_read_only():
+    a = Atom("a")
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(AttributeError):
+        del a.name
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a.name == "a" and Atom("a") is a and repr(a) == "Atom(name='a')"
+
+
+def _child(code, seed="0", stdin=b""):
+    """Run ``code`` in a new interpreter on this checkout's package, under
+    ``PYTHONHASHSEED=seed``, and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          env=env, check=True, timeout=60).stdout
+
+
+def _pickled_in_a_child(t):
+    """``t`` built from its ``repr`` and pickled by another process."""
+    code = f"import pickle, sys; from skolog import Atom, Struct; sys.stdout.buffer.write(pickle.dumps({t!r}))"
+    return pickle.loads(_child(code))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+                                       _pickled_in_a_child],
+                         ids=["copy", "deepcopy", "pickle", "pickle-across-processes"])
+def test_a_copied_atom_is_the_interned_one(duplicate):
+    for a in (Atom("a"), Atom("[]"), Atom("sk_17"), Atom("an atom never read before")):
+        assert duplicate(a) is a
+    assert duplicate(Struct("f", (Atom("a"),))).args[0] is Atom("a")
+
+
+def test_a_pickled_compound_hashes_as_a_new_twin_in_another_process():
+    # the first child hashes the term before pickling it; the second loads
+    # it under another hash seed and looks it up among fresh twins
+    made = _child(
+        "import pickle, sys; from skolog import Atom, Struct\n"
+        "t = Struct('f', (Atom('a'), Struct('g', (Atom('b'),))))\n"
+        "hash(t)\n"
+        "sys.stdout.buffer.write(pickle.dumps(t))\n",
+        seed="1",
+    )
+    found = _child(
+        "import pickle, sys; from skolog import Atom, Struct\n"
+        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "twin = Struct('f', (Atom('a'), Struct('g', (Atom('b'),))))\n"
+        "print(t == twin, t in {twin}, t.args[1] in {twin.args[1]}, hash(t) == hash(twin))\n",
+        seed="2", stdin=made,
+    )
+    assert found.split() == [b"True"] * 4
 
 
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
