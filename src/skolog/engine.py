@@ -16,10 +16,10 @@ renamed apart (occurs check on), without renaming it: ``Store.unify_head``
 runs code generated for the clause's shape against the goal, so a clause
 that cannot match fails at its first clashing comparison, and a clause
 variable's first occurrence names the goal's term, binding no variable of
-the goal.  Only a match uses up fresh ids, one per clause variable, so
-the ``_G<n>`` names are those of renaming apart each clause that matches.
-A reduction puts the clause body, built under the head's match, in front
-of the goals.
+the goal.  A clause too big to compile is renamed apart, then unified.
+Only a match uses up fresh ids, one per clause variable, so the ``_G<n>``
+names are those of renaming apart each clause that matches.  A reduction
+puts the clause body, built under the head's match, in front of the goals.
 
 Reductions along one derivation path are capped by ``depth_limit``.  Each
 path cut off that way adds one to ``cutoffs``, and a run without solutions
@@ -107,7 +107,8 @@ class Outcome:
 @dataclass(slots=True)
 class _Choice:
     """A choicepoint: a user call, kept while it has clauses left (always,
-    when tracing, so that its failure is shown), or not/1's fence."""
+    when tracing, so that the trace shows it run out: Byrd's FAIL port), or
+    not/1's fence."""
 
     raw: Term  # the goal as its cell holds it
     rest: object  # the goal-list cells after it
@@ -118,11 +119,9 @@ class _Choice:
     goal: Optional[Term] = None  # dereferenced; None for a not/1 fence
     clauses: tuple = ()
     next: int = 0
-    produced: bool = False  # some clause body was proved
     cutoffs: int = 0  # not/1: the solver's count when the fence was pushed
 
 
-_EXIT = object()  # cell after a traced call's body; its barrier slot holds the call
 _CUT, _NOT = object(), object()  # control constructs the solver runs itself
 
 
@@ -132,7 +131,9 @@ class Solver:
     ``out`` receives write/1 output, ``diag`` receives warnings; both
     default to the real terminal.  Questions, and the WHY text that
     explains them, go to the oracle's own stream.  A solver given
-    ``trace_out`` writes the live trace stream there; without it, it
+    ``trace_out`` writes the live trace stream there: a line per head
+    match with its bindings, and ``fail`` with the goal as called when a
+    call runs out of clauses (the FAIL port: Byrd 1980).  Without it, it
     does not trace.
     """
 
@@ -222,12 +223,8 @@ class Solver:
                 ind = (goal.name, len(goal.args))
             elif type(goal) is Atom:
                 ind = (goal.name, 0)
-            elif type(goal) is Int:
+            else:
                 raise EngineError(f"integer is not a callable goal: {goal.value}")
-            else:  # _EXIT
-                barrier.produced = True
-                cont = rest
-                continue
             handler = _BUILTINS.get(ind)
             if handler is None:
                 clauses = self.db.clauses(ind, map(store.deref, goal.args) if ind[1] else ())
@@ -281,17 +278,16 @@ class Solver:
             if call.next < len(call.clauses) or tracing:
                 self._choices.append(call)
             entry = None
-            rest = call.rest
             if tracing:
                 res = store.resolver()
                 entry = shown, {v: res.resolve(v) for v in variables_of(shown) if v in store.bindings}
                 self.trace_out.write(format_trace_entry(TraceEntry(*entry)) + "\n")
-                rest = (_EXIT, call, rest)
             self._records.append([call.raw, call.mark, len(store.bindings), sc, entry])
+            rest = call.rest
             for g in reversed(body):
                 rest = (g, call.height, rest)
             return rest
-        if tracing and not call.produced:
+        if tracing:
             self.trace_out.write(f"fail\t{format_goal(shown)}\n")
         return False
 

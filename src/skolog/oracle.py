@@ -57,6 +57,8 @@ def value_answer(t: Term) -> Term:
 
 
 def prompt_for(q: Question) -> str:
+    if q.attribute == "skolem" and q.value is None:  # negation's witness question
+        return f"new constant for a false instance of {q.subject} ?"
     if q.value is None:
         return f"{q.attribute} of person {q.subject} is ?"
     return f"{q.attribute} of person {q.subject} is {format_term(q.value)} ?"

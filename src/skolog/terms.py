@@ -13,10 +13,10 @@ clause without renaming it whole.  On a clause's first try it gets a
 Python function generated for the clause's shape (the WAM's get
 instructions: Warren 1983), shared by every clause of that shape in the
 process, and the clause's own constants; a clause too big to compile
-keeps the generic walk, which the tests hold the generated code to.  The
-unifier and the head match are tested against a dict-based reference
-unifier kept with the tests.  ``rename_clause`` and ``compose`` serve
-those tests and the benchmark's tracer, which wraps them by name.
+is renamed apart with ``rename_clause`` and its head unified with the
+goal (Robinson 1965).  The unifier and the head match are tested against
+a dict-based reference unifier kept with the tests.  ``compose`` serves
+those tests and the benchmark's tracer, which wraps it by name.
 
 Terms are values, equal and hashing equal when their shapes are equal.
 Atoms are interned (the WAM's atom table: Aït-Kaci 1991): ``Atom(name)``
@@ -359,7 +359,7 @@ class Store:
 
         On its first try a clause gets the match function of its shape
         (see ``_prepare``) and keeps it, so loading a program prepares
-        nothing.
+        nothing.  A clause too big to compile is renamed whole instead.
         """
         match = clause._match
         if match is None:
@@ -549,8 +549,9 @@ def rename_clause(c: Clause, fresh: FreshVars) -> Clause:
 _ATOM, _INT, _GROUND = object(), object(), object()  # the kinds of slot
 _ATOMIC = {Atom: _ATOM, Int: _INT}
 # A clause that nests a variable deeper than this, or whose key is longer,
-# takes the generic walk: the code generated for a shape grows with its
-# size times its depth, and Python cannot compile code nested 100 deep.
+# is renamed apart and unified instead: the code generated for a shape
+# grows with its size times its depth, and Python cannot compile code
+# nested 100 deep.
 _MAX_NESTING, _MAX_KEY = 32, 512
 # Shape key -> match function, for the whole process: a table per database
 # would compile again for every program loaded.  A function depends on its
@@ -560,12 +561,11 @@ _SHAPES: dict[tuple, Callable] = {}
 
 def _prepare(clause: Clause) -> tuple:
     """The match function of ``clause``'s shape and its constants, kept on
-    the clause; the generic walk and the clause for a clause too big to
+    the clause; ``_rename_match`` and the clause for a clause too big to
     compile."""
     shape = _shape(clause)
     if shape is None:
-        order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
-        match = (_walk, (clause.head, clause.body, order))
+        match = (_rename_match, clause)
     else:
         key, constants = shape
         code = _SHAPES.get(key)
@@ -626,8 +626,8 @@ def _compile(key: tuple) -> Callable:
     """The match function of a shape: ``Store.unify_head`` for every clause
     of the shape, called with the clause's constants as ``k``.
 
-    Each argument of a compound in the head is matched in the order the
-    generic walk takes it: a variable's first occurrence names the call's
+    Each argument of a compound in the head is matched in the order
+    ``Store.unify`` takes it: a variable's first occurrence names the call's
     term, a later one unifies; a slot binds the call's variable or compares;
     a compound reads the call's compound or builds itself for the call's
     variable.  Functor names are arguments of the generated code, never
@@ -731,41 +731,15 @@ def _compile(key: tuple) -> Callable:
     return scope["make"](Var, Struct, Int, *names)
 
 
-def _walk(store: Store, goal: Term, fresh: FreshVars, clause: tuple) -> Optional[tuple]:
-    """``Store.unify_head`` for one clause, ``(head, body, numbering)``,
-    walking its head against the goal with a stack of equations."""
-    head, body, order = clause
+def _rename_match(store: Store, goal: Term, fresh: FreshVars, clause: Clause) -> Optional[tuple]:
+    """``Store.unify_head`` for a clause too big to compile: rename it
+    apart, then unify its head with ``goal``, the clause's side first."""
     base = fresh.next_id
-    env = _Renaming()  # clause variable -> call subterm or made variable
-    env.new = lambda v: fresh.var(base + order[v])
-    build = env.__getitem__
-    bindings = store.bindings
-    get = bindings.get
-    stack = [(goal, head)]
-    while stack:
-        x, y = stack.pop()
-        while type(x) is Var and (value := get(x)) is not None:
-            x = value
-        if type(y) is Var:
-            t = env.get(y)
-            if t is None:
-                env[y] = x
-            elif not store.unify(t, x):
-                return None
-        elif type(x) is Var:
-            mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
-            t = _rebuild(y, build)
-            if mapped and type(t) is Struct and store._occurs(x, t):
-                return None
-            bindings[x] = t
-        elif type(y) is Struct:
-            if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
-                return None
-            stack.extend(zip(x.args, y.args))
-        elif x != y:
-            return None
-    fresh.next_id += len(order)
-    return tuple([_rebuild(g, build) for g in body]) if order else body
+    renamed = rename_clause(clause, fresh)
+    if store.unify(renamed.head, goal):
+        return renamed.body
+    fresh.next_id = base
+    return None
 
 
 # Predicates the engine implements itself.  A definite program uses none of

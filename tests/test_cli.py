@@ -757,7 +757,7 @@ def test_repl_negate_flow():
         ["repl", COURSE],
         stdin_text="negate enrolled(X, logic).\nfresh_student.\nlisting.\n:quit\n",
     )
-    assert "skolem of person enrolled is ?" in r.out
+    assert "new constant for a false instance of enrolled ?" in r.out
     assert "s(neg(enrolled),fresh_student,logic)." in r.out
 
 

@@ -373,12 +373,22 @@ def test_determinism_same_run_twice():
     assert [s.bindings for s in o1.solutions] == [s.bindings for s in o2.solutions]
 
 
-def test_live_trace_stream_shows_failures():
-    db = fresh_db("p(b). q(X) :- p(X), r(X).")
+@pytest.mark.parametrize(
+    "program, query, trace",
+    [
+        ("p(b). q(X) :- p(X), r(X).", "q(a).", "q(a)\nfail\tp(a)\nfail\tq(a)\n"),
+        # a call that answered and then runs out of clauses fails too
+        # (Byrd's FAIL port), shown as it was called
+        ("p(a). p(b).", "p(X), X = c.", "p(X)\tX = a\np(X)\tX = b\nfail\tp(X)\n"),
+    ],
+    ids=["no-answer", "answers-then-fails"],
+)
+def test_live_trace_stream_shows_failures(program, query, trace):
+    db = fresh_db(program)
     tr = io.StringIO()
     solver = Solver(db, SolveOptions(), None, trace_out=tr)
-    solver.run(parse_query("q(a)."))
-    assert tr.getvalue() == "q(a)\nfail\tp(a)\nfail\tq(a)\n"
+    solver.run(parse_query(query))
+    assert tr.getvalue() == trace
 
 
 def test_solutions_are_lazy():
@@ -508,6 +518,9 @@ def test_store_unify_agrees_with_reference_unify(a, b):
 
 # --- the head match against renaming the clause apart, then unifying ---------
 
+_TOO_DEEP = "p(Y, " + "f(" * 32 + "Y" + ")" * 32 + ")"  # p/2 and 32 f/1 hold Y past the limit
+
+
 def _head_match(match, goal, clause, before=()):
     """What ``match`` (``Store.unify_head`` or the reference) leaves: whether
     it matched, each call variable and body goal resolved, and the next
@@ -548,6 +561,9 @@ def test_head_match_agrees_with_renaming_then_unifying(pair, before):
         ("p(f(Z), Z)", "p(W, W)", "p(f(Z), V)"),
         # Y stands for g(X), so the f(g(X)) built for X holds X
         ("p(X, g(X))", "p(f(Y), Y)", "p(V, g(X))"),
+        # as the first, but Y is nested too deep to compile: the clause is
+        # renamed apart, and its failed unification gives the ids back
+        pytest.param("p(X, X)", _TOO_DEEP, "p(X, V)", id="nested-past-the-limit"),
     ],
 )
 def test_head_match_runs_the_occurs_check(goal, head, apart):
@@ -556,6 +572,7 @@ def test_head_match_runs_the_occurs_check(goal, head, apart):
         fresh = FreshVars()
         assert match(Store(), parse_term_text(goal), clause, fresh) is None
         assert fresh.next_id == 1  # a failed match uses up no ids
+    assert (clause._match[0] is skolog_terms._rename_match) == (head is _TOO_DEEP)
     # with the call's two variables apart, the same head matches
     assert Store().unify_head(parse_term_text(apart), clause, FreshVars()) is not None
 
@@ -657,7 +674,7 @@ def test_compiled_head_match_agrees_with_the_generic_walk(pair, before):
     # ids used, whether the head matches or not
     goal, clause = pair
     assert _raw_match(Store.unify_head, goal, clause, before) == _raw_match(generic_head_match, goal, clause, before)
-    assert clause._match[0] is not skolog_terms._walk
+    assert clause._match[0] is not skolog_terms._rename_match
 
 
 def _nested(depth, leaf, name="f"):
@@ -680,28 +697,32 @@ def test_a_head_nested_10000_deep_matches_as_the_references_do():
             _nested(10_000, Y),
         ],
     }
+    deep, ground = cases
+    # the deep clause is renamed apart, so only renaming then unifying
+    # binds what it binds; the ground one compiles
+    raw_reference = {deep: rename_then_unify, ground: generic_head_match}
     for clause, args in cases.items():
         for arg in args:
             goal = Struct("t", (arg,))
             want = _head_match(rename_then_unify, goal, clause)
             assert _head_match(Store.unify_head, goal, clause) == want
-            assert _raw_match(Store.unify_head, goal, clause) == _raw_match(generic_head_match, goal, clause)
-    deep, ground = cases
-    assert deep._match[0] is skolog_terms._walk  # too deep to compile
+            assert _raw_match(Store.unify_head, goal, clause) == _raw_match(raw_reference[clause], goal, clause)
+    assert deep._match[0] is skolog_terms._rename_match  # too deep to compile
     assert ground._match[1] == ground.head.args  # one slot for the ground argument
 
 
 @pytest.mark.parametrize("depth, compiled", [(31, True), (32, False)])
-def test_a_variable_nested_past_the_limit_takes_the_generic_walk(depth, compiled):
+def test_a_variable_nested_past_the_limit_is_renamed_apart(depth, compiled):
     # t/1 and 31 f/1 hold X at the limit; one more f and the clause's
-    # code would nest past it
+    # code would nest past it, so the clause is renamed apart and unified
     a, Y = Atom("a"), Var("Y")
     clause = Clause(Struct("t", (_nested(depth, Var("X")),)), (Struct("t", (Var("X"),)),))
+    raw_reference = generic_head_match if compiled else rename_then_unify
     for arg in (Y, _nested(depth, a), _nested(depth, Y), _nested(depth - 1, a), _nested(3, Y)):
         goal = Struct("t", (arg,))
         assert _head_match(Store.unify_head, goal, clause) == _head_match(rename_then_unify, goal, clause)
-        assert _raw_match(Store.unify_head, goal, clause) == _raw_match(generic_head_match, goal, clause)
-    assert (clause._match[0] is not skolog_terms._walk) == compiled
+        assert _raw_match(Store.unify_head, goal, clause) == _raw_match(raw_reference, goal, clause)
+    assert (clause._match[0] is not skolog_terms._rename_match) == compiled
 
 
 def test_an_atomic_slot_and_a_compound_slot_do_not_share_code():

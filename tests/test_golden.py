@@ -55,6 +55,7 @@ REPL_INPUT = (
     "append(X, Y, [a]).\n"
     ";\n"
     "how.\n"
+    "append(X, Y, [a]), X = [b].\n"
     "assert(last(E, L) :- append(_, [E], L)).\n"
     "last(E, [a,b]).\n"
     "how.\n"

@@ -45,6 +45,10 @@ def test_prompt_formats_are_exact():
     assert prompt_for(Question("country", "marsha", None)) == (
         "country of person marsha is ?"
     )
+    # negation's witness question names the predicate, not a person
+    assert prompt_for(Question("skolem", "enrolled", None)) == (
+        "new constant for a false instance of enrolled ?"
+    )
 
 
 def test_ask_fresh_yes_stores_and_succeeds():

@@ -17,7 +17,9 @@ from skolog.engine import Solution
 from skolog.explain import QUERY_ROOT, ProofNode
 from skolog.oracle import Oracle, Question, WhyContext, prompt_for
 from skolog.parser import _ESCAPE, _ESCAPES
-from skolog.terms import NIL, Term, _walk, anonymous_var, apply, mklist, rename_clause, subterms, variables_in
+from skolog.terms import (
+    NIL, Term, _rebuild, _Renaming, anonymous_var, apply, mklist, rename_clause, subterms, variables_in,
+)
 
 
 def canonical(term, mapping=None):
@@ -131,10 +133,44 @@ def rename_then_unify(store, goal, clause, fresh):
 def generic_head_match(store, goal, clause, fresh):
     """Second reference for ``Store.unify_head``, with its signature: the
     generic walk that the compiled match of each clause shape must equal,
-    binding order and built terms included.  ``Store.unify_head`` itself
-    takes it for a clause too big to compile."""
-    order = {v: i for i, v in enumerate(variables_in((clause.head, *clause.body)))}
-    return _walk(store, goal, fresh, (clause.head, clause.body, order))
+    binding order and built terms included.  It walks the clause's head
+    against the goal with a stack of equations, without renaming the
+    clause: a clause variable's first occurrence stands for the call's
+    subterm, and a term is built only for an unbound variable of the
+    call."""
+    head, body = clause.head, clause.body
+    order = {v: i for i, v in enumerate(variables_in((head, *body)))}
+    base = fresh.next_id
+    env = _Renaming()  # clause variable -> call subterm or made variable
+    env.new = lambda v: fresh.var(base + order[v])
+    build = env.__getitem__
+    bindings = store.bindings
+    get = bindings.get
+    stack = [(goal, head)]
+    while stack:
+        x, y = stack.pop()
+        while type(x) is Var and (value := get(x)) is not None:
+            x = value
+        if type(y) is Var:
+            t = env.get(y)
+            if t is None:
+                env[y] = x
+            elif not store.unify(t, x):
+                return None
+        elif type(x) is Var:
+            mapped = len(env)  # ``x`` can be in ``t`` only through a variable mapped now
+            t = _rebuild(y, build)
+            if mapped and type(t) is Struct and store._occurs(x, t):
+                return None
+            bindings[x] = t
+        elif type(y) is Struct:
+            if type(x) is not Struct or x.name != y.name or len(x.args) != len(y.args):
+                return None
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
+            return None
+    fresh.next_id += len(order)
+    return tuple([_rebuild(g, build) for g in body]) if order else body
 
 
 class ReferenceResolver:
