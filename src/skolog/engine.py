@@ -152,7 +152,7 @@ class Solver:
         self.out = out if out is not None else sys.stdout
         self.diag = diag if diag is not None else sys.stderr
         self.trace_out = trace_out
-        self.cutoffs = 0  # branches of the latest search cut off by the depth limit
+        self.cutoffs = 0  # branches cut off by the depth limit in the search that ran last
 
     def run(self, goals) -> Outcome:
         """Collect solutions (up to max_solutions) and name the outcome."""
@@ -165,7 +165,8 @@ class Solver:
         return "depth_exceeded" if self.cutoffs else "no"
 
     def solutions(self, goals) -> Iterator[Solution]:
-        """Lazy stream of solutions in derivation order."""
+        """Lazy stream of solutions in derivation order.  Several streams
+        of one solver may be alive at once; each answers its own query."""
         goals = tuple(goals)
         for g in goals:
             if not isinstance(g, (Atom, Struct)):
@@ -187,6 +188,7 @@ class Solver:
         yield from self._search(cont, [v for v in qvars if v.name != "_"])
 
     def _search(self, cont, qvars) -> Iterator[Solution]:
+        state = self._root, self._fresh, self._warned, self._store, self._records, self._choices
         store, records, choices = self._store, self._records, self._choices
         bindings = store.bindings
         depth = 0
@@ -210,7 +212,11 @@ class Solver:
                 depth = cp.depth + 1
                 resume = False
             if cont is None:
+                cutoffs = self.cutoffs
                 yield self._solution(qvars)
+                if self._store is not store:  # another query ran meanwhile: take this one's state back
+                    self._root, self._fresh, self._warned, self._store, self._records, self._choices = state
+                    self.cutoffs = cutoffs
                 resume = True
                 continue
             raw, barrier, rest = cont
@@ -293,16 +299,16 @@ class Solver:
 
     def _solution(self, qvars) -> Solution:
         """The answer under the current bindings, and its proof, whose goals
-        resolve on their first read over a copy of those bindings."""
+        resolve on their first read over a copy of those bindings.  A query
+        of zero or several goals is the proof's root."""
         res = self._store.resolver(history=True)
         bindings = {v: res.resolve(v) for v in qvars if v in res.bindings}
-        built = self._tree(res, self._store.snapshot().resolve)[0][2]
+        final = self._store.snapshot().resolve
+        built = self._tree(res, final)[0][2]
         if len(built) == 1:
             return Solution(bindings, built[0])
-        if not built:
-            return Solution(bindings, ProofNode(TRUE, TRUE, QUERY_ROOT, {}, ()))
-        built = tuple(built)
-        return Solution(bindings, ProofNode.lazy(_conjunction, built, None, QUERY_ROOT, {}, built))
+        query = Struct(",", self._root) if self._root else TRUE
+        return Solution(bindings, ProofNode.lazy(final, query, None, QUERY_ROOT, {}, tuple(built)))
 
     def _why_supplier(self):
         # the open clauses behind the pending goal, outermost first
@@ -443,10 +449,6 @@ _BUILTINS = {
     ("retract", 1): Solver._bi_retract,
     ("holds_negated", 1): Solver._bi_holds_negated,
 }
-
-
-def _conjunction(nodes) -> Struct:
-    return Struct(",", tuple(n.goal for n in nodes))
 
 
 def solve(

@@ -4,10 +4,11 @@ as does ``UserSaidJust``: the oracle alone knows what justifies an answer.
 
 A proof node is justified by one of three values: the ``StoredClause`` it
 cites (a clause reduction, a known/4 memo hit, a holds_negated/1 hit), a
-builtin's name (``"query"`` for the root over a multi-goal query), or a
-``UserSaidJust`` for a fresh answer.  A cited clause's ``kind`` names where
-it came from, as JSON prints it: ``clause`` for program text,
-``asserted_fact`` for an assert or acquisition at run time, or ``s_fact``.
+builtin's name (``"query"`` for the root over a query of zero or several
+goals), or a ``UserSaidJust`` for a fresh answer.  A cited clause's
+``kind`` names where it came from, as JSON prints it: ``clause`` for
+program text, ``asserted_fact`` for an assert or acquisition at run time,
+or ``s_fact``.
 
 Negation as failure leaves nothing to explain (a failed search has no
 tree), which is the gap the s-fact transform fills: a success through a
@@ -27,7 +28,7 @@ from .terms import Subst, Term, TRUE, indicator_of
 
 Justification = Union[StoredClause, str, UserSaidJust]
 
-# The builtin name that justifies the synthetic root over multi-goal queries.
+# The builtin name that justifies the root over a query of zero or several goals.
 QUERY_ROOT = "query"
 
 
@@ -41,11 +42,14 @@ class ProofNode:
     may share an unchanged reduction's ``entry_goal`` and ``bindings``
     objects, so nothing mutates them (``trace_of`` copies the bindings).
 
-    The solver makes its nodes with ``lazy``: such a node holds its goal
+    The solver makes every node with ``lazy``: such a node holds its goal
     unresolved, resolves it on its first read and keeps it, so that later
     reads are plain attribute hits.  Its entry goal, bindings and children
     are there from the start.  Equality, ``repr``, copies and pickles read
-    the goal as an eager node's.
+    the goal as an eager node's, and recurse once per proof level: on the
+    proof of ``count(2000)`` by ``count(N) :- plus(M, 1, N), count(M).``
+    each raises ``RecursionError``.  HOW, JSON and the trace walk the tree
+    with stacks of their own.
     """
 
     goal: Term
@@ -71,8 +75,9 @@ class ProofNode:
         state = self.__dict__
         if name not in ("goal", "entry_goal") or "_raw" not in state:
             raise AttributeError(f"'ProofNode' object has no attribute '{name}'")
-        resolve, raw = state.pop("_raw")
-        goal = state["goal"] = resolve(raw)
+        resolve, raw = state["_raw"]
+        goal = state["goal"] = resolve(raw)  # a read that raises leaves the node as it was
+        del state["_raw"]
         state.setdefault("entry_goal", goal)
         return state[name]
 

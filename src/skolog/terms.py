@@ -34,6 +34,7 @@ term is walked once in its lifetime, not once per answer.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from operator import is_, itemgetter
@@ -510,24 +511,13 @@ def anonymous_var() -> Var:
     return Var("_", next(_ANON_IDS))
 
 
-class _Renaming(dict):
-    """Old variable -> new term, made on first lookup by ``new``."""
-
-    __slots__ = ("new",)
-
-    def __missing__(self, v: Var) -> Term:
-        w = self[v] = self.new(v)
-        return w
-
-
 def rename_clause(c: Clause, fresh: FreshVars) -> Clause:
     """Variant of ``c`` with every variable replaced by a fresh one.
 
     A ground clause is returned unchanged (same object).  Fresh variables
     are issued in first-occurrence order, head first.
     """
-    renaming = _Renaming()
-    renaming.new = lambda v: fresh.new()
+    renaming = collections.defaultdict(fresh.new)
     replace = renaming.__getitem__
     head = _rebuild(c.head, replace)
     body = tuple([_rebuild(g, replace) for g in c.body]) if c.body else ()
@@ -670,8 +660,6 @@ def _compile(key: tuple) -> Callable:
                 lines.append(f"{at}if not store.unify({v}, {src}): return None")
                 return
             mapped.add(t[1])
-            if src != v:
-                lines.append(f"{at}{v} = {src}")
             lines.append(f"{at}while type({v}) is Var and (t := get({v})) is not None: {v} = t")
             return
         lines.append(f"{at}x = {src}")

@@ -1,8 +1,8 @@
 """Complexity pinned by counts instead of seconds.
 
 Each test counts an operation by wrapping the function that does it for
-the length of one query, runs at growing sizes, and asserts the exact
-count where the program fixes it.  A count does not swing with the
+the length of one query or one read, runs at growing sizes, and asserts
+the exact count where the program fixes it.  A count does not swing with the
 host's speed, so it can guard a shape that wall time cannot.
 """
 
@@ -12,7 +12,8 @@ from unittest import mock
 
 import pytest
 
-from skolog import Atom, Clause, Database, Struct, load_program, parse_query, solve
+from skolog import Atom, Clause, Database, Solver, Struct, load_program, parse_program, parse_query, solve
+from skolog import parser
 from skolog.corpus import corpus_text
 from skolog.oracle import YES, ask, ask_value
 from skolog.parser import format_term
@@ -37,6 +38,42 @@ def test_append_on_n_elements_makes_n_plus_one_head_matches(n):
         out = solve(db, parse_query(f"append([{items}], [z], L)."))
     assert [format_term(v) for s in out.solutions for v in s.bindings.values()] == [f"[{items},z]"]
     assert len(matched) == n + 1
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_append_on_n_elements_leaves_2n_plus_one_bindings_and_n_plus_one_records(n):
+    # matched in unify's order, each recursive call's head binds the call's
+    # third argument to a built [X|Zs], then X to the list's element; the
+    # closing call binds the last Zs.  Each of the n + 1 calls leaves one
+    # record.
+    db = Database()
+    load_program(db, corpus_text("append.pl"))
+    items = ",".join(f"e{i}" for i in range(n))
+    at_answer = []
+    solution = Solver._solution
+
+    def counted(self, qvars):
+        at_answer.append((len(self._store.bindings), len(self._records)))
+        return solution(self, qvars)
+
+    with mock.patch.object(Solver, "_solution", counted):
+        out = solve(db, parse_query(f"append([{items}], [z], L)."))
+    assert [format_term(v) for s in out.solutions for v in s.bindings.values()] == [f"[{items},z]"]
+    assert at_answer == [(2 * n + 1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000])
+def test_reading_n_clauses_scans_the_text_once(n):
+    # the reader splits the whole text into tokens in one scan, and works
+    # out a token's line and column only for an error
+    text = "".join(f"p({i}, [a, 'b c'|T]) :- q(X, T), not(r(X)).  % clause {i}\n" for i in range(n))
+    scan = mock.Mock(wraps=parser._SCAN)
+    position = mock.Mock(wraps=parser._position)
+    with mock.patch.object(parser, "_SCAN", scan), mock.patch.object(parser, "_position", position):
+        clauses = parse_program(text)
+    assert len(clauses) == n
+    assert scan.findall.call_args_list == [mock.call(text)]
+    assert scan.finditer.call_count == 0 and position.call_count == 0
 
 
 @pytest.mark.parametrize("n", [100, 1000])

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skolog import (
@@ -23,6 +23,7 @@ from skolog import (
     load_program,
     mklist,
     negate_fact,
+    parse_program,
     parse_query,
     parse_term_text,
     solve,
@@ -31,10 +32,12 @@ import skolog.terms as skolog_terms
 from skolog.corpus import corpus_text
 from skolog.database import load_clauses
 from skolog.engine import Store
+from skolog.errors import SkologError
 from skolog.parser import parse_clause_text
 from skolog.terms import CUT, FreshVars, apply, rename_clause, signature, variables_in
 
 from strategies import few_terms, head_matches, terms
+from test_indexing import programs, queries
 from util import QueuedOracle, generic_head_match, reference_unify, rename_then_unify, run_cli, variant_equal
 
 
@@ -399,10 +402,92 @@ def test_solutions_are_lazy():
     assert first.bindings[Var("X")] == Atom("a")
 
 
+def test_streams_of_one_solver_answer_their_own_queries():
+    # a stream resumed after other queries ran on its solver answers as on
+    # a solver of its own, and the status it leaves is its own search's:
+    # the cut-off query run in between does not make it depth_exceeded
+    db = fresh_db(corpus_text("append.pl") + "loop :- loop.")
+    first, second = "append(X, Y, [a,b,c]), append(P, Q, X).", "append(U, V, [q,r])."
+
+    def alone(query):
+        solver = Solver(db, SolveOptions(depth_limit=50))
+        return list(solver.solutions(parse_query(query))), solver.exhausted_status()
+
+    solver = Solver(db, SolveOptions(depth_limit=50))
+    stream = solver.solutions(parse_query(first))
+    got = [next(stream), next(stream)]
+    other = solver.solutions(parse_query(second))
+    got_other = [next(other), next(other)]
+    assert solver.run(parse_query("loop.")).status == "depth_exceeded"
+    got += stream
+    assert (got, solver.exhausted_status()) == alone(first)
+    assert len(got) == 10
+    got_other += other
+    assert (got_other, solver.exhausted_status()) == alone(second)
+
+
+# Head matches a session may make before its query is stopped: the random
+# programs can build searches that are exponential under the depth limit.
+REDUCTION_BUDGET = 5_000
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _interleaved(program, goals, schedule, tracing, shared):
+    """Everything a user could see of two streams advanced in the order
+    that ``schedule`` picks (False: the first), on one solver if
+    ``shared``, else on a solver each over one database: each answer with
+    its solver's ``cutoffs``, each end with its status, the output, and the
+    database after.  A stream that ends, raises a skolog error or goes over the
+    budget is dropped."""
+    db = Database()
+    load_clauses(db, program)
+    out, diag, trace = io.StringIO(), io.StringIO(), io.StringIO()
+    solvers = [Solver(db, SolveOptions(depth_limit=8), out=out, diag=diag, trace_out=trace if tracing else None)
+               for _ in range(1 if shared else 2)]
+    streams = [solvers[0].solutions(goals[0]), solvers[-1].solutions(goals[1])]
+    reduce, made = Solver._reduce, iter(range(REDUCTION_BUDGET))
+
+    def budgeted(self, call):
+        if next(made, None) is None:
+            raise _OverBudget
+        return reduce(self, call)
+
+    seen = []
+    with mock.patch.object(Solver, "_reduce", budgeted):
+        for pick in map(int, schedule):
+            if streams[pick] is None:
+                continue
+            solver = solvers[min(pick, len(solvers) - 1)]
+            try:
+                seen.append((pick, next(streams[pick]), solver.cutoffs))
+            except StopIteration:
+                seen.append((pick, solver.exhausted_status()))
+                streams[pick] = None
+            except (SkologError, _OverBudget) as e:
+                seen.append((pick, type(e).__name__, str(e)))
+                streams[pick] = None
+    stored = [(sc.id, sc.kind, sc.clause) for sc in db.all_stored()]
+    return seen, out.getvalue(), diag.getvalue(), trace.getvalue(), stored
+
+
+@given(programs, queries, queries, st.lists(st.booleans(), max_size=24), st.booleans())
+# at least 300 examples; a profile that asks for more (CI's robustness) wins
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_interleaved_streams_answer_as_on_solvers_of_their_own(text, first, second, schedule, tracing):
+    # parse once: both sessions must see the same variables, `_` ones included
+    program, goals = parse_program(text), (parse_query(first), parse_query(second))
+    shared = _interleaved(program, goals, schedule, tracing, shared=True)
+    assert shared == _interleaved(program, goals, schedule, tracing, shared=False)
+
+
 def test_engine_provable_matches_semantics_on_definite_program():
     text = "edge(a, b). edge(b, c). path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z)."
     db = fresh_db(text)
-    from skolog import UniverseBound, herbrand_base, minimal_model, parse_program
+    from skolog import UniverseBound, herbrand_base, minimal_model
 
     clauses = parse_program(text)
     model = minimal_model(clauses, UniverseBound(0))

@@ -22,6 +22,7 @@ from skolog import (
     why,
 )
 from skolog.explain import (
+    ProofNode,
     TraceEntry,
     format_trace_entry,
     proof_to_json,
@@ -30,6 +31,7 @@ from skolog.explain import (
 from skolog.negation import negate_fact
 from skolog.oracle import WhyContext
 from skolog.parser import parse_clause_text
+from skolog.terms import TRUE
 
 from test_golden import RUNS
 from util import variant_equal, variant_equal_seq, why_from_scratch
@@ -84,6 +86,32 @@ def test_trace_conjunction_left_before_right():
     text = [format_trace_entry(e) for e in entries]
     assert text[0].startswith("p(")
     assert text[1].startswith("q(")
+
+
+def test_the_empty_query_is_proved_by_its_root_alone():
+    out = solve(Database(), [])
+    assert out.status == "yes" and [s.bindings for s in out.solutions] == [{}]
+    (proof,) = [s.proof for s in out.solutions]
+    assert proof == ProofNode(TRUE, TRUE, "query", {}, ())
+    assert how(proof) == ""
+    assert trace_of(proof) == [TraceEntry(TRUE, {})]
+
+
+def test_a_lazy_goal_whose_first_read_raises_is_read_again():
+    # e.g. a RecursionError from comparing a deep proof: the node keeps
+    # what it needs to resolve its goal on the next read
+    calls = []
+
+    def resolve(raw):
+        calls.append(raw)
+        if len(calls) == 1:
+            raise RecursionError
+        return raw
+
+    node = ProofNode.lazy(resolve, TRUE, None, "true", {})
+    with pytest.raises(RecursionError):
+        node.goal
+    assert (node.goal, node.entry_goal, calls) == (TRUE, TRUE, [TRUE, TRUE])
 
 
 def test_format_trace_tab_separated():

@@ -18,7 +18,7 @@ from skolog.explain import QUERY_ROOT, ProofNode
 from skolog.oracle import Oracle, Question, WhyContext, prompt_for
 from skolog.parser import _ESCAPE, _ESCAPES
 from skolog.terms import (
-    NIL, Term, _rebuild, _Renaming, anonymous_var, apply, mklist, rename_clause, subterms, variables_in,
+    NIL, Term, _rebuild, anonymous_var, apply, mklist, rename_clause, subterms, variables_in,
 )
 
 
@@ -141,9 +141,13 @@ def generic_head_match(store, goal, clause, fresh):
     head, body = clause.head, clause.body
     order = {v: i for i, v in enumerate(variables_in((head, *body)))}
     base = fresh.next_id
-    env = _Renaming()  # clause variable -> call subterm or made variable
-    env.new = lambda v: fresh.var(base + order[v])
-    build = env.__getitem__
+    env = {}  # clause variable -> call subterm or made variable
+
+    def build(v):  # a clause variable's term, made on its first use
+        if v not in env:
+            env[v] = fresh.var(base + order[v])
+        return env[v]
+
     bindings = store.bindings
     get = bindings.get
     stack = [(goal, head)]
